@@ -8,12 +8,28 @@ influence ranking then shrinks the box: influential parameters keep wide
 bounds, irrelevant ones collapse toward the cheapest satisfying corner.
 """
 
-from confopt import build_backend, bundled_path, parse_config, reduce_bounds, run_screening
-from confopt.harness import sli_objective
+from confopt import (
+    build_backend,
+    bundled_path,
+    get_utility,
+    parse_config,
+    reduce_bounds,
+    run_screening,
+)
+from confopt.harness import Evaluator, sli_objective
 
 config = parse_config(bundled_path("toystore.yaml"))
-backend = build_backend(config)
-objective = sli_objective(config.space, backend, config.slo, config.workload)
+# The evaluator measures and scores configurations; the screening objective
+# reads the p99 latency off each scored observation.
+evaluator = Evaluator(
+    config.space,
+    build_backend(config),
+    get_utility(config.util_func),
+    config.slo,
+    config.workload,
+    config.cost_weights,
+)
+objective = sli_objective(evaluator)
 
 # r trajectories of k+1 points each: 10 * 9 = 90 measured configurations.
 outcome = run_screening(

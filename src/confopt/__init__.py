@@ -73,7 +73,6 @@ from .utility import (
     UTILITY_FUNCTIONS,
     WorkloadSpec,
     allocation_cost,
-    distance_to_optimal,
     get_utility,
     slo_cost_utility,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "collect_exhaustive",
     "compare",
     "create_optimizer",
-    "distance_to_optimal",
     "emit_config",
     "emit_reduced_config",
     "expected_improvement",

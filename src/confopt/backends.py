@@ -1,13 +1,16 @@
 """Experiment backends: how a configuration gets measured.
 
-All backends implement one contract: take a rendered parameter map and a
-workload, return service-level indicators. Three are provided:
+Measuring backends implement one contract: take a rendered parameter map
+and a workload, return service-level indicators. Two are provided:
 
 * synthetic, a closed-form queueing approximation of a small service chain,
   for fast offline studies;
-* replay, exact lookup in a previously collected dataset;
 * external, a child process speaking a one-line JSON protocol, for wiring
   in real load generators.
+
+Replay is not a measuring backend: :class:`ReplayBackend` looks up stored,
+already scored rows of a collected dataset, and ``harness.Evaluator``
+returns those rows instead of rendering and scoring anything.
 
 Backends are safe to call concurrently; the synthetic one derives its noise
 stream per call from the configuration itself, so results do not depend on
@@ -60,6 +63,8 @@ class SliResult:
 
 
 class Backend(Protocol):
+    """A measuring backend; see :class:`ReplayBackend` for stored rows."""
+
     def evaluate(self, params: Mapping[str, str], workload: WorkloadSpec) -> SliResult:
         """Measure one rendered configuration under the given workload."""
         ...
@@ -241,11 +246,13 @@ class SyntheticBackend:
 
 
 class ReplayBackend:
-    """Exact lookup of previously measured configurations.
+    """Exact lookup of previously measured and scored configurations.
 
-    Built from a collected dataset; see ``Dataset.replay_backend``. A lookup
-    miss is a hard error carrying the canonical configuration text, never a
-    silent re-measurement.
+    Built from a collected dataset; see ``Dataset.replay_backend``. Rows are
+    keyed by settings in the dataset's own parameter order;
+    ``harness.Evaluator`` maps a search space onto that order by parameter
+    name. A lookup miss is a hard error carrying the canonical configuration
+    text, never a silent re-measurement.
     """
 
     def __init__(self, space: "SearchSpace", rows: Mapping[tuple[int, ...], "Observation"]):
@@ -260,15 +267,6 @@ class ReplayBackend:
 
             text = self.space.config_text(Configuration(settings))
             raise KeyError(f"configuration not in dataset: {text}") from None
-
-    def evaluate(self, params: Mapping[str, str], workload: WorkloadSpec) -> SliResult:
-        settings = tuple(
-            _parse_quantity(p.name, params[p.name]) for p in self.space.parameters
-        )
-        row = self.lookup(settings)
-        if row.failed:
-            return SliResult(failed=True, failure_reason="replayed failure")
-        return SliResult(slis=dict(row.slis))
 
 
 # -- external ----------------------------------------------------------------
@@ -308,7 +306,7 @@ class ExternalBackend:
         request = {
             "params": dict(params),
             "tenants": workload.tenants,
-            "timeout_s": int(self.timeout_s),
+            "timeout_s": self.timeout_s,
         }
         if workload.rate_per_tenant is not None:
             request["rate_per_tenant"] = workload.rate_per_tenant

@@ -56,11 +56,21 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     seed = _resolve_seed(config, args.seed)
     backend = build_backend(config)
     out = _out_dir(config.output_dir)
-    objective = harness.sli_objective(
-        config.space, backend, config.slo, config.workload
+    evaluator = harness.Evaluator(
+        config.space,
+        backend,
+        get_utility(config.util_func),
+        config.slo,
+        config.workload,
+        config.cost_weights,
+        config.cost_reference,
     )
     outcome = run_screening(
-        config.space, objective, r=config.screening.r, p=config.screening.p, seed=seed
+        config.space,
+        harness.sli_objective(evaluator),
+        r=config.screening.r,
+        p=config.screening.p,
+        seed=seed,
     )
     logger.info("screening used %d evaluations", len(outcome.evaluations))
     reduction = reduce_bounds(

@@ -24,6 +24,7 @@ import yaml
 from .backends import (
     Backend,
     ExternalBackend,
+    ReplayBackend,
     SyntheticBackend,
     load_service_model,
 )
@@ -300,7 +301,7 @@ def parse_config(path: str | Path) -> RunConfig:
     )
     try:
         workload = WorkloadSpec(tenants=tenants, rate_per_tenant=rate)
-        slo = SloSpec(threshold=threshold, workload=workload)
+        slo = SloSpec(threshold=threshold)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -403,7 +404,7 @@ def parse_config(path: str | Path) -> RunConfig:
     )
 
 
-def build_backend(config: RunConfig) -> Backend:
+def build_backend(config: RunConfig) -> Backend | ReplayBackend:
     """Instantiate the configured backend (ConfigError when absent)."""
     settings = config.backend
     if settings is None:

@@ -9,23 +9,26 @@ emitted file is a pure function of its inputs (no timestamps).
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .backends import Backend, ReplayBackend, SliResult
-from .optim import Observation, SpaceExhausted, create_optimizer
+from .optim import Observation, SpaceExhausted, best_observation, create_optimizer
 from .screening import reduce_bounds, run_screening
 from .space import Configuration, ParameterSpec, SearchSpace
 from .utility import CostWeights, SloSpec, UtilityFn, WorkloadSpec, allocation_cost
 
 __all__ = [
+    "Evaluator",
     "RunTrace",
     "Dataset",
     "ComparisonReport",
@@ -69,44 +72,6 @@ def failure_utility(slo: SloSpec) -> float:
     return 1.0 + 10.0 * slo.threshold
 
 
-def sli_objective(
-    space: SearchSpace, backend: Backend, slo: SloSpec, workload: WorkloadSpec
-) -> Callable[[Configuration], float]:
-    """Wrap a backend as a plain SLI function for screening.
-
-    Failed evaluations map to ten times the threshold so elementary
-    effects stay finite.
-    """
-
-    def objective(config: Configuration) -> float:
-        result = backend.evaluate(space.render(config), workload)
-        if result.failed or slo.metric not in result.slis:
-            return 10.0 * slo.threshold
-        return float(result.slis[slo.metric])
-
-    return objective
-
-
-# -- run traces --------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class RunTrace:
-    """One optimizer run: observations in evaluation order plus the
-    non-increasing best-so-far utility curve."""
-
-    optimizer: str
-    seed: int
-    observations: tuple[Observation, ...]
-    best_utilities: np.ndarray
-    found_optimal_at: int | None = None
-
-    @property
-    def best(self) -> Observation:
-        index = int(np.argmin([o.utility for o in self.observations]))
-        return self.observations[index]
-
-
 def score_result(
     config: Configuration,
     result: SliResult,
@@ -148,10 +113,119 @@ def score_result(
     )
 
 
+class Evaluator:
+    """The one place a configuration of ``space`` becomes an observation.
+
+    A measuring backend is called with the rendered configuration and its
+    result is scored against ``slo`` with ``utility_fn``; ``cost_space``
+    supplies allocation-cost bounds when they differ from ``space`` (runs
+    inside reduced bounds). A :class:`ReplayBackend` is not measured: the
+    stored row is returned, matched to ``space`` by parameter name, so the
+    scoring arguments are optional and a dataset whose parameters differ
+    from the space's is rejected here.
+    """
+
+    def __init__(
+        self,
+        space: SearchSpace,
+        backend: Backend | ReplayBackend,
+        utility_fn: UtilityFn | None = None,
+        slo: SloSpec | None = None,
+        workload: WorkloadSpec | None = None,
+        weights: CostWeights | None = None,
+        cost_space: SearchSpace | None = None,
+    ):
+        self.space = space
+        self.backend = backend
+        self.utility_fn = utility_fn
+        self.slo = slo
+        self.workload = workload
+        self.weights = weights
+        self.cost_space = cost_space or space
+        if isinstance(backend, ReplayBackend):
+            stored = backend.space.names
+            if set(stored) != set(space.names):
+                raise ValueError(
+                    "replay dataset parameters differ from the search space: "
+                    f"only in the dataset {sorted(set(stored) - set(space.names))}, "
+                    f"only in the space {sorted(set(space.names) - set(stored))}"
+                )
+            self._stored_order = tuple(space.names.index(name) for name in stored)
+            self._observe = self._replay
+        else:
+            if utility_fn is None or slo is None or workload is None:
+                raise ValueError(
+                    "utility_fn, slo and workload are required unless replaying a dataset"
+                )
+            self._observe = self._measure
+
+    def evaluate(
+        self, configs: Iterable[Configuration], eval_index: int = 1
+    ) -> Iterator[Observation]:
+        """Observations of ``configs`` in order, numbered from ``eval_index``."""
+        for index, config in enumerate(configs, eval_index):
+            yield self._observe(config, index)
+
+    def screening_value(self, obs: Observation) -> float:
+        """The screened SLI of an observation; failures (and observations
+        missing the metric) map to ten times the threshold so elementary
+        effects stay finite."""
+        if obs.failed or self.slo.metric not in obs.slis:
+            return 10.0 * self.slo.threshold
+        return float(obs.slis[self.slo.metric])
+
+    def _measure(self, config: Configuration, eval_index: int) -> Observation:
+        result = self.backend.evaluate(self.space.render(config), self.workload)
+        return score_result(
+            config, result, self.utility_fn, self.slo, self.cost_space, self.weights, eval_index
+        )
+
+    def _replay(self, config: Configuration, eval_index: int) -> Observation:
+        settings = tuple(config.settings[i] for i in self._stored_order)
+        return replace(self.backend.lookup(settings), config=config, eval_index=eval_index)
+
+
+def sli_objective(
+    evaluator: Evaluator, observations: list[Observation] | None = None
+) -> Callable[[Configuration], float]:
+    """Wrap an evaluator as a plain SLI function for screening.
+
+    Each call evaluates one configuration and returns its screening value;
+    the scored observation is appended to ``observations`` when given.
+    """
+    seen = [] if observations is None else observations
+
+    def objective(config: Configuration) -> float:
+        (obs,) = evaluator.evaluate([config], len(seen) + 1)
+        seen.append(obs)
+        return evaluator.screening_value(obs)
+
+    return objective
+
+
+# -- run traces --------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class RunTrace:
+    """One optimizer run: observations in evaluation order plus the
+    non-increasing best-so-far utility curve."""
+
+    optimizer: str
+    seed: int
+    observations: tuple[Observation, ...]
+    best_utilities: np.ndarray
+    found_optimal_at: int | None = None
+
+    @property
+    def best(self) -> Observation:
+        return best_observation(self.observations)
+
+
 def run_optimization(
     space: SearchSpace,
     optimizer: str,
-    backend: Backend,
+    backend: Backend | ReplayBackend,
     budget: int,
     batch_size: int,
     seed: int,
@@ -162,25 +236,15 @@ def run_optimization(
     weights: CostWeights | None = None,
     cost_space: SearchSpace | None = None,
     optimum_settings: tuple[int, ...] | None = None,
-    max_workers: int = 1,
-    optimizer_options: dict | None = None,
 ) -> RunTrace:
     """Run one optimizer session to its budget (or space exhaustion).
 
-    A replay backend short-circuits scoring and reuses the stored
-    observations; any other backend needs ``utility_fn``, ``slo`` and
-    ``workload``. ``cost_space`` supplies allocation-cost bounds when they
-    differ from the searched space (runs inside reduced bounds).
-    ``optimum_settings``, when known, drives ``found_optimal_at``.
+    Every batch goes through one :class:`Evaluator` built from ``backend``
+    and the scoring arguments. ``optimum_settings``, when known, drives
+    ``found_optimal_at``.
     """
-    session = create_optimizer(
-        optimizer, space, budget, batch_size, seed, **(optimizer_options or {})
-    )
-    stored = backend if isinstance(backend, ReplayBackend) else None
-    if stored is None and (utility_fn is None or slo is None or workload is None):
-        raise ValueError(
-            "utility_fn, slo and workload are required unless replaying a dataset"
-        )
+    evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
+    session = create_optimizer(optimizer, space, budget, batch_size, seed)
     observations: list[Observation] = []
     best_curve: list[float] = []
     found_at: int | None = None
@@ -189,25 +253,7 @@ def run_optimization(
             batch = session.ask()
         except SpaceExhausted:
             break
-        base_index = len(observations)
-        if stored is not None:
-            scored = [
-                replace(stored.lookup(c.settings), eval_index=base_index + i + 1)
-                for i, c in enumerate(batch)
-            ]
-        else:
-            scored = _evaluate_batch(
-                space,
-                batch,
-                backend,
-                utility_fn,
-                slo,
-                workload,
-                cost_space or space,
-                weights,
-                base_index,
-                max_workers,
-            )
+        scored = list(evaluator.evaluate(batch, len(observations) + 1))
         session.tell(scored)
         for obs in scored:
             observations.append(obs)
@@ -226,34 +272,6 @@ def run_optimization(
         best_utilities=np.array(best_curve),
         found_optimal_at=found_at,
     )
-
-
-def _evaluate_batch(
-    space: SearchSpace,
-    batch: Sequence[Configuration],
-    backend: Backend,
-    utility_fn: UtilityFn,
-    slo: SloSpec,
-    workload: WorkloadSpec,
-    cost_space: SearchSpace,
-    weights: CostWeights | None,
-    base_index: int,
-    max_workers: int,
-) -> list[Observation]:
-    rendered = [space.render(c) for c in batch]
-    if max_workers > 1 and len(batch) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(
-                pool.map(lambda p: backend.evaluate(p, workload), rendered)
-            )
-    else:
-        results = [backend.evaluate(p, workload) for p in rendered]
-    return [
-        score_result(
-            config, result, utility_fn, slo, cost_space, weights, base_index + i + 1
-        )
-        for i, (config, result) in enumerate(zip(batch, results))
-    ]
 
 
 # -- datasets ----------------------------------------------------------------
@@ -278,11 +296,7 @@ class Dataset:
         self._index = {obs.config.settings: obs for obs in self.rows}
         if len(self._index) != len(self.rows):
             raise ValueError("dataset contains duplicate configurations")
-        best = self.rows[0]
-        for obs in self.rows[1:]:
-            if obs.utility < best.utility:
-                best = obs
-        self.optimum = best
+        self.optimum = best_observation(self.rows)
         self._replay: ReplayBackend | None = None
 
     def lookup(self, settings: tuple[int, ...]) -> Observation:
@@ -329,10 +343,15 @@ def _parse_dataset_rows(
         )
     names = header[: -len(_METRIC_COLUMNS)]
     parsed = []
+    bad_line = None
     for row in reader:
-        if len(row) != len(header):
-            break
+        # Only the final line may be torn (an interrupted write); a bad
+        # row with rows after it means the file itself is corrupt.
+        if bad_line is not None:
+            raise ValueError(f"{source}: line {bad_line}: malformed dataset row")
         try:
+            if len(row) != len(header):
+                raise ValueError
             settings = tuple(int(v) for v in row[: len(names)])
             p99, throughput, utility = (
                 float(row[len(names)]),
@@ -341,9 +360,10 @@ def _parse_dataset_rows(
             )
             feasible, failed = row[len(names) + 3], row[len(names) + 4]
             if feasible not in ("true", "false") or failed not in ("true", "false"):
-                break
+                raise ValueError
         except ValueError:
-            break
+            bad_line = reader.line_num
+            continue
         parsed.append(
             (
                 settings,
@@ -380,7 +400,7 @@ def _row_to_observation(
 
 def collect_exhaustive(
     space: SearchSpace,
-    backend: Backend,
+    backend: Backend | ReplayBackend,
     utility_fn: UtilityFn,
     slo: SloSpec,
     workload: WorkloadSpec,
@@ -391,7 +411,8 @@ def collect_exhaustive(
     cap: int = EXHAUSTIVE_CAP,
     checkpoint_every: int = 100,
 ) -> Dataset:
-    """Measure every configuration, optionally checkpointing to disk.
+    """Measure every configuration through one :class:`Evaluator`,
+    optionally checkpointing to disk.
 
     With ``out_path`` the rows stream into ``<out_path>.partial`` with a
     flush every ``checkpoint_every`` rows and an atomic rename at the end.
@@ -403,19 +424,19 @@ def collect_exhaustive(
             f"space has {space.size} configurations, above the cap of {cap}; "
             f"screen first to reduce the bounds"
         )
-    resumed: list[Observation] = []
+    evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
+    rows: list[Observation] = []
     partial_path = None
     if out_path is not None:
         out_path = Path(out_path)
         partial_path = out_path.with_name(out_path.name + ".partial")
         if partial_path.exists():
-            resumed = _resume_partial(partial_path, space)
+            rows = _resume_partial(partial_path, space)
             logger.info(
                 "resuming exhaustive collection: %d rows already measured",
-                len(resumed),
+                len(rows),
             )
 
-    rows = list(resumed)
     handle = None
     if partial_path is not None:
         handle = open(partial_path, "a", encoding="utf-8", newline="")
@@ -425,13 +446,8 @@ def collect_exhaustive(
             handle.flush()
     try:
         pending = 0
-        for position, config in enumerate(space.iter_configurations(), start=1):
-            if position <= len(resumed):
-                continue
-            result = backend.evaluate(space.render(config), workload)
-            obs = score_result(
-                config, result, utility_fn, slo, cost_space or space, weights, position
-            )
+        todo = itertools.islice(space.iter_configurations(), len(rows), None)
+        for obs in evaluator.evaluate(todo, len(rows) + 1):
             rows.append(obs)
             if handle is not None:
                 writer.writerow(_dataset_row(obs))
@@ -541,26 +557,6 @@ class ComparisonReport:
     optimizers: dict[str, OptimizerComparison]
 
 
-def _single_comparison_run(
-    dataset: Dataset, optimizer: str, budget: int, batch_size: int, seed: int
-) -> tuple[int | None, np.ndarray]:
-    trace = run_optimization(
-        dataset.space,
-        optimizer,
-        dataset.replay_backend(),
-        budget,
-        batch_size,
-        seed,
-        optimum_settings=dataset.optimum.config.settings,
-    )
-    curve = np.empty(budget)
-    n = len(trace.best_utilities)
-    curve[:n] = trace.best_utilities
-    if n < budget:
-        curve[n:] = trace.best_utilities[-1]
-    return trace.found_optimal_at, curve
-
-
 _WORKER_STATE: dict = {}
 
 
@@ -568,18 +564,30 @@ def _compare_init(dataset: Dataset, budget: int, batch_size: int, base_seed: int
     _WORKER_STATE["args"] = (dataset, budget, batch_size, base_seed)
 
 
-def _compare_chunk(task: tuple[str, int, int]) -> tuple[str, int, list, np.ndarray]:
+def _compare_chunk(
+    task: tuple[str, int, int], args: tuple | None = None
+) -> tuple[str, list, np.ndarray]:
+    """Replay runs ``start..stop`` of one optimizer. ``args`` defaults to
+    the state a pool worker's initializer stored."""
     optimizer, start, stop = task
-    dataset, budget, batch_size, base_seed = _WORKER_STATE["args"]
+    dataset, budget, batch_size, base_seed = args or _WORKER_STATE["args"]
     found = []
     curves = np.empty((stop - start, budget))
     for offset, run_index in enumerate(range(start, stop)):
-        found_at, curve = _single_comparison_run(
-            dataset, optimizer, budget, batch_size, base_seed + run_index
+        trace = run_optimization(
+            dataset.space,
+            optimizer,
+            dataset.replay_backend(),
+            budget,
+            batch_size,
+            base_seed + run_index,
+            optimum_settings=dataset.optimum.config.settings,
         )
-        found.append(found_at)
-        curves[offset] = curve
-    return optimizer, start, found, curves
+        n = len(trace.best_utilities)
+        curves[offset, :n] = trace.best_utilities
+        curves[offset, n:] = trace.best_utilities[-1]
+        found.append(trace.found_optimal_at)
+    return optimizer, found, curves
 
 
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -616,46 +624,32 @@ def compare(
     if len(set(optimizer_names)) != len(optimizer_names):
         raise ValueError("duplicate optimizer names")
 
-    per_optimizer: dict[str, tuple[list, np.ndarray]] = {}
+    args = (dataset, budget, batch_size, base_seed)
+    chunk = max(1, math.ceil(runs / (max(workers, 1) * 4)))
+    tasks = [
+        (name, start, min(start + chunk, runs))
+        for name in optimizer_names
+        for start in range(0, runs, chunk)
+    ]
     if workers <= 1:
-        for name in optimizer_names:
-            found = []
-            curves = np.empty((runs, budget))
-            for run_index in range(runs):
-                found_at, curve = _single_comparison_run(
-                    dataset, name, budget, batch_size, base_seed + run_index
-                )
-                found.append(found_at)
-                curves[run_index] = curve
-            per_optimizer[name] = (found, curves)
+        results = list(map(functools.partial(_compare_chunk, args=args), tasks))
     else:
-        chunk = max(1, math.ceil(runs / (workers * 4)))
-        tasks = [
-            (name, start, min(start + chunk, runs))
-            for name in optimizer_names
-            for start in range(0, runs, chunk)
-        ]
-        pieces: dict[tuple[str, int], tuple[list, np.ndarray]] = {}
         with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_compare_init,
-            initargs=(dataset, budget, batch_size, base_seed),
+            max_workers=workers, initializer=_compare_init, initargs=args
         ) as pool:
-            for name, start, found, curves in pool.map(_compare_chunk, tasks):
-                pieces[(name, start)] = (found, curves)
-        for name in optimizer_names:
-            found = []
-            blocks = []
-            for start in range(0, runs, chunk):
-                part_found, part_curves = pieces[(name, start)]
-                found.extend(part_found)
-                blocks.append(part_curves)
-            per_optimizer[name] = (found, np.vstack(blocks))
+            results = list(pool.map(_compare_chunk, tasks))
+    # Tasks are ordered by optimizer, then by first run, so concatenating
+    # each optimizer's chunks merges its runs in run-index order.
+    found_by: dict[str, list] = {name: [] for name in optimizer_names}
+    blocks_by: dict[str, list[np.ndarray]] = {name: [] for name in optimizer_names}
+    for name, found, curves in results:
+        found_by[name].extend(found)
+        blocks_by[name].append(curves)
 
     optimum_utility = dataset.optimum.utility
     report: dict[str, OptimizerComparison] = {}
     for name in optimizer_names:
-        found, curves = per_optimizer[name]
+        found, curves = found_by[name], np.vstack(blocks_by[name])
         distances = np.abs(curves - optimum_utility)
         fraction = np.empty(budget)
         q99 = np.empty(budget)
@@ -709,7 +703,7 @@ class SvbReport:
 
 def screening_vs_standalone(
     space: SearchSpace,
-    backend: Backend,
+    backend: Backend | ReplayBackend,
     utility_fn: UtilityFn,
     slo: SloSpec,
     workload: WorkloadSpec,
@@ -724,7 +718,6 @@ def screening_vs_standalone(
     relaxed_factor: float = 1.25,
     strict_factor: float = 0.75,
     known_global_optimum: tuple[int, ...] | None = None,
-    reduced_optimum_limit: int = EXHAUSTIVE_CAP,
 ) -> SvbReport:
     """Screening-plus-BO against standalone BO at the same total budget.
 
@@ -736,7 +729,7 @@ def screening_vs_standalone(
 
     Per repetition the report records both best utilities, whether each
     best lies inside that repetition's reduced bounds, and (for reduced
-    spaces up to ``reduced_optimum_limit``) whether the combined pipeline
+    spaces up to ``EXHAUSTIVE_CAP``) whether the combined pipeline
     evaluated the reduced space's true optimum. When the caller knows the
     global optimum it can pass its settings to get the matching flag for
     standalone BO.
@@ -748,25 +741,14 @@ def screening_vs_standalone(
             f"screening alone needs {screening_cost} evaluations, above the "
             f"total budget {total_budget}"
         )
+    evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights)
     reps = []
     for rep in range(repetitions):
         seed = base_seed + rep
-        screened: list[tuple[Configuration, float]] = []
-
-        def objective(config: Configuration) -> float:
-            result = backend.evaluate(space.render(config), workload)
-            if result.failed or slo.metric not in result.slis:
-                sli = 10.0 * slo.threshold
-                utility = failure_utility(slo)
-            else:
-                sli = float(result.slis[slo.metric])
-                utility = float(
-                    utility_fn(sli, slo.threshold, allocation_cost(config, space, weights))
-                )
-            screened.append((config, utility))
-            return sli
-
-        outcome = run_screening(space, objective, r=r, p=p, seed=seed)
+        combined: list[Observation] = []
+        outcome = run_screening(
+            space, sli_objective(evaluator, combined), r=r, p=p, seed=seed
+        )
         reduction = reduce_bounds(
             space,
             outcome.stats,
@@ -777,7 +759,6 @@ def screening_vs_standalone(
         )
         reduced = reduction.reduced_space
 
-        combined: list[tuple[Configuration, float]] = list(screened)
         bo_budget = total_budget - screening_cost
         if bo_budget > 0:
             bo_trace = run_optimization(
@@ -793,19 +774,21 @@ def screening_vs_standalone(
                 weights=weights,
                 cost_space=space,
             )
-            combined.extend((o.config, o.utility) for o in bo_trace.observations)
-        combined_best_config, combined_best_utility = _first_seen_min(combined)
+            combined.extend(bo_trace.observations)
+        combined_best = best_observation(combined)
 
         reduced_optimum = None
-        if reduced.size <= reduced_optimum_limit:
-            reduced_optimum = _brute_force_optimum(
+        combined_found = None
+        if reduced.size <= EXHAUSTIVE_CAP:
+            reduced_evaluator = Evaluator(
                 reduced, backend, utility_fn, slo, workload, weights, space
             )
-        combined_found = (
-            any(c.settings == reduced_optimum[0].settings for c, _ in combined)
-            if reduced_optimum is not None
-            else None
-        )
+            reduced_optimum = best_observation(
+                reduced_evaluator.evaluate(reduced.iter_configurations())
+            )
+            combined_found = any(
+                o.config.settings == reduced_optimum.config.settings for o in combined
+            )
 
         standalone_trace = run_optimization(
             space,
@@ -836,12 +819,12 @@ def screening_vs_standalone(
                 screening_evals=screening_cost,
                 reduced_space=reduced,
                 reduced_size=reduced.size,
-                combined_best_config=combined_best_config,
-                combined_best_utility=combined_best_utility,
-                combined_in_reduced_bounds=reduced.contains(combined_best_config),
+                combined_best_config=combined_best.config,
+                combined_best_utility=combined_best.utility,
+                combined_in_reduced_bounds=reduced.contains(combined_best.config),
                 combined_found_reduced_optimum=combined_found,
                 reduced_optimum_utility=(
-                    reduced_optimum[1] if reduced_optimum is not None else None
+                    reduced_optimum.utility if reduced_optimum is not None else None
                 ),
                 standalone_best_config=standalone_best.config,
                 standalone_best_utility=standalone_best.utility,
@@ -850,42 +833,6 @@ def screening_vs_standalone(
             )
         )
     return SvbReport(total_budget=total_budget, r=r, repetitions=tuple(reps))
-
-
-def _first_seen_min(
-    pairs: Sequence[tuple[Configuration, float]]
-) -> tuple[Configuration, float]:
-    best_config, best_utility = pairs[0]
-    for config, utility in pairs[1:]:
-        if utility < best_utility:
-            best_config, best_utility = config, utility
-    return best_config, best_utility
-
-
-def _brute_force_optimum(
-    space: SearchSpace,
-    backend: Backend,
-    utility_fn: UtilityFn,
-    slo: SloSpec,
-    workload: WorkloadSpec,
-    weights: CostWeights | None,
-    cost_space: SearchSpace,
-) -> tuple[Configuration, float]:
-    best: tuple[Configuration, float] | None = None
-    for position, config in enumerate(space.iter_configurations(), start=1):
-        obs = score_result(
-            config,
-            backend.evaluate(space.render(config), workload),
-            utility_fn,
-            slo,
-            cost_space,
-            weights,
-            position,
-        )
-        if best is None or obs.utility < best[1]:
-            best = (config, obs.utility)
-    assert best is not None
-    return best
 
 
 # -- emission ----------------------------------------------------------------

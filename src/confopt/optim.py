@@ -30,11 +30,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .gp import expected_improvement, gp_fit
-from .screening import ScreeningStats, compute_stats, generate_trajectories
+from .screening import (
+    ScreeningStats,
+    compute_stats,
+    generate_trajectories,
+    trajectory_effects,
+)
 from .space import Configuration, SearchSpace
 
 __all__ = [
     "Observation",
+    "best_observation",
     "SpaceExhausted",
     "OptimizerSession",
     "RandomSearchSession",
@@ -60,6 +66,12 @@ class Observation:
     feasible: bool
     eval_index: int
     failed: bool = False
+
+
+def best_observation(observations: Iterable[Observation]) -> Observation:
+    """The first observation attaining the minimum utility; earlier ones
+    win ties. Consumes an iterator without holding it."""
+    return min(observations, key=lambda obs: obs.utility)
 
 
 class SpaceExhausted(RuntimeError):
@@ -319,10 +331,7 @@ class BestConfigSession(OptimizerSession):
     def _after_tell(self, observations: list[Observation]) -> None:
         if not observations or self._round_boundaries is None:
             return
-        best_obs = observations[0]
-        for obs in observations[1:]:
-            if obs.utility < best_obs.utility:
-                best_obs = obs
+        best_obs = best_observation(observations)
         improved = self._best_before is None or best_obs.utility < self._best_before
         if improved:
             self._best_before = best_obs.utility
@@ -501,13 +510,11 @@ class MoatSession(OptimizerSession):
             return failure_value
 
         k = self.space.dimension
-        ee = np.empty((len(self.plans), k))
-        for row, plan in enumerate(self.plans):
-            base = row * (k + 1)
-            ys = [metric_of(self.history[base + j]) for j in range(k + 1)]
-            for step, dim in enumerate(plan.perturbed_dimension, start=1):
-                signed = plan.points[step, dim] - plan.points[step - 1, dim]
-                ee[row, dim] = (ys[step] - ys[step - 1]) / signed
+        ys = [metric_of(obs) for obs in self.history]
+        ee = [
+            trajectory_effects(plan, ys[row * (k + 1) : (row + 1) * (k + 1)])
+            for row, plan in enumerate(self.plans)
+        ]
         return compute_stats(ee, self.space.names)
 
 

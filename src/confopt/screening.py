@@ -41,6 +41,7 @@ __all__ = [
     "trajectory_delta",
     "generate_trajectories",
     "elementary_effect",
+    "trajectory_effects",
     "compute_stats",
     "run_screening",
     "reduce_bounds",
@@ -139,6 +140,16 @@ def elementary_effect(y_after: float, y_before: float, signed_delta: float) -> f
     return (y_after - y_before) / signed_delta
 
 
+def trajectory_effects(plan: TrajectoryPlan, ys: Sequence[float]) -> np.ndarray:
+    """Elementary effects along one trajectory, indexed by dimension;
+    ``ys[j]`` is the metric at ``plan.points[j]``."""
+    ee = np.empty(len(plan.perturbed_dimension))
+    for step, dim in enumerate(plan.perturbed_dimension, start=1):
+        signed = plan.points[step, dim] - plan.points[step - 1, dim]
+        ee[dim] = elementary_effect(ys[step], ys[step - 1], signed)
+    return ee
+
+
 @dataclass(frozen=True, eq=False)
 class ScreeningStats:
     """Per-parameter effect statistics over ``r`` trajectories.
@@ -231,9 +242,7 @@ def run_screening(
         configs = [space.from_normalized(point) for point in plan.points]
         ys = [float(objective(c)) for c in configs]
         evaluations.extend(zip(configs, ys))
-        for step, dim in enumerate(plan.perturbed_dimension, start=1):
-            signed = plan.points[step, dim] - plan.points[step - 1, dim]
-            ee[row, dim] = elementary_effect(ys[step], ys[step - 1], signed)
+        ee[row] = trajectory_effects(plan, ys)
     stats = compute_stats(ee, space.names)
     return ScreeningOutcome(
         stats=stats, evaluations=tuple(evaluations), plans=tuple(plans)

@@ -21,7 +21,6 @@ __all__ = [
     "CostWeights",
     "allocation_cost",
     "slo_cost_utility",
-    "distance_to_optimal",
     "UTILITY_FUNCTIONS",
     "get_utility",
 ]
@@ -37,7 +36,6 @@ class WorkloadSpec:
 
     tenants: int
     rate_per_tenant: float | None = None
-    pattern: str | None = None
 
     def __post_init__(self) -> None:
         if self.tenants < 1:
@@ -50,7 +48,7 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class SloSpec:
-    """An upper bound on a latency-style metric under a given workload.
+    """An upper bound on a latency-style metric.
 
     ``metric`` names the SLI to compare; lower is better and values at or
     below ``threshold`` satisfy the objective.
@@ -58,14 +56,10 @@ class SloSpec:
 
     threshold: float
     metric: str = "p99_latency_ms"
-    workload: WorkloadSpec | None = None
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
             raise ValueError(f"SLO threshold must be positive, got {self.threshold}")
-
-    def satisfied_by(self, sli: float) -> bool:
-        return sli <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -145,11 +139,6 @@ def slo_cost_utility(
 
 def _slo_cost_relative(sli: float, slo: float, cost: float) -> float:
     return slo_cost_utility(sli, slo, cost, relative_violation=True)
-
-
-def distance_to_optimal(utility: float, optimal_utility: float) -> float:
-    """Absolute gap between a utility and the known optimum's utility."""
-    return abs(utility - optimal_utility)
 
 
 #: Registered utility functions, selected by the config file's ``utilFunc``

@@ -17,6 +17,7 @@ from confopt.backends import (
     SyntheticBackend,
     load_service_model,
 )
+from confopt.harness import Evaluator
 from confopt.optim import Observation
 from confopt.space import Configuration, ParameterSpec, SearchSpace
 from confopt.utility import WorkloadSpec
@@ -191,15 +192,14 @@ class TestReplayBackend:
 
     def test_lookup_verbatim(self, space):
         backend = ReplayBackend(space, self.rows_for(space))
-        result = backend.evaluate({"webCpu": "625m", "webMemory": "512Mi"}, WORKLOAD)
-        assert result.slis["p99_latency_ms"] == 102.0
+        assert backend.lookup((625, 512)).slis["p99_latency_ms"] == 102.0
 
     def test_missing_config_is_hard_error(self, space):
         rows = self.rows_for(space)
         del rows[(625, 640)]
         backend = ReplayBackend(space, rows)
         with pytest.raises(KeyError, match="webCpu=625,webMemory=640"):
-            backend.evaluate({"webCpu": "625m", "webMemory": "640Mi"}, WORKLOAD)
+            backend.lookup((625, 640))
 
     def test_replayed_failure(self, space):
         rows = self.rows_for(space)
@@ -213,8 +213,8 @@ class TestReplayBackend:
             failed=True,
         )
         backend = ReplayBackend(space, rows)
-        result = backend.evaluate({"webCpu": "500m", "webMemory": "512Mi"}, WORKLOAD)
-        assert result.failed
+        (obs,) = Evaluator(space, backend).evaluate([failed_config])
+        assert obs.failed and obs.utility == 10001.0
 
 
 def write_stub(tmp_path, body):
@@ -241,6 +241,18 @@ class TestExternalBackend:
         result = backend.evaluate({"webCpu": "750m"}, WorkloadSpec(tenants=4))
         assert not result.failed
         assert result.slis == {"p99_latency_ms": 850.0, "throughput_rps": 40.0}
+
+    def test_fractional_timeout_forwarded(self, tmp_path):
+        stub = write_stub(
+            tmp_path,
+            """
+            import json, sys
+            request = json.loads(sys.stdin.readline())
+            print(json.dumps({"timeout_s": request["timeout_s"]}))
+            """,
+        )
+        backend = ExternalBackend(["python3", str(stub)], timeout_s=5.5)
+        assert backend.evaluate({}, WORKLOAD).slis == {"timeout_s": 5.5}
 
     def test_rate_per_tenant_forwarded(self, tmp_path):
         stub = write_stub(

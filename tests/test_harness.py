@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from confopt import harness
 from confopt.backends import Backend, SliResult
 from confopt.harness import (
     Dataset,
+    Evaluator,
     collect_exhaustive,
     compare,
     failure_utility,
@@ -103,8 +106,11 @@ class TestScoring:
             def evaluate(self, params, workload):
                 return SliResult(slis={}, failed=True, failure_reason="boom")
 
-        objective = sli_objective(space, FailingBackend(), SLO, WORKLOAD)
+        evaluator = Evaluator(space, FailingBackend(), UTILITY, SLO, WORKLOAD)
+        observations = []
+        objective = sli_objective(evaluator, observations)
         assert objective(Configuration((500, 500))) == 10.0 * SLO.threshold
+        assert [o.failed for o in observations] == [True]
 
 
 class TestRunOptimization:
@@ -203,6 +209,30 @@ class TestRunOptimization:
         for o in trace.observations:
             assert o.utility == dataset.lookup(o.config.settings).utility
 
+    def test_replay_matches_parameters_by_name(self):
+        space = make_space([4, 4])
+        rows = tuple(
+            Observation(config=c, slis={}, utility=0.01 * i, feasible=True, eval_index=i + 1)
+            for i, c in enumerate(space.iter_configurations())
+        )
+        dataset = Dataset(space=space, rows=rows)
+        swapped = SearchSpace(tuple(reversed(space.parameters)))
+        trace = run_optimization(
+            swapped, "exhaustive", dataset.replay_backend(), swapped.size, 4, seed=0
+        )
+        assert len(trace.observations) == 16
+        for obs in trace.observations:
+            cpu1, cpu0 = obs.config.settings
+            assert obs.utility == dataset.lookup((cpu0, cpu1)).utility
+
+    def test_replay_rejects_other_parameters(self):
+        dataset, _ = surface_dataset()
+        other = SearchSpace(
+            (dataset.space.parameters[0], ParameterSpec("dbMemory", 256, 512, 256))
+        )
+        with pytest.raises(ValueError, match=r"\['svc1Cpu'\].*\['dbMemory'\]"):
+            Evaluator(other, dataset.replay_backend())
+
     def test_non_replay_requires_scoring_arguments(self):
         space = make_space([2, 2])
         with pytest.raises(ValueError, match="utility"):
@@ -218,35 +248,6 @@ class TestRunOptimization:
         ]
         assert [o.config.settings for o in traces[0].observations] == [
             o.config.settings for o in traces[1].observations
-        ]
-
-    def test_parallel_workers_do_not_change_results(self):
-        space = make_space([3, 3])
-        serial = run_optimization(
-            space,
-            "exhaustive",
-            SurfaceBackend(space),
-            9,
-            3,
-            seed=0,
-            utility_fn=UTILITY,
-            slo=SLO,
-            workload=WORKLOAD,
-        )
-        threaded = run_optimization(
-            space,
-            "exhaustive",
-            SurfaceBackend(space),
-            9,
-            3,
-            seed=0,
-            utility_fn=UTILITY,
-            slo=SLO,
-            workload=WORKLOAD,
-            max_workers=3,
-        )
-        assert [o.utility for o in serial.observations] == [
-            o.utility for o in threaded.observations
         ]
 
 
@@ -441,6 +442,22 @@ class TestDatasetCsv:
         # a torn trailing line does not poison an otherwise complete file
         assert len(load_dataset(path).rows) == dataset.space.size
 
+    def test_corrupt_inner_row_names_file_and_line(self, tmp_path):
+        space = SearchSpace(
+            (
+                ParameterSpec("webCpu", 500, 875, 125),
+                ParameterSpec("webMemory", 256, 768, 256),
+            )
+        )
+        dataset = collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD)
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[9] = "625,768,not-a-number\n"  # data row 9, after the header
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 10:")):
+            load_dataset(path)
+
     def test_incomplete_file_rejected(self, tmp_path):
         dataset, _ = surface_dataset()
         path = tmp_path / "dataset.csv"
@@ -483,6 +500,7 @@ class TestCompare:
     def test_parallel_equals_serial(self, tmp_path):
         dataset, _ = surface_dataset((4, 4))
         serial = compare(dataset, ["random", "randominc"], 12, 10, base_seed=3)
+        assert not harness._WORKER_STATE  # the serial path keeps no dataset behind
         parallel = compare(
             dataset, ["random", "randominc"], 12, 10, base_seed=3, workers=3
         )
