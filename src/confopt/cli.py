@@ -202,6 +202,7 @@ def _cmd_screen_vs_bo(args: argparse.Namespace) -> int:
         repetitions=args.repetitions,
         base_seed=seed,
         weights=config.cost_weights,
+        cost_space=config.cost_reference,
         relaxed_factor=config.screening.relaxed_factor,
         strict_factor=config.screening.strict_factor,
     )

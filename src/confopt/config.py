@@ -29,7 +29,7 @@ from .backends import (
     load_service_model,
 )
 from .optim import OPTIMIZERS
-from .screening import BoundReductionReport
+from .screening import BoundReductionReport, resolve_p
 from .space import ParameterSpec, SearchSpace
 from .utility import CostWeights, SloSpec, UTILITY_FUNCTIONS, WorkloadSpec
 
@@ -495,8 +495,14 @@ def emit_config(config: RunConfig, space: SearchSpace | None = None) -> dict:
 def emit_reduced_config(config: RunConfig, reduction: BoundReductionReport) -> dict:
     """Wire mapping for the post-screening config: reduced bounds in
     ``parameters``, pre-reduction bounds carried as ``costReference`` so
-    allocation costs stay comparable across the reduction."""
+    allocation costs stay comparable across the reduction, and the
+    screening ``p`` the config resolves to, since the reduced space's level
+    counts almost always differ."""
     document = emit_config(config, space=reduction.reduced_space)
+    try:
+        document["screening"]["p"] = resolve_p(config.space, config.screening.p)
+    except ValueError:
+        pass  # no p: this config cannot drive a screening either
     reference = config.cost_reference if config.cost_reference is not None else config.space
     document["costReference"] = _parameter_entries(reference)
     return document

@@ -96,6 +96,9 @@ def gp_fit(
         raise ValueError(
             f"{n} inputs but {targets.shape[0]} targets"
         )
+    if not np.isfinite(targets).all():
+        bad = np.flatnonzero(~np.isfinite(targets)).tolist()
+        raise ValueError(f"targets must be finite; non-finite at rows {bad}")
     if length_scale <= 0 or signal_variance <= 0 or jitter <= 0:
         raise ValueError("length_scale, signal_variance and jitter must be positive")
 

@@ -15,7 +15,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -83,15 +83,17 @@ def score_result(
 ) -> Observation:
     """Turn a backend result into a scored observation.
 
-    Failures (and results missing the SLO metric) score the fixed failure
-    utility and are never feasible.
+    Failures, and results whose SLO metric is missing or not finite, score
+    the fixed failure utility and are never feasible.
     """
-    if result.failed or slo.metric not in result.slis:
+    sli = float(result.slis.get(slo.metric, math.nan))
+    if result.failed or not math.isfinite(sli):
         if not result.failed:
             logger.warning(
-                "evaluation %d returned no %s; scoring as failed",
+                "evaluation %d returned %s=%s; scoring as failed",
                 eval_index,
                 slo.metric,
+                result.slis.get(slo.metric, "nothing"),
             )
         return Observation(
             config=config,
@@ -101,7 +103,6 @@ def score_result(
             eval_index=eval_index,
             failed=True,
         )
-    sli = float(result.slis[slo.metric])
     cost = allocation_cost(config, cost_space, weights)
     utility = float(utility_fn(sli, slo.threshold, cost))
     return Observation(
@@ -181,8 +182,10 @@ class Evaluator:
         )
 
     def _replay(self, config: Configuration, eval_index: int) -> Observation:
-        settings = tuple(config.settings[i] for i in self._stored_order)
-        return replace(self.backend.lookup(settings), config=config, eval_index=eval_index)
+        stored = self.backend.lookup(tuple([config.settings[i] for i in self._stored_order]))
+        return Observation(
+            config, stored.slis, stored.utility, stored.feasible, eval_index, stored.failed
+        )
 
 
 def sli_objective(
@@ -715,6 +718,7 @@ def screening_vs_standalone(
     repetitions: int = 1,
     base_seed: int = 0,
     weights: CostWeights | None = None,
+    cost_space: SearchSpace | None = None,
     relaxed_factor: float = 1.25,
     strict_factor: float = 0.75,
     known_global_optimum: tuple[int, ...] | None = None,
@@ -725,7 +729,9 @@ def screening_vs_standalone(
     the remainder of ``total_budget`` into BO inside the reduced bounds,
     and separately gives standalone BO the full ``total_budget`` on the
     original space. Failed screening evaluations enter the elementary
-    effects with an SLI of ten times the threshold.
+    effects with an SLI of ten times the threshold. Every evaluation's
+    allocation cost is normalized against ``cost_space`` (default:
+    ``space``), inside the reduced bounds too.
 
     Per repetition the report records both best utilities, whether each
     best lies inside that repetition's reduced bounds, and (for reduced
@@ -741,7 +747,14 @@ def screening_vs_standalone(
             f"screening alone needs {screening_cost} evaluations, above the "
             f"total budget {total_budget}"
         )
-    evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights)
+    scoring = dict(
+        utility_fn=utility_fn,
+        slo=slo,
+        workload=workload,
+        weights=weights,
+        cost_space=cost_space or space,
+    )
+    evaluator = Evaluator(space, backend, **scoring)
     reps = []
     for rep in range(repetitions):
         seed = base_seed + rep
@@ -768,11 +781,7 @@ def screening_vs_standalone(
                 bo_budget,
                 batch_size,
                 seed + 1_000_003,
-                utility_fn=utility_fn,
-                slo=slo,
-                workload=workload,
-                weights=weights,
-                cost_space=space,
+                **scoring,
             )
             combined.extend(bo_trace.observations)
         combined_best = best_observation(combined)
@@ -780,9 +789,7 @@ def screening_vs_standalone(
         reduced_optimum = None
         combined_found = None
         if reduced.size <= EXHAUSTIVE_CAP:
-            reduced_evaluator = Evaluator(
-                reduced, backend, utility_fn, slo, workload, weights, space
-            )
+            reduced_evaluator = Evaluator(reduced, backend, **scoring)
             reduced_optimum = best_observation(
                 reduced_evaluator.evaluate(reduced.iter_configurations())
             )
@@ -797,10 +804,7 @@ def screening_vs_standalone(
             total_budget,
             batch_size,
             seed + 2_000_003,
-            utility_fn=utility_fn,
-            slo=slo,
-            workload=workload,
-            weights=weights,
+            **scoring,
         )
         standalone_best = standalone_trace.best
         standalone_found = (

@@ -5,6 +5,10 @@ measure them, tell the session the scored observations, repeat until the
 budget runs out or the space is exhausted. Sessions are deterministic
 functions of (space, budget, batch size, seed, told history).
 
+Inside a session a configuration is its *rank*, its position in the
+space's enumeration order: strategies propose ranks, and ``ask`` turns
+them into :class:`Configuration` objects only for the batch it returns.
+
 Strategies, by registry name:
 
 * ``random``: uniform sampling without replacement.
@@ -21,11 +25,13 @@ never proposes a configuration it was already told about.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .screening import (
     ScreeningStats,
     compute_stats,
     generate_trajectories,
+    resolve_p,
     trajectory_effects,
 )
 from .space import Configuration, SearchSpace
@@ -81,6 +88,10 @@ class SpaceExhausted(RuntimeError):
 class OptimizerSession(ABC):
     """Shared ask/tell mechanics: budget, alternation, best tracking.
 
+    Subclasses propose *ranks* (see :meth:`SearchSpace.config_at`), which
+    ``ask`` turns into configurations; one that must not repeat itself
+    claims each rank through :meth:`_fresh`, its only record of the past.
+
     ``ask`` returns at most ``batch_size`` configurations (fewer near the
     end of the budget or of the space) and must be followed by a ``tell``
     covering exactly the asked batch. The incumbent best is updated by
@@ -102,6 +113,8 @@ class OptimizerSession(ABC):
         self.history: list[Observation] = []
         self._pending: list[Configuration] = []
         self._best: tuple[Configuration, float] | None = None
+        self._counts = [p.level_count for p in space.parameters]
+        self._asked: set[int] = set()
 
     @property
     def best_so_far(self) -> tuple[Configuration, float] | None:
@@ -117,11 +130,11 @@ class OptimizerSession(ABC):
         remaining = self.budget - self.told
         if remaining <= 0:
             raise RuntimeError(f"budget of {self.budget} evaluations exhausted")
-        proposals = self._propose(min(self.batch_size, remaining))
-        if not proposals:
+        ranks = self._propose(min(self.batch_size, remaining))
+        if not ranks:
             raise SpaceExhausted("every configuration has been evaluated")
-        self._pending = list(proposals)
-        return list(proposals)
+        self._pending = [self.space.config_at(rank) for rank in ranks]
+        return list(self._pending)
 
     def tell(self, observations: Sequence[Observation]) -> None:
         outstanding = [c.settings for c in self._pending]
@@ -148,54 +161,37 @@ class OptimizerSession(ABC):
         pass
 
     @abstractmethod
-    def _propose(self, n: int) -> list[Configuration]:
-        """Return 1..n fresh proposals, or raise :class:`SpaceExhausted`."""
+    def _propose(self, n: int) -> list[int]:
+        """Return up to ``n`` ranks; none means the space is exhausted."""
 
     # -- shared helpers ------------------------------------------------------
 
-    def _seen_settings(self) -> set[tuple[int, ...]]:
-        return {obs.config.settings for obs in self.history}
+    def _fresh(self, rank: int) -> bool:
+        """Claim ``rank`` if it was never proposed; False if it was."""
+        if rank in self._asked:
+            return False
+        self._asked.add(rank)
+        return True
 
-    def _level_counts(self) -> np.ndarray:
-        return np.array([p.level_count for p in self.space.parameters])
+    def _scan_unseen(self, n: int, ranks: Iterable[int]) -> list[int]:
+        """Deterministic fallback: claim the first ``n`` fresh ``ranks``."""
+        return list(itertools.islice(filter(self._fresh, ranks), n))
 
-    def _scan_unseen(
-        self,
-        n: int,
-        seen: set[tuple[int, ...]],
-        configs: Iterable[Configuration] | None = None,
-    ) -> list[Configuration]:
-        """Deterministic fallback: first unseen configurations in
-        enumeration order."""
-        found: list[Configuration] = []
-        for cfg in configs if configs is not None else self.space.iter_configurations():
-            if cfg.settings not in seen:
-                seen.add(cfg.settings)
-                found.append(cfg)
-                if len(found) == n:
-                    break
-        return found
-
-    def _random_unseen(self, n: int, seen: set[tuple[int, ...]]) -> list[Configuration]:
-        """Up to ``n`` distinct unseen configurations by rejection sampling,
-        falling back to a scan when collisions dominate."""
-        counts = self._level_counts()
-        out: list[Configuration] = []
+    def _random_unseen(self, n: int) -> list[int]:
+        """Up to ``n`` fresh ranks by rejection sampling, falling back to a
+        scan when collisions dominate."""
+        out: list[int] = []
         misses = 0
         while len(out) < n:
-            indices = self.rng.integers(counts)
-            cfg = self.space.config_from_indices([int(i) for i in indices])
-            if cfg.settings in seen:
+            rank = self.space.rank(self.rng.integers(self._counts))
+            if not self._fresh(rank):
                 misses += 1
                 if misses >= 64:
-                    out.extend(self._scan_unseen(n - len(out), seen))
+                    out.extend(self._scan_unseen(n - len(out), range(self.space.size)))
                     break
                 continue
             misses = 0
-            seen.add(cfg.settings)
-            out.append(cfg)
-        if not out:
-            raise SpaceExhausted("every configuration has been evaluated")
+            out.append(rank)
         return out
 
 
@@ -204,8 +200,8 @@ class RandomSearchSession(OptimizerSession):
 
     name = "random"
 
-    def _propose(self, n: int) -> list[Configuration]:
-        return self._random_unseen(n, self._seen_settings())
+    def _propose(self, n: int) -> list[int]:
+        return self._random_unseen(n)
 
 
 class RandomIncSession(OptimizerSession):
@@ -222,41 +218,31 @@ class RandomIncSession(OptimizerSession):
 
     def __init__(self, space: SearchSpace, budget: int, batch_size: int, seed: int):
         super().__init__(space, budget, batch_size, seed)
-        self._order = [int(d) for d in self.rng.permutation(space.dimension)]
-        self._cursor = 0
+        # A dimension's stride is its weight in the canonical rank.
+        strides = [math.prod(self._counts[d + 1 :]) for d in range(space.dimension)]
+        self._order = [(self._counts[d], strides[d]) for d in self.rng.permutation(space.dimension)]
+        self._stream = map(self._decode, range(space.size))
 
-    def _propose(self, n: int) -> list[Configuration]:
-        size = self.space.size
-        take = min(n, size - self._cursor)
-        if take <= 0:
-            raise SpaceExhausted("space fully enumerated")
-        out = [self._decode(i) for i in range(self._cursor, self._cursor + take)]
-        self._cursor += take
-        return out
+    def _propose(self, n: int) -> list[int]:
+        return list(itertools.islice(self._stream, n))
 
-    def _decode(self, linear: int) -> Configuration:
-        indices = [0] * self.space.dimension
-        remainder = linear
-        for dim in self._order:
-            remainder, digit = divmod(remainder, self.space.parameters[dim].level_count)
-            indices[dim] = digit
-        return self.space.config_from_indices(indices)
+    def _decode(self, position: int) -> int:
+        """Rank of the stream's ``position``-th configuration."""
+        rank = 0
+        for count, stride in self._order:
+            position, digit = divmod(position, count)
+            rank += digit * stride
+        return rank
 
 
-class ExhaustiveSession(OptimizerSession):
-    """Canonical odometer enumeration; pair with a budget of ``space.size``."""
+class ExhaustiveSession(RandomIncSession):
+    """Canonical odometer enumeration, the identity digit order: a stream
+    position is its own rank. Pair with a budget of ``space.size``."""
 
     name = "exhaustive"
 
-    def __init__(self, space: SearchSpace, budget: int, batch_size: int, seed: int):
-        super().__init__(space, budget, batch_size, seed)
-        self._iterator: Iterator[Configuration] = space.iter_configurations()
-
-    def _propose(self, n: int) -> list[Configuration]:
-        out = list(itertools.islice(self._iterator, n))
-        if not out:
-            raise SpaceExhausted("space fully enumerated")
-        return out
+    def _decode(self, position: int) -> int:
+        return position
 
 
 class BestConfigSession(OptimizerSession):
@@ -284,21 +270,14 @@ class BestConfigSession(OptimizerSession):
         length = hi - lo + 1
         return [lo + (j * length) // n for j in range(n + 1)]
 
-    def _bounded_configs(self) -> Iterator[Configuration]:
-        ranges = [range(lo, hi + 1) for lo, hi in self._bounds]
-        for indices in itertools.product(*ranges):
-            yield self.space.config_from_indices(indices)
-
-    def _propose(self, n: int) -> list[Configuration]:
+    def _propose(self, n: int) -> list[int]:
         k = self.space.dimension
-        seen = self._seen_settings()
         boundaries = [
             self._chunk_boundaries(lo, hi, n) for lo, hi in self._bounds
         ]
         perms = [self.rng.permutation(n) for _ in range(k)]
-        batch: list[Configuration] = []
+        batch: list[int] = []
         for s in range(n):
-            config = None
             for _ in range(self._REDRAWS):
                 indices = []
                 for i in range(k):
@@ -310,21 +289,17 @@ class BestConfigSession(OptimizerSession):
                     else:
                         level = int(self.rng.integers(lo_idx, hi_idx + 1))
                     indices.append(level)
-                candidate = self.space.config_from_indices(indices)
-                if candidate.settings not in seen:
-                    config = candidate
+                rank = self.space.rank(indices)
+                if self._fresh(rank):
+                    batch.append(rank)
                     break
-            if config is None:
-                found = self._scan_unseen(1, seen, self._bounded_configs())
+            else:
+                bounded = itertools.product(*(range(lo, hi + 1) for lo, hi in self._bounds))
+                found = self._scan_unseen(1, map(self.space.rank, bounded))
+                found = found or self._scan_unseen(1, range(self.space.size))
                 if not found:
-                    found = self._scan_unseen(1, seen)
-                if not found:
-                    if batch:
-                        break
-                    raise SpaceExhausted("every configuration has been evaluated")
-                config = found[0]
-            seen.add(config.settings)
-            batch.append(config)
+                    break
+                batch.extend(found)
         self._round_boundaries = boundaries
         return batch
 
@@ -367,63 +342,47 @@ class BayesianEISession(OptimizerSession):
     GRID_LIMIT = 100_000
     SAMPLED_CANDIDATES = 4096
 
-    def __init__(self, space: SearchSpace, budget: int, batch_size: int, seed: int):
-        super().__init__(space, budget, batch_size, seed)
-        self._grid: tuple[list[Configuration], np.ndarray] | None = None
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        return self.space.normalized_grid()
 
-    def _ensure_grid(self) -> tuple[list[Configuration], np.ndarray]:
-        if self._grid is None:
-            configs = list(self.space.iter_configurations())
-            self._grid = (configs, self.space.normalized_grid())
-        return self._grid
-
-    def _propose(self, n: int) -> list[Configuration]:
+    def _propose(self, n: int) -> list[int]:
         if self.told < self.batch_size:
-            return self._random_unseen(n, self._seen_settings())
+            return self._random_unseen(n)
         inputs = np.array([self.space.to_normalized(o.config) for o in self.history])
         targets = np.array([o.utility for o in self.history])
         model = gp_fit(inputs, targets)
         best = model.standardize(float(targets.min()))
-        configs, candidates = self._candidates()
-        if not configs:
-            if self.space.size <= self.GRID_LIMIT:
-                raise SpaceExhausted("every configuration has been evaluated")
-            return self._random_unseen(n, self._seen_settings())
+        ranks, candidates = self._candidates()
+        if not len(ranks):  # a sampled set can miss what is left
+            return [] if self.space.size <= self.GRID_LIMIT else self._random_unseen(n)
         mean, std = model.predict(candidates)
         ei = expected_improvement(mean, std, best)
         order = np.argsort(-ei, kind="stable")
-        return [configs[int(i)] for i in order[:n]]
+        # Every candidate is unclaimed, so the filter keeps the whole pick.
+        return [r for r in (int(ranks[i]) for i in order[:n]) if self._fresh(r)]
 
-    def _candidates(self) -> tuple[list[Configuration], np.ndarray]:
-        seen = self._seen_settings()
+    def _candidates(self) -> tuple[Sequence[int], np.ndarray]:
+        """Unclaimed candidate ranks and their normalized coordinates."""
         if self.space.size <= self.GRID_LIMIT:
-            configs, grid = self._ensure_grid()
-            keep = [i for i, c in enumerate(configs) if c.settings not in seen]
-            return [configs[i] for i in keep], grid[keep]
-        counts = self._level_counts()
-        picked: dict[tuple[int, ...], Configuration] = {}
+            unclaimed = np.ones(len(self._grid), dtype=bool)
+            unclaimed[list(self._asked)] = False
+            return np.flatnonzero(unclaimed), self._grid[unclaimed]
+        counts = self._counts
         draws = self.rng.integers(counts, size=(self.SAMPLED_CANDIDATES, len(counts)))
-        for row in draws:
-            cfg = self.space.config_from_indices([int(i) for i in row])
-            if cfg.settings not in seen and cfg.settings not in picked:
-                picked[cfg.settings] = cfg
+        generated = [self.space.rank(row) for row in draws]
         for obs in self.history:
             indices = list(self.space.indices_of(obs.config))
             for dim in range(self.space.dimension):
                 for step in (-1, 1):
                     j = indices[dim] + step
-                    if not 0 <= j < counts[dim]:
-                        continue
-                    neighbor = indices.copy()
-                    neighbor[dim] = j
-                    cfg = self.space.config_from_indices(neighbor)
-                    if cfg.settings not in seen and cfg.settings not in picked:
-                        picked[cfg.settings] = cfg
-        configs = list(picked.values())
-        if not configs:
-            return [], np.empty((0, self.space.dimension))
-        matrix = np.array([self.space.to_normalized(c) for c in configs])
-        return configs, matrix
+                    if 0 <= j < counts[dim]:
+                        generated.append(
+                            self.space.rank(indices[:dim] + [j] + indices[dim + 1 :])
+                        )
+        # dict.fromkeys keeps the first occurrence of each rank, in order.
+        ranks = list(dict.fromkeys(r for r in generated if r not in self._asked))
+        return ranks, np.array([self.space.to_normalized(self.space.config_at(r)) for r in ranks])
 
 
 class MoatSession(OptimizerSession):
@@ -462,25 +421,16 @@ class MoatSession(OptimizerSession):
                 budget,
                 r,
             )
-        if p is None:
-            counts = {spec.level_count for spec in space.parameters}
-            if len(counts) != 1:
-                raise ValueError(
-                    "parameter level counts differ; pass p explicitly"
-                )
-            p = counts.pop()
-        self.plans = generate_trajectories(space, r, p, seed)
+        self.plans = generate_trajectories(space, r, resolve_p(space, p), seed)
         self._queue = [
-            space.from_normalized(point) for plan in self.plans for point in plan.points
+            space.rank(space.indices_of(space.from_normalized(point)))
+            for plan in self.plans
+            for point in plan.points
         ]
-        self._cursor = 0
+        self._stream = iter(self._queue)
 
-    def _propose(self, n: int) -> list[Configuration]:
-        chunk = self._queue[self._cursor : self._cursor + n]
-        if not chunk:
-            raise SpaceExhausted("screening plan complete")
-        self._cursor += len(chunk)
-        return chunk
+    def _propose(self, n: int) -> list[int]:
+        return list(itertools.islice(self._stream, n))
 
     def stats(
         self, metric: str = "p99_latency_ms", failure_value: float | None = None
@@ -495,8 +445,8 @@ class MoatSession(OptimizerSession):
                 f"screening incomplete: {self.told} of {len(self._queue)} "
                 f"evaluations told"
             )
-        for position, obs in enumerate(self.history):
-            if obs.config.settings != self._queue[position].settings:
+        for obs, rank in zip(self.history, self._queue):
+            if obs.config != self.space.config_at(rank):
                 raise ValueError("observations were told out of plan order")
 
         def metric_of(obs: Observation) -> float:

@@ -38,6 +38,7 @@ __all__ = [
     "ScreeningStats",
     "ScreeningOutcome",
     "BoundReductionReport",
+    "resolve_p",
     "trajectory_delta",
     "generate_trajectories",
     "elementary_effect",
@@ -62,6 +63,20 @@ REPORT_HEADER = (
     "new_max",
     "rho",
 )
+
+
+def resolve_p(space: SearchSpace, p: int | None = None) -> int:
+    """The screening grid's level count: ``p`` when given, otherwise the
+    parameters' common level count, which must then be uniform."""
+    if p is not None:
+        return p
+    counts = {spec.level_count for spec in space.parameters}
+    if len(counts) != 1:
+        raise ValueError(
+            "parameter level counts differ; pass p explicitly "
+            f"(saw counts {sorted(counts)})"
+        )
+    return counts.pop()
 
 
 def trajectory_delta(p: int) -> float:
@@ -224,17 +239,9 @@ def run_screening(
     work, the p99 latency). Trajectory points are snapped to each
     parameter's own grid, so ``p`` may differ from the parameter level
     counts; by default it is their common level count and must then be
-    uniform across parameters.
+    uniform across parameters (see :func:`resolve_p`).
     """
-    if p is None:
-        counts = {spec.level_count for spec in space.parameters}
-        if len(counts) != 1:
-            raise ValueError(
-                "parameter level counts differ; pass p explicitly "
-                f"(saw counts {sorted(counts)})"
-            )
-        p = counts.pop()
-    plans = generate_trajectories(space, r, p, seed)
+    plans = generate_trajectories(space, r, resolve_p(space, p), seed)
     k = space.dimension
     evaluations: list[tuple[Configuration, float]] = []
     ee = np.empty((r, k), dtype=float)

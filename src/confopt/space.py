@@ -10,7 +10,8 @@ Responsibilities
 * Parameter and space validation (ranges, step divisibility, level counts).
 * Exact space cardinality (Python integers, no overflow).
 * Normalization to [0, 1] per dimension and snapping back to the grid.
-* Deterministic enumeration in odometer order (last parameter fastest).
+* Deterministic enumeration in odometer order (last parameter fastest),
+  and the integer *rank* of a configuration, its position in that order.
 * Rendering settings to deployable strings ("750m") and to a canonical
   one-line text form used as a configuration key.
 
@@ -19,6 +20,7 @@ Non-responsibilities: sampling, scoring, persistence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -176,10 +178,20 @@ class SearchSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         """Exact number of grid configurations (arbitrary precision)."""
         return math.prod(p.level_count for p in self.parameters)
+
+    @functools.cached_property
+    def _digits(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(stride, level count, levels) per parameter: in a rank, parameter
+        ``i`` has level index ``rank // stride % count``."""
+        stride, digits = self.size, []
+        for p in self.parameters:
+            stride //= p.level_count
+            digits.append((stride, p.level_count, tuple(p.levels())))
+        return tuple(digits)
 
     def parameter(self, name: str) -> ParameterSpec:
         for p in self.parameters:
@@ -204,11 +216,27 @@ class SearchSpace:
         return True
 
     def config_from_indices(self, indices: Sequence[int]) -> Configuration:
+        return self.config_at(self.rank(indices))
+
+    def config_at(self, rank: int) -> Configuration:
+        """The configuration at position ``rank`` of :meth:`iter_configurations`."""
+        if not 0 <= rank < self.size:
+            raise IndexError(f"rank {rank} out of range [0, {self.size})")
+        return Configuration(
+            tuple([levels[rank // stride % count] for stride, count, levels in self._digits])
+        )
+
+    def rank(self, indices: Sequence[int]) -> int:
+        """Enumeration position of the configuration at level ``indices``;
+        the inverse of ``indices_of(config_at(rank))``."""
         if len(indices) != self.dimension:
             raise ValueError("one level index per parameter required")
-        return Configuration(
-            tuple(p.value_at(i) for p, i in zip(self.parameters, indices))
-        )
+        rank = 0
+        for p, (stride, count, _), index in zip(self.parameters, self._digits, indices):
+            if not 0 <= index < count:
+                raise IndexError(f"parameter {p.name!r}: level index {index} out of range")
+            rank += int(index) * stride
+        return rank
 
     def indices_of(self, config: Configuration) -> tuple[int, ...]:
         self.validate(config)

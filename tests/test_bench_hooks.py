@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` replaces module-level names (``harness.score_result``,
 ``harness.allocation_cost``, ``SyntheticBackend.evaluate``,
-``ReplayBackend.lookup`` and others) with timing wrappers. A refactor that
-stops calling through one of those names would leave its layer reading zero;
-this test fails on that at unit-test speed.
+``ReplayBackend.lookup``, ``optim.gp_fit``, ``OptimizerSession.ask`` and
+others) with timing wrappers. A refactor that stops calling through one of
+those names would leave its layer reading zero; these tests fail on that at
+unit-test speed.
 """
 
 from __future__ import annotations
@@ -12,12 +13,18 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from confopt import backends, harness
+from confopt import backends, gp, harness, optim
 from confopt.backends import ServiceModelSpec, ServiceSpec, SyntheticBackend
 from confopt.space import ParameterSpec, SearchSpace
 from confopt.utility import SloSpec, WorkloadSpec, get_utility
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MODEL = ServiceModelSpec(
+    services=(ServiceSpec("web", 40.0, 30.0, 256.0),),
+    chain=("web",),
+    p99_factor=3.0,
+    mem_penalty=1.5,
+)
 
 
 def load_tracing():
@@ -42,18 +49,12 @@ def test_traced_names_record_calls_and_are_restored():
             ParameterSpec("webMemory", 256, 512, 256, "Mi"),
         )
     )
-    model = ServiceModelSpec(
-        services=(ServiceSpec("web", 40.0, 30.0, 256.0),),
-        chain=("web",),
-        p99_factor=3.0,
-        mem_penalty=1.5,
-    )
     tracer = tracing.Tracer()
     inst = tracing.instrument(tracer)
     try:
         dataset = harness.collect_exhaustive(
             space,
-            SyntheticBackend(model),
+            SyntheticBackend(MODEL),
             get_utility("slo-cost"),
             SloSpec(threshold=1000.0),
             WorkloadSpec(tenants=4),
@@ -75,3 +76,49 @@ def test_traced_names_record_calls_and_are_restored():
     assert harness.run_optimization is originals["run_optimization"]
     assert SyntheticBackend.evaluate is originals["evaluate"]
     assert backends.ReplayBackend.lookup is originals["lookup"]
+
+
+def test_traced_optimizer_layers_record_calls():
+    """A bayesian-ei run reaches the gp and optim hooks the study times."""
+    tracing = load_tracing()
+    originals = {
+        "gp_fit": optim.gp_fit,
+        "expected_improvement": optim.expected_improvement,
+        "predict": gp.SurrogateModel.predict,
+        "ask": optim.OptimizerSession.ask,
+        "tell": optim.OptimizerSession.tell,
+    }
+    space = SearchSpace(
+        (
+            ParameterSpec("webCpu", 500, 875, 125, "m"),
+            ParameterSpec("webMemory", 256, 1024, 256, "Mi"),
+        )
+    )
+    dataset = harness.collect_exhaustive(
+        space,
+        SyntheticBackend(MODEL),
+        get_utility("slo-cost"),
+        SloSpec(threshold=1000.0),
+        WorkloadSpec(tenants=4),
+    )
+    budget = 9
+    tracer = tracing.Tracer()
+    inst = tracing.instrument(tracer)
+    try:
+        harness.run_optimization(space, "bayesian-ei", dataset.replay_backend(), budget, 3, 0)
+    finally:
+        inst.remove()
+    for name in (
+        "gp.gp_fit",
+        "gp.predict",
+        "gp.expected_improvement",
+        "optim.ask.bayesian-ei",
+        "optim.tell",
+    ):
+        assert tracer.calls[name] > 0, name
+    assert tracer.counts["optim.proposals"] == budget
+    assert optim.gp_fit is originals["gp_fit"]
+    assert optim.expected_improvement is originals["expected_improvement"]
+    assert gp.SurrogateModel.predict is originals["predict"]
+    assert optim.OptimizerSession.ask is originals["ask"]
+    assert optim.OptimizerSession.tell is originals["tell"]

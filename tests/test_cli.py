@@ -166,6 +166,20 @@ class TestScreen:
         assert reduced.space.size <= 24
         assert reduced.cost_reference is not None
 
+    def test_reduced_config_screens_again(self, workdir, monkeypatch):
+        """The emitted config records the p its screening used, so a space
+        whose level counts differ after reduction can be screened again."""
+        document = config_document(screening={"r": 3})
+        document["slas"][0]["parameters"][0]["searchspace"]["max"] = 875
+        write_yaml(workdir / "uniform.yaml", document)
+        out = workdir / "screen-out"
+        assert run(monkeypatch, out, ["screen", "--config", str(workdir / "uniform.yaml")]) == 0
+        reduced = yaml.safe_load((out / "reduced-config.yaml").read_text())
+        assert reduced["screening"]["p"] == 4
+        write_yaml(workdir / "reduced.yaml", reduced)
+        again = workdir / "screen-again"
+        assert run(monkeypatch, again, ["screen", "--config", str(workdir / "reduced.yaml")]) == 0
+
     def test_seed_flag_changes_plan(self, workdir, monkeypatch):
         out_a = workdir / "a"
         out_b = workdir / "b"
@@ -351,3 +365,28 @@ class TestScreenVsBo:
         assert len(rows) == 2
         assert rows[0]["repetition"] == "0"
         assert rows[0]["screening_evals"] == "9"  # r=3 trajectories x (2+1)
+
+    def test_costs_follow_cost_reference(self, workdir, monkeypatch):
+        """Every utility the study reports is one that ``exhaustive`` gives
+        the same configuration, so both normalize costs against
+        ``costReference`` rather than the configured bounds."""
+        reference = [
+            {"name": "webCpu", "searchspace": {"min": 250, "max": 2000, "granularity": 125}},
+            {"name": "webMemory", "searchspace": {"min": 256, "max": 2048, "granularity": 256}},
+        ]
+        write_yaml(workdir / "ref.yaml", config_document(costReference=reference))
+        config = str(workdir / "ref.yaml")
+        assert run(monkeypatch, workdir / "ex", ["exhaustive", "--config", config]) == 0
+        argv = ["screen-vs-bo", "--config", config, "--budget", "15", "--repetitions", "2"]
+        assert run(monkeypatch, workdir / "svb", argv) == 0
+        with open(workdir / "ex" / "dataset.csv", newline="") as fh:
+            utilities = {row["utility"] for row in csv.DictReader(fh)}
+        with open(workdir / "svb" / "screen_vs_bo.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        reported = [
+            row[key]
+            for row in rows
+            for key in ("reduced_optimum_utility", "combined_best_utility", "standalone_best_utility")
+        ]
+        assert all(float(u) < 1.0 for u in reported)  # feasible, so cost-scored
+        assert set(reported) <= utilities

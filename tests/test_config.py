@@ -421,14 +421,17 @@ class TestBuildBackend:
 
 class TestReducedConfigFlow:
     def test_screen_then_emit_round_trips(self, tmp_path):
-        """The full screen -> reduce -> emit -> parse pipeline holds together."""
-        config = parse_config(write_config(tmp_path, base_document()))
+        """The full screen -> reduce -> emit -> parse -> screen pipeline
+        holds together."""
+        document = base_document()
+        document["screening"] = {"r": 4, "p": 4}
+        config = parse_config(write_config(tmp_path, document))
 
         def sli(config_):
             cpu, mem = config_.settings
             return 2000.0 - cpu - 0.2 * mem
 
-        result = run_screening(config.space, sli, r=4, p=4, seed=0)
+        result = run_screening(config.space, sli, r=4, p=config.screening.p, seed=0)
         reduction = reduce_bounds(
             config.space, result.stats, result.evaluations, config.slo.threshold
         )
@@ -437,3 +440,6 @@ class TestReducedConfigFlow:
         back = parse_config(out)
         assert back.space.size <= config.space.size
         assert back.budget == config.budget
+        assert back.screening.p == 4
+        again = run_screening(back.space, sli, r=back.screening.r, p=back.screening.p, seed=1)
+        assert len(again.evaluations) == 4 * (back.space.dimension + 1)

@@ -66,6 +66,11 @@ class TestFit:
         assert np.all(np.isfinite(std))
         assert model.target_std == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"targets must be finite.*\[1\]"):
+            gp_fit(np.array([[0.0], [0.5], [1.0]]), np.array([1.0, bad, 2.0]))
+
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
             gp_fit(np.empty((0, 2)), np.empty(0))

@@ -91,6 +91,17 @@ class TestScoring:
         assert obs.failed
         assert obs.utility == failure_utility(SLO)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_metric_counts_as_failed(self, value, caplog):
+        space = make_space([3, 3])
+        result = SliResult(slis={"p99_latency_ms": value})
+        obs = score_result(
+            Configuration((500, 500)), result, UTILITY, SLO, space, None, 4
+        )
+        assert obs.failed and not obs.feasible
+        assert obs.utility == failure_utility(SLO)
+        assert f"evaluation 4 returned p99_latency_ms={value}" in caplog.text
+
     def test_satisfied_scores_allocation_cost(self):
         space = make_space([3, 3])
         result = SliResult(slis={"p99_latency_ms": 900.0})
@@ -199,6 +210,36 @@ class TestRunOptimization:
         failed = [o for o in trace.observations if o.failed]
         assert len(failed) == 1
         assert failed[0].utility == failure_utility(SLO)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sli_is_a_failure_not_a_crash(self, value):
+        """A NaN p99 on the cheapest configuration once scored as a free
+        feasible optimum; an infinite one crashed the GP fit."""
+        space = make_space([4, 4])
+        cheapest = (500, 500)
+
+        class NonFiniteBackend(SurfaceBackend):
+            def evaluate(self, params, workload):
+                if (int(params["svc0Cpu"]), int(params["svc1Cpu"])) == cheapest:
+                    return SliResult(slis={"p99_latency_ms": value})
+                return super().evaluate(params, workload)
+
+        trace = run_optimization(
+            space,
+            "bayesian-ei",
+            NonFiniteBackend(space),
+            space.size,
+            4,
+            0,
+            utility_fn=UTILITY,
+            slo=SLO,
+            workload=WORKLOAD,
+        )
+        assert len(trace.observations) == space.size
+        (bad,) = [o for o in trace.observations if o.config.settings == cheapest]
+        assert bad.failed and not bad.feasible
+        assert bad.utility == failure_utility(SLO)
+        assert trace.best.config.settings != cheapest
 
     def test_replay_backend_skips_scoring_machinery(self):
         dataset, _ = surface_dataset()

@@ -365,3 +365,149 @@ class TestMoat:
         session.ask()
         with pytest.raises(RuntimeError, match="incomplete"):
             session.stats()
+
+
+# Proposal streams as ranks, recorded before sessions proposed ranks
+# themselves: a change to any draw, tie-break or fallback order shows here.
+# "mixed" has a pinned parameter and is driven to exhaustion (scan
+# fallbacks); "wide" (6**12 configurations) takes BO's sampled path.
+STREAM_SPACES = {
+    "mixed": (
+        SearchSpace(
+            (
+                ParameterSpec("a", 0, 2, 1),
+                ParameterSpec("pinned", 5, 5, 1, allow_single_level=True),
+                ParameterSpec("b", 0, 30, 10),
+                ParameterSpec("c", 0, 1, 1),
+            )
+        ),
+        24,
+        5,
+        {"moat": {"p": 4}},
+    ),
+    "wide": (make_space([6] * 12), 26, 4, {}),
+}
+PINNED_STREAMS = {
+    ('mixed', 'bayesian-ei', 3): [
+        16, 1, 20, 2, 10, 12, 8, 14, 6, 21, 15, 7, 17, 13, 5, 11, 23, 22, 0, 9, 3, 19,
+        4, 18,
+    ],
+    ('mixed', 'bayesian-ei', 11): [
+        1, 13, 16, 3, 9, 15, 11, 21, 5, 7, 17, 4, 14, 2, 6, 22, 12, 20, 10, 23, 8, 0,
+        18, 19,
+    ],
+    ('mixed', 'bestconfig', 3): [
+        17, 9, 6, 10, 4, 20, 8, 12, 16, 18, 0, 14, 1, 2, 3, 5, 15, 7, 11, 13, 19, 21,
+        22, 23,
+    ],
+    ('mixed', 'bestconfig', 11): [
+        0, 19, 8, 12, 7, 18, 14, 10, 20, 22, 1, 6, 17, 9, 4, 2, 5, 3, 16, 11, 13, 15,
+        21, 23,
+    ],
+    ('mixed', 'exhaustive', 3): [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+        22, 23,
+    ],
+    ('mixed', 'exhaustive', 11): [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+        22, 23,
+    ],
+    ('mixed', 'moat', 3): [
+        16, 17, 17, 9, 13, 2, 10, 10, 11, 15, 4, 5, 1, 1, 9, 18, 22, 14, 14, 15,
+    ],
+    ('mixed', 'moat', 11): [
+        6, 7, 7, 3, 11, 0, 8, 12, 12, 13, 15, 14, 10, 2, 2, 12, 12, 8, 16, 17,
+    ],
+    ('mixed', 'random', 3): [
+        16, 1, 20, 2, 10, 5, 0, 15, 11, 9, 23, 3, 13, 6, 7, 8, 19, 4, 22, 18, 14, 17,
+        21, 12,
+    ],
+    ('mixed', 'random', 11): [
+        1, 13, 16, 3, 9, 7, 21, 6, 14, 19, 23, 15, 0, 12, 22, 8, 20, 5, 17, 11, 2, 18,
+        4, 10,
+    ],
+    ('mixed', 'randominc', 3): [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+        22, 23,
+    ],
+    ('mixed', 'randominc', 11): [
+        0, 1, 8, 9, 16, 17, 2, 3, 10, 11, 18, 19, 4, 5, 12, 13, 20, 21, 6, 7, 14, 15,
+        22, 23,
+    ],
+    ('wide', 'bayesian-ei', 3): [
+        1463454872, 1220708121, 882303453, 1383731245, 882303669, 883983069, 519506397,
+        942769629, 942769413, 882303237, 892381149, 882303454, 882303273, 882295461,
+        942769449, 942761637, 942761673, 882295497, 942769448, 942761636, 872217801,
+        1245092553, 880615881, 932683977, 880335945, 942481737,
+    ],
+    ('wide', 'bayesian-ei', 11): [
+        44681345, 1120021203, 960481527, 2112911918, 597684471, 960482823, 958801911,
+        960481521, 962161143, 960480231, 960489303, 960481563, 962159847, 962161107,
+        960480195, 962161149, 962159811, 1324958163, 1323277251, 1324956903, 962159595,
+        962159812, 952082115, 962160027, 952082331, 942004419,
+    ],
+    ('wide', 'bestconfig', 3): [
+        1797077601, 1159170935, 368689392, 218716117, 2151131443, 1673905522,
+        1383229382, 1306686711, 1794772917, 1311326227, 1685846641, 1384909172,
+        1443687992, 1322756943, 1384915651, 1324441705, 1669586850, 782682297,
+        1171548865, 303076199, 224392164, 1517351060, 1427944907, 746880843, 1512533016,
+        1073524852,
+    ],
+    ('wide', 'bestconfig', 11): [
+        1910991492, 678826021, 881375, 1327510647, 1208318683, 640918280, 891935625,
+        2032622524, 590537799, 1013514175, 703026307, 944602226, 944602009, 944602442,
+        1005068403, 1005068185, 17138469, 1573385800, 1423751304, 589570945, 1293541820,
+        1558293052, 702655005, 966630, 542122638, 1350706090,
+    ],
+    ('wide', 'exhaustive', 3): [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+        22, 23, 24, 25,
+    ],
+    ('wide', 'exhaustive', 11): [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+        22, 23, 24, 25,
+    ],
+    ('wide', 'moat', 3): [
+        1463454872, 1464294680, 1464290792, 1464150824, 1464151472, 1469190320,
+        380799152, 380799260, 380799263, 380775935, 562174463, 562174481, 592407569,
+        940256049, 2028647217, 2027807409, 2027784081, 2027784189, 2027784171,
+        2027784168, 2027780280, 1997547192, 1997407224, 2002446072, 1821047544,
+        1821048192,
+    ],
+    ('wide', 'moat', 11): [
+        44681345, 49720193, 49720190, 19487102, 1107878270, 1107878378, 1107878396,
+        1107879044, 1289277572, 1288437764, 1288414436, 1288418324, 1288278356,
+        1248471422, 1429869950, 1429729982, 1430569790, 1430593118, 1425554270,
+        1425554252, 1425553604, 337162436, 337166324, 337166327, 337166435, 306933347,
+    ],
+    ('wide', 'random', 3): [
+        1463454872, 1220708121, 882303453, 1383731245, 337989466, 1220411937, 450628881,
+        260198328, 1425823297, 1393399723, 1518852361, 698717579, 1358555335,
+        1550847251, 1447911888, 638400243, 586303809, 1717714552, 1626384194, 846954064,
+        312041761, 1263697689, 585481350, 86636347, 2139552655, 1309855253,
+    ],
+    ('wide', 'random', 11): [
+        44681345, 1120021203, 960481527, 2112911918, 1991541162, 1614156630, 2058643519,
+        891019110, 371325828, 670253857, 734101879, 1820688787, 1492150331, 1886837960,
+        1978533236, 1893405598, 2095068476, 1016657658, 1392210743, 917187313, 31784451,
+        121300614, 56802984, 1750754320, 1368538573, 3757887,
+    ],
+    ('wide', 'randominc', 3): [
+        0, 1, 2, 3, 4, 5, 1296, 1297, 1298, 1299, 1300, 1301, 2592, 2593, 2594, 2595,
+        2596, 2597, 3888, 3889, 3890, 3891, 3892, 3893, 5184, 5185,
+    ],
+    ('wide', 'randominc', 11): [
+        0, 10077696, 20155392, 30233088, 40310784, 50388480, 6, 10077702, 20155398,
+        30233094, 40310790, 50388486, 12, 10077708, 20155404, 30233100, 40310796,
+        50388492, 18, 10077714, 20155410, 30233106, 40310802, 50388498, 24, 10077720,
+    ],
+}
+
+
+@pytest.mark.parametrize("label, name, seed", sorted(PINNED_STREAMS))
+def test_proposal_streams_are_pinned(label, name, seed):
+    space, budget, batch, options = STREAM_SPACES[label]
+    session = create_optimizer(name, space, budget, batch, seed, **options.get(name, {}))
+    history = drive(session, quadratic_score(space))
+    ranks = [space.rank(space.indices_of(o.config)) for o in history]
+    assert ranks == PINNED_STREAMS[label, name, seed]

@@ -163,10 +163,15 @@ class TestSearchSpace:
     @given(small_spaces())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_everywhere(self, space):
-        for config in space.iter_configurations():
+        for rank, config in enumerate(space.iter_configurations()):
             coords = space.to_normalized(config)
             assert np.all(coords >= 0.0) and np.all(coords <= 1.0)
             assert space.from_normalized(coords) == config
+            assert space.config_at(rank) == config
+            assert space.rank(space.indices_of(config)) == rank
+        for rank in (-1, space.size):
+            with pytest.raises(IndexError):
+                space.config_at(rank)
 
     @given(small_spaces(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
