@@ -257,7 +257,7 @@ class ReplayBackend:
 
     def __init__(self, space: "SearchSpace", rows: Mapping[tuple[int, ...], "Observation"]):
         self.space = space
-        self._rows = dict(rows)
+        self._rows = rows
 
     def lookup(self, settings: tuple[int, ...]) -> "Observation":
         try:

@@ -147,7 +147,7 @@ def _warn_unknown(mapping: dict, known: set[str], path: str) -> None:
             logger.warning("ignoring unknown key: %s", _join(path, str(key)))
 
 
-def _parse_parameter_list(entries, path: str, allow_single_level: bool) -> SearchSpace:
+def _parse_parameter_list(entries, path: str) -> SearchSpace:
     specs = []
     for i, entry in enumerate(_as_list(entries, path)):
         entry_path = f"{path}[{i}]"
@@ -171,7 +171,7 @@ def _parse_parameter_list(entries, path: str, allow_single_level: bool) -> Searc
                         f"{box_path}.granularity",
                     ),
                     suffix=_as_str(suffix, f"{entry_path}.suffix"),
-                    allow_single_level=allow_single_level,
+                    allow_single_level=True,
                 )
             )
         except ValueError as exc:
@@ -305,11 +305,7 @@ def parse_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    space = _parse_parameter_list(
-        _require(sla, "parameters", "slas[0]"),
-        "slas[0].parameters",
-        allow_single_level=True,
-    )
+    space = _parse_parameter_list(_require(sla, "parameters", "slas[0]"), "slas[0].parameters")
 
     optimizer = _as_str(_require(document, "optimizer", ""), "optimizer").lower()
     if optimizer not in OPTIMIZERS:
@@ -342,9 +338,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
     cost_reference = None
     if "costReference" in document:
-        cost_reference = _parse_parameter_list(
-            document["costReference"], "costReference", allow_single_level=True
-        )
+        cost_reference = _parse_parameter_list(document["costReference"], "costReference")
         if cost_reference.names != space.names:
             raise ConfigError(
                 "costReference parameter names must match slas[0].parameters"

@@ -73,14 +73,7 @@ class SurrogateModel:
         return mean, std
 
 
-def gp_fit(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    *,
-    length_scale: float = DEFAULT_LENGTH_SCALE,
-    signal_variance: float = DEFAULT_SIGNAL_VARIANCE,
-    jitter: float = DEFAULT_JITTER,
-) -> SurrogateModel:
+def gp_fit(inputs: np.ndarray, targets: np.ndarray) -> SurrogateModel:
     """Fit the surrogate to observed (normalized input, raw target) pairs.
 
     Targets are standardized internally; a constant target vector gets unit
@@ -99,8 +92,6 @@ def gp_fit(
     if not np.isfinite(targets).all():
         bad = np.flatnonzero(~np.isfinite(targets)).tolist()
         raise ValueError(f"targets must be finite; non-finite at rows {bad}")
-    if length_scale <= 0 or signal_variance <= 0 or jitter <= 0:
-        raise ValueError("length_scale, signal_variance and jitter must be positive")
 
     mean = float(targets.mean())
     std = float(targets.std())
@@ -108,10 +99,10 @@ def gp_fit(
         std = 1.0
     y = (targets - mean) / std
 
-    kernel = signal_variance * np.exp(
-        -_sq_dists(inputs, inputs) / (2.0 * length_scale**2)
+    kernel = DEFAULT_SIGNAL_VARIANCE * np.exp(
+        -_sq_dists(inputs, inputs) / (2.0 * DEFAULT_LENGTH_SCALE**2)
     )
-    eps = jitter
+    eps = DEFAULT_JITTER
     factor = None
     for _ in range(_JITTER_ESCALATIONS + 1):
         try:
@@ -130,8 +121,8 @@ def gp_fit(
         inputs=inputs,
         target_mean=mean,
         target_std=std,
-        length_scale=length_scale,
-        signal_variance=signal_variance,
+        length_scale=DEFAULT_LENGTH_SCALE,
+        signal_variance=DEFAULT_SIGNAL_VARIANCE,
         jitter=eps,
         _factor=factor,
         _alpha=alpha,

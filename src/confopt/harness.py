@@ -54,8 +54,11 @@ logger = logging.getLogger(__name__)
 
 #: Largest space ``collect_exhaustive`` will walk.
 EXHAUSTIVE_CAP = 100_000
+#: ``collect_exhaustive`` flushes its checkpoint file every this many rows.
+_FLUSH_EVERY = 100
 
 _METRIC_COLUMNS = ("p99_latency_ms", "throughput_rps", "utility", "feasible", "failed")
+_FLAGS = {"true": True, "false": False}
 
 
 def _fmt(value: float) -> str:
@@ -296,22 +299,17 @@ class Dataset:
                 f"dataset has {len(self.rows)} rows for a space of "
                 f"{self.space.size} configurations"
             )
-        self._index = {obs.config.settings: obs for obs in self.rows}
-        if len(self._index) != len(self.rows):
+        index = {obs.config.settings: obs for obs in self.rows}
+        if len(index) != len(self.rows):
             raise ValueError("dataset contains duplicate configurations")
         self.optimum = best_observation(self.rows)
-        self._replay: ReplayBackend | None = None
-
-    def lookup(self, settings: tuple[int, ...]) -> Observation:
-        return self._index[settings]
+        self._replay = ReplayBackend(self.space, index)
 
     @property
     def feasible_fraction(self) -> float:
         return sum(1 for o in self.rows if o.feasible) / len(self.rows)
 
     def replay_backend(self) -> ReplayBackend:
-        if self._replay is None:
-            self._replay = ReplayBackend(self.space, self._index)
         return self._replay
 
 
@@ -329,76 +327,87 @@ def _dataset_row(obs: Observation) -> list[str]:
     )
 
 
-def _parse_dataset_rows(
-    lines: Iterable[str], source: str
-) -> tuple[list[str], list[tuple[tuple[int, ...], dict]]]:
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{source}: empty dataset") from None
-    if len(header) < len(_METRIC_COLUMNS) + 1 or tuple(
-        header[-len(_METRIC_COLUMNS) :]
-    ) != _METRIC_COLUMNS:
-        raise ValueError(
-            f"{source}: expected parameter columns followed by "
-            f"{','.join(_METRIC_COLUMNS)}"
-        )
-    names = header[: -len(_METRIC_COLUMNS)]
-    parsed = []
-    bad_line = None
-    for row in reader:
-        # Only the final line may be torn (an interrupted write); a bad
-        # row with rows after it means the file itself is corrupt.
-        if bad_line is not None:
-            raise ValueError(f"{source}: line {bad_line}: malformed dataset row")
+def _read_dataset(
+    path: Path, space: SearchSpace | None = None
+) -> tuple[SearchSpace, list[Observation]]:
+    """Parse a dataset or ``.partial`` file into observations.
+
+    Only a torn final line (an interrupted write) is dropped; any other
+    malformed row is an error naming its line. With ``space`` the parameter
+    columns must match its names; without it the space is inferred: per
+    parameter the grid levels are the distinct values seen and the
+    granularity is their greatest common step. Either way the rows must
+    follow the space's enumeration order, at most one per configuration.
+    A NaN metric cell means the metric is absent.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
         try:
-            if len(row) != len(header):
-                raise ValueError
-            settings = tuple(int(v) for v in row[: len(names)])
-            p99, throughput, utility = (
-                float(row[len(names)]),
-                float(row[len(names) + 1]),
-                float(row[len(names) + 2]),
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty dataset") from None
+        k = len(header) - len(_METRIC_COLUMNS)
+        if k < 1 or tuple(header[k:]) != _METRIC_COLUMNS:
+            raise ValueError(
+                f"{path}: expected parameter columns followed by "
+                f"{','.join(_METRIC_COLUMNS)}"
             )
-            feasible, failed = row[len(names) + 3], row[len(names) + 4]
-            if feasible not in ("true", "false") or failed not in ("true", "false"):
-                raise ValueError
-        except ValueError:
-            bad_line = reader.line_num
-            continue
-        parsed.append(
-            (
-                settings,
-                {
-                    "p99_latency_ms": p99,
-                    "throughput_rps": throughput,
-                    "utility": utility,
-                    "feasible": feasible == "true",
-                    "failed": failed == "true",
-                },
+        names = header[:k]
+        if space is not None and tuple(names) != space.names:
+            raise ValueError(
+                f"{path}: parameter columns {names} do not match the "
+                f"configured space {list(space.names)}"
             )
+        rows: list[Observation] = []
+        bad_line = None
+        for row in reader:
+            if bad_line is not None:
+                raise ValueError(f"{path}: line {bad_line}: malformed dataset row")
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                settings = tuple([int(v) for v in row[:k]])
+                p99, throughput, utility = float(row[k]), float(row[k + 1]), float(row[k + 2])
+                feasible, failed = _FLAGS[row[k + 3]], _FLAGS[row[k + 4]]
+            except (ValueError, KeyError):
+                bad_line = reader.line_num
+                continue
+            slis = {}
+            if not math.isnan(p99):
+                slis["p99_latency_ms"] = p99
+            if not math.isnan(throughput):
+                slis["throughput_rps"] = throughput
+            rows.append(
+                Observation(Configuration(settings), slis, utility, feasible, len(rows) + 1, failed)
+            )
+    if space is None:
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
+        specs = []
+        for name, column in zip(names, zip(*(obs.config.settings for obs in rows))):
+            levels = sorted(set(column))
+            steps = [b - a for a, b in zip(levels, levels[1:])]
+            specs.append(
+                ParameterSpec(
+                    name=name,
+                    minimum=levels[0],
+                    maximum=levels[-1],
+                    granularity=math.gcd(*steps) or 1,
+                    allow_single_level=True,
+                )
+            )
+        space = SearchSpace(tuple(specs))
+    if len(rows) > space.size:
+        raise ValueError(
+            f"{path}: {len(rows)} rows for a space of {space.size} configurations"
         )
-    return names, parsed
-
-
-def _row_to_observation(
-    settings: tuple[int, ...], fields: dict, eval_index: int
-) -> Observation:
-    slis = {}
-    if not fields["failed"]:
-        if not math.isnan(fields["p99_latency_ms"]):
-            slis["p99_latency_ms"] = fields["p99_latency_ms"]
-        if not math.isnan(fields["throughput_rps"]):
-            slis["throughput_rps"] = fields["throughput_rps"]
-    return Observation(
-        config=Configuration(settings),
-        slis=slis,
-        utility=fields["utility"],
-        feasible=fields["feasible"],
-        eval_index=eval_index,
-        failed=fields["failed"],
-    )
+    for number, (config, obs) in enumerate(zip(space.iter_configurations(), rows), 1):
+        if obs.config.settings != config.settings:
+            raise ValueError(
+                f"{path}: data row {number} has settings {obs.config.settings}, "
+                f"expected {config.settings}; rows must follow enumeration order"
+            )
+    return space, rows
 
 
 def collect_exhaustive(
@@ -411,128 +420,52 @@ def collect_exhaustive(
     weights: CostWeights | None = None,
     cost_space: SearchSpace | None = None,
     out_path: str | Path | None = None,
-    cap: int = EXHAUSTIVE_CAP,
-    checkpoint_every: int = 100,
 ) -> Dataset:
     """Measure every configuration through one :class:`Evaluator`,
     optionally checkpointing to disk.
 
-    With ``out_path`` the rows stream into ``<out_path>.partial`` with a
-    flush every ``checkpoint_every`` rows and an atomic rename at the end.
-    A restart re-reads the partial file and resumes after the last complete
-    row instead of re-evaluating.
+    With ``out_path`` the rows stream into ``<out_path>.partial``, flushed
+    every ``_FLUSH_EVERY`` rows and renamed to ``out_path`` at the end. A
+    restart keeps the complete rows of an existing partial file, rewrites
+    them and measures only the rest.
     """
-    if space.size > cap:
+    if space.size > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"space has {space.size} configurations, above the cap of {cap}; "
-            f"screen first to reduce the bounds"
+            f"space has {space.size} configurations, above the cap of "
+            f"{EXHAUSTIVE_CAP}; screen first to reduce the bounds"
         )
     evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
+    if out_path is None:
+        rows = tuple(evaluator.evaluate(space.iter_configurations()))
+        return Dataset(space=space, rows=rows, slo=slo)
+    out_path = Path(out_path)
+    partial_path = out_path.with_name(out_path.name + ".partial")
     rows: list[Observation] = []
-    partial_path = None
-    if out_path is not None:
-        out_path = Path(out_path)
-        partial_path = out_path.with_name(out_path.name + ".partial")
-        if partial_path.exists():
-            rows = _resume_partial(partial_path, space)
-            logger.info(
-                "resuming exhaustive collection: %d rows already measured",
-                len(rows),
-            )
-
-    handle = None
-    if partial_path is not None:
-        handle = open(partial_path, "a", encoding="utf-8", newline="")
-        writer = csv.writer(handle, lineterminator="\n")
-        if not rows:
-            writer.writerow(_dataset_header(space))
-            handle.flush()
-    try:
-        pending = 0
-        todo = itertools.islice(space.iter_configurations(), len(rows), None)
-        for obs in evaluator.evaluate(todo, len(rows) + 1):
-            rows.append(obs)
-            if handle is not None:
-                writer.writerow(_dataset_row(obs))
-                pending += 1
-                if pending >= checkpoint_every:
-                    handle.flush()
-                    pending = 0
-    finally:
-        if handle is not None:
-            handle.flush()
-            handle.close()
-    if partial_path is not None:
-        os.replace(partial_path, out_path)
-    return Dataset(space=space, rows=tuple(rows), slo=slo)
-
-
-def _resume_partial(partial_path: Path, space: SearchSpace) -> list[Observation]:
-    with open(partial_path, "r", encoding="utf-8", newline="") as handle:
-        names, parsed = _parse_dataset_rows(handle, str(partial_path))
-    if tuple(names) != space.names:
-        raise ValueError(
-            f"{partial_path}: parameter columns {names} do not match the "
-            f"configured space {list(space.names)}"
-        )
-    rows = [
-        _row_to_observation(settings, fields, i + 1)
-        for i, (settings, fields) in enumerate(parsed)
-    ]
-    expected = zip(space.iter_configurations(), rows)
-    for config, obs in expected:
-        if config.settings != obs.config.settings:
-            raise ValueError(
-                f"{partial_path}: rows are not in enumeration order; "
-                f"refusing to resume"
-            )
-    # Rewrite the good prefix so a torn final line cannot linger.
+    if partial_path.exists():
+        _, rows = _read_dataset(partial_path, space)
+        logger.info("resuming exhaustive collection: %d rows already measured", len(rows))
+    todo = itertools.islice(space.iter_configurations(), len(rows), None)
     with open(partial_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_dataset_header(space))
-        for obs in rows:
+        writer.writerows(_dataset_row(obs) for obs in rows)
+        handle.flush()
+        for obs in evaluator.evaluate(todo, len(rows) + 1):
+            rows.append(obs)
             writer.writerow(_dataset_row(obs))
-    return rows
+            if len(rows) % _FLUSH_EVERY == 0:
+                handle.flush()
+    os.replace(partial_path, out_path)
+    return Dataset(space=space, rows=tuple(rows), slo=slo)
 
 
 def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
     """Load a collected dataset, inferring the space from its rows.
 
-    Per parameter, the grid levels are the distinct values seen; the
-    granularity is their greatest common step. The optimum is recomputed
-    from the stored utilities, so a hand-edited file cannot smuggle in a
-    stale one.
+    The optimum is recomputed from the stored utilities, so a hand-edited
+    file cannot smuggle in a stale one.
     """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        names, parsed = _parse_dataset_rows(handle, str(path))
-    if not parsed:
-        raise ValueError(f"{path}: no data rows")
-    columns = list(zip(*(settings for settings, _ in parsed)))
-    specs = []
-    for name, column in zip(names, columns):
-        levels = sorted(set(column))
-        if len(levels) == 1:
-            granularity = 1
-        else:
-            diffs = [b - a for a, b in zip(levels, levels[1:])]
-            granularity = diffs[0]
-            for d in diffs[1:]:
-                granularity = math.gcd(granularity, d)
-        specs.append(
-            ParameterSpec(
-                name=name,
-                minimum=levels[0],
-                maximum=levels[-1],
-                granularity=granularity,
-                allow_single_level=True,
-            )
-        )
-    space = SearchSpace(tuple(specs))
-    rows = [
-        _row_to_observation(settings, fields, i + 1)
-        for i, (settings, fields) in enumerate(parsed)
-    ]
+    space, rows = _read_dataset(Path(path))
     return Dataset(space=space, rows=tuple(rows), slo=slo)
 
 
@@ -869,12 +802,7 @@ def write_slo_cdf_csv(dataset: Dataset, path: str | Path) -> None:
 
 
 def write_trace_csv(trace: RunTrace, space: SearchSpace, path: str | Path) -> None:
-    header = (
-        ["eval_index"]
-        + list(space.names)
-        + ["p99_latency_ms", "throughput_rps", "utility", "feasible", "failed", "best_so_far"]
-    )
-    rows: list[Sequence] = [header]
+    rows: list[Sequence] = [["eval_index"] + _dataset_header(space) + ["best_so_far"]]
     for obs, best in zip(trace.observations, trace.best_utilities):
         rows.append([str(obs.eval_index)] + _dataset_row(obs) + [_fmt(best)])
     _write_csv(path, rows)

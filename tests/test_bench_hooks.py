@@ -13,7 +13,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from confopt import backends, gp, harness, optim
+from confopt import backends, bundled_path, cli, gp, harness, optim
 from confopt.backends import ServiceModelSpec, ServiceSpec, SyntheticBackend
 from confopt.space import ParameterSpec, SearchSpace
 from confopt.utility import SloSpec, WorkloadSpec, get_utility
@@ -122,3 +122,36 @@ def test_traced_optimizer_layers_record_calls():
     assert gp.SurrogateModel.predict is originals["predict"]
     assert optim.OptimizerSession.ask is originals["ask"]
     assert optim.OptimizerSession.tell is originals["tell"]
+
+
+def test_traced_dataset_layers_record_one_call_per_command(tmp_path, monkeypatch):
+    """CLI ``exhaustive``, ``report`` and a resumed ``exhaustive`` reach the
+    dataset layers the exhaustive-io workload times, once per command."""
+    tracing = load_tracing()
+    config = str(bundled_path("toystore-reduced.yaml"))
+    fresh, report, resume = tmp_path / "fresh", tmp_path / "report", tmp_path / "resume"
+
+    def traced_calls(out, argv):
+        monkeypatch.setenv("CONFOPT_OUT", str(out))
+        tracer = tracing.Tracer()
+        inst = tracing.instrument(tracer)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            inst.remove()
+        return tracer.calls
+
+    calls = traced_calls(fresh, ["exhaustive", "--config", config])
+    assert calls["harness.collect_exhaustive"] == 1
+    calls = traced_calls(report, ["report", "--in", str(fresh / "dataset.csv")])
+    assert calls["harness.load_dataset"] == 1
+    assert calls["harness.write_dataset_csv"] == 1
+    lines = (fresh / "dataset.csv").read_bytes().splitlines(keepends=True)
+    resume.mkdir()
+    keep = len(lines) // 2
+    (resume / "dataset.csv.partial").write_bytes(b"".join(lines[:keep]) + lines[keep][:10])
+    calls = traced_calls(resume, ["exhaustive", "--config", config])
+    assert calls["harness.collect_exhaustive"] == 1
+    dataset = (fresh / "dataset.csv").read_bytes()
+    assert (report / "dataset.csv").read_bytes() == dataset
+    assert (resume / "dataset.csv").read_bytes() == dataset

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import csv
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confopt import harness
 from confopt.backends import Backend, SliResult
@@ -248,7 +252,7 @@ class TestRunOptimization:
         )
         assert len(trace.observations) == 6
         for o in trace.observations:
-            assert o.utility == dataset.lookup(o.config.settings).utility
+            assert o.utility == dataset.replay_backend().lookup(o.config.settings).utility
 
     def test_replay_matches_parameters_by_name(self):
         space = make_space([4, 4])
@@ -264,7 +268,7 @@ class TestRunOptimization:
         assert len(trace.observations) == 16
         for obs in trace.observations:
             cpu1, cpu0 = obs.config.settings
-            assert obs.utility == dataset.lookup((cpu0, cpu1)).utility
+            assert obs.utility == dataset.replay_backend().lookup((cpu0, cpu1)).utility
 
     def test_replay_rejects_other_parameters(self):
         dataset, _ = surface_dataset()
@@ -342,9 +346,7 @@ class TestCollectExhaustive:
     def test_cap_enforced(self):
         space = make_space([50, 50, 50])
         with pytest.raises(ValueError, match="screen first"):
-            collect_exhaustive(
-                space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD, cap=1000
-            )
+            collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD)
 
     def test_rows_follow_enumeration_order(self):
         dataset, backend = surface_dataset()
@@ -363,7 +365,6 @@ class TestCollectExhaustive:
             SLO,
             WORKLOAD,
             out_path=out,
-            checkpoint_every=2,
         )
         assert out.exists()
         assert not out.with_name("dataset.csv.partial").exists()
@@ -395,7 +396,6 @@ class TestCollectExhaustive:
                 SLO,
                 WORKLOAD,
                 out_path=out,
-                checkpoint_every=1,
             )
         assert out.with_name("dataset.csv.partial").exists()
         resumed_backend = SurfaceBackend(space)
@@ -406,7 +406,6 @@ class TestCollectExhaustive:
             SLO,
             WORKLOAD,
             out_path=out,
-            checkpoint_every=1,
         )
         assert resumed_backend.calls == space.size - 5
         assert len(dataset.rows) == space.size
@@ -431,6 +430,24 @@ class TestCollectExhaustive:
         # four clean rows survived; the torn fifth was re-measured
         assert backend.calls == space.size - 4
         assert len(dataset.rows) == space.size
+
+
+    def test_oversize_partial_rejected_before_finalizing(self, tmp_path):
+        wide = make_space([3, 2])
+        out = tmp_path / "dataset.csv"
+        collect_exhaustive(wide, SurfaceBackend(wide), UTILITY, SLO, WORKLOAD, out_path=out)
+        partial = out.with_name("dataset.csv.partial")
+        out.rename(partial)
+        kept = partial.read_bytes()
+        narrow = make_space([2, 2])
+        backend = SurfaceBackend(narrow)
+        with pytest.raises(
+            ValueError, match=re.escape(f"{partial}: 6 rows for a space of 4 configurations")
+        ):
+            collect_exhaustive(narrow, backend, UTILITY, SLO, WORKLOAD, out_path=out)
+        assert backend.calls == 0
+        assert partial.read_bytes() == kept
+        assert not out.exists()
 
 
 class TestDatasetCsv:
@@ -499,6 +516,23 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 10:")):
             load_dataset(path)
 
+    def test_reordered_rows_rejected(self, tmp_path):
+        space = make_space([2, 2])
+        utilities = [0.9, 0.5, 0.2, 0.2]  # tied optima at (625, 500) and (625, 625)
+        rows = tuple(
+            Observation(config=c, slis={}, utility=u, feasible=True, eval_index=i + 1)
+            for i, (c, u) in enumerate(zip(space.iter_configurations(), utilities))
+        )
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(Dataset(space=space, rows=rows), path)
+        assert load_dataset(path).optimum.config.settings == (625, 500)
+        header, *data = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(reversed(data)))
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}: data row 1 ") + ".*enumeration order"
+        ):
+            load_dataset(path)
+
     def test_incomplete_file_rejected(self, tmp_path):
         dataset, _ = surface_dataset()
         path = tmp_path / "dataset.csv"
@@ -520,6 +554,92 @@ class TestDatasetCsv:
         assert latencies == sorted(latencies)
         assert fractions[-1] == 1.0
         assert all(f2 >= f1 for f1, f2 in zip(fractions, fractions[1:]))
+
+
+class TableBackend(Backend):
+    """Replies with a fixed result per configuration, in enumeration order."""
+
+    def __init__(self, space, results):
+        self.space = space
+        self.table = dict(zip((c.settings for c in space.iter_configurations()), results))
+        self.calls = 0
+
+    def evaluate(self, params, workload):
+        self.calls += 1
+        return self.table[tuple(int(params[name]) for name in self.space.names)]
+
+
+@st.composite
+def measured_spaces(draw):
+    """A space of 1-3 parameters and one backend result per configuration:
+    measured, measured without throughput, out of memory, or with a p99 that
+    is not finite (scored as failed, throughput kept)."""
+    specs = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        minimum = draw(st.integers(min_value=0, max_value=1000))
+        granularity = draw(st.integers(min_value=1, max_value=200))
+        steps = draw(st.integers(min_value=0, max_value=3))
+        specs.append(
+            ParameterSpec(
+                f"p{i}", minimum, minimum + granularity * steps, granularity,
+                allow_single_level=True,
+            )
+        )
+    space = SearchSpace(tuple(specs))
+    latency = st.floats(min_value=1.0, max_value=5000.0)
+    throughput = st.floats(min_value=0.1, max_value=1e4)
+    result = st.one_of(
+        st.builds(
+            lambda p99, rps: SliResult({"p99_latency_ms": p99, "throughput_rps": rps}),
+            latency,
+            throughput,
+        ),
+        latency.map(lambda p99: SliResult({"p99_latency_ms": p99, "throughput_rps": math.nan})),
+        st.just(SliResult(failed=True, failure_reason="oom")),
+        st.builds(
+            lambda p99, rps: SliResult({"p99_latency_ms": p99, "throughput_rps": rps}),
+            st.sampled_from([math.nan, math.inf]),
+            throughput,
+        ),
+    )
+    return space, draw(st.lists(result, min_size=space.size, max_size=space.size))
+
+
+class TestDatasetCodecProperties:
+    @given(measured_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_write_load_write_is_identity(self, drawn):
+        space, results = drawn
+        dataset = collect_exhaustive(space, TableBackend(space, results), UTILITY, SLO, WORKLOAD)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+            write_dataset_csv(dataset, first)
+            write_dataset_csv(load_dataset(first, slo=SLO), second)
+            assert second.read_bytes() == first.read_bytes()
+
+    @given(measured_spaces(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_resume_from_any_cut_restores_the_file(self, drawn, data):
+        space, results = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "dataset.csv"
+            collect_exhaustive(
+                space, TableBackend(space, results), UTILITY, SLO, WORKLOAD, out_path=out
+            )
+            finished = out.read_bytes()
+            header_end = finished.index(b"\n") + 1
+            cut = data.draw(st.integers(min_value=header_end, max_value=len(finished)))
+            out.unlink()
+            partial = out.with_name("dataset.csv.partial")
+            partial.write_bytes(finished[:cut])
+            backend = TableBackend(space, results)
+            collect_exhaustive(space, backend, UTILITY, SLO, WORKLOAD, out_path=out)
+            assert out.read_bytes() == finished
+            assert not partial.exists()
+        # A row is kept whole when the cut keeps everything before its newline.
+        row_ends = [i for i in range(header_end, len(finished)) if finished[i : i + 1] == b"\n"]
+        kept = sum(1 for end in row_ends if end <= cut)
+        assert backend.calls == space.size - kept
 
 
 class TestCompare:
