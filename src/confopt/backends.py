@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 import subprocess
 from dataclasses import dataclass, field
@@ -84,6 +85,16 @@ def _parse_quantity(name: str, rendered: str) -> int:
 # -- synthetic ---------------------------------------------------------------
 
 
+_SERVICE_FIELDS = ("base_ms", "cpu_demand_mc", "mem_working_set_mi")
+_MODEL_FIELDS = {"services", "chain", "p99_factor", "mem_penalty", "noise_sigma"}
+
+
+def _require_finite(prefix: str, spec, names: Sequence[str]) -> None:
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{prefix}{name} must be finite, got {getattr(spec, name)}")
+
+
 @dataclass(frozen=True)
 class ServiceSpec:
     """Steady-state behavior of one service in the chain."""
@@ -94,6 +105,7 @@ class ServiceSpec:
     mem_working_set_mi: float
 
     def __post_init__(self) -> None:
+        _require_finite(f"service {self.name!r}: ", self, _SERVICE_FIELDS)
         if self.base_ms <= 0:
             raise ValueError(f"service {self.name!r}: base_ms must be positive")
         if self.cpu_demand_mc < 0:
@@ -131,6 +143,7 @@ class ServiceModelSpec:
         unknown = [name for name in self.chain if name not in names]
         if unknown:
             raise ValueError(f"chain references unknown services: {unknown}")
+        _require_finite("", self, ("p99_factor", "mem_penalty", "noise_sigma"))
         if self.p99_factor < 1:
             raise ValueError(f"p99_factor must be >= 1, got {self.p99_factor}")
         if self.mem_penalty < 0:
@@ -151,12 +164,15 @@ class ServiceModelSpec:
         return 10.0 * sum(self.service(n).base_ms for n in self.chain)
 
 
-_SERVICE_FIELDS = {"base_ms", "cpu_demand_mc", "mem_working_set_mi"}
-_MODEL_FIELDS = {"services", "chain", "p99_factor", "mem_penalty", "noise_sigma"}
+def _number(value, field_path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field_path}: expected a number, got {value!r}")
+    return float(value)
 
 
 def load_service_model(path: str) -> ServiceModelSpec:
-    """Read a :class:`ServiceModelSpec` from a YAML document."""
+    """Read a :class:`ServiceModelSpec` from a YAML document; every error
+    names the file and, where there is one, the service and field."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = yaml.safe_load(handle)
     if not isinstance(doc, dict):
@@ -167,24 +183,27 @@ def load_service_model(path: str) -> ServiceModelSpec:
     missing = _MODEL_FIELDS - {"noise_sigma"} - set(doc)
     if missing:
         raise ValueError(f"{path}: missing model fields: {sorted(missing)}")
-    services = []
-    for name, fields in doc["services"].items():
-        if not isinstance(fields, dict):
-            raise ValueError(f"{path}: service {name!r} must be a mapping")
-        bad = set(fields) ^ _SERVICE_FIELDS
-        if bad:
-            raise ValueError(
-                f"{path}: service {name!r}: expected exactly fields "
-                f"{sorted(_SERVICE_FIELDS)}"
-            )
-        services.append(ServiceSpec(name=name, **{k: float(v) for k, v in fields.items()}))
-    return ServiceModelSpec(
-        services=tuple(services),
-        chain=tuple(doc["chain"]),
-        p99_factor=float(doc["p99_factor"]),
-        mem_penalty=float(doc["mem_penalty"]),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-    )
+    if not isinstance(doc["services"], dict):
+        raise ValueError(f"{path}: services: expected a mapping of service names to fields")
+    chain = doc["chain"]
+    if not isinstance(chain, list) or not all(isinstance(name, str) for name in chain):
+        raise ValueError(f"{path}: chain: expected a list of service names, got {chain!r}")
+    try:
+        services = []
+        for name, fields in doc["services"].items():
+            if not isinstance(fields, dict) or set(fields) != set(_SERVICE_FIELDS):
+                raise ValueError(f"service {name!r}: expected the fields {list(_SERVICE_FIELDS)}")
+            numbers = {k: _number(v, f"service {name!r}: {k}") for k, v in fields.items()}
+            services.append(ServiceSpec(name=name, **numbers))
+        return ServiceModelSpec(
+            services=tuple(services),
+            chain=tuple(chain),
+            p99_factor=_number(doc["p99_factor"], "p99_factor"),
+            mem_penalty=_number(doc["mem_penalty"], "mem_penalty"),
+            noise_sigma=_number(doc.get("noise_sigma", 0.0), "noise_sigma"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class SyntheticBackend:

@@ -29,7 +29,7 @@ from .config import (
     parse_config,
 )
 from .optim import OPTIMIZERS
-from .screening import reduce_bounds, run_screening, screening_report_csv
+from .screening import screening_report_csv
 from .utility import get_utility
 
 logger = logging.getLogger(__name__)
@@ -65,7 +65,8 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         config.cost_weights,
         config.cost_reference,
     )
-    outcome = run_screening(
+    # Called through harness, as screen-vs-bo does, so tracing sees both.
+    outcome = harness.run_screening(
         config.space,
         harness.sli_objective(evaluator),
         r=config.screening.r,
@@ -73,7 +74,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         seed=seed,
     )
     logger.info("screening used %d evaluations", len(outcome.evaluations))
-    reduction = reduce_bounds(
+    reduction = harness.reduce_bounds(
         config.space,
         outcome.stats,
         outcome.evaluations,

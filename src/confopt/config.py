@@ -15,6 +15,7 @@ keys raise :class:`ConfigError` naming the path.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,6 +133,8 @@ def _as_int(value, path: str) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 

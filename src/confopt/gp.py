@@ -52,8 +52,6 @@ class SurrogateModel:
     inputs: np.ndarray
     target_mean: float
     target_std: float
-    length_scale: float
-    signal_variance: float
     jitter: float
     _factor: tuple[np.ndarray, bool]
     _alpha: np.ndarray
@@ -63,12 +61,12 @@ class SurrogateModel:
 
     def predict(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        cross = self.signal_variance * np.exp(
-            -_sq_dists(points, self.inputs) / (2.0 * self.length_scale**2)
+        cross = DEFAULT_SIGNAL_VARIANCE * np.exp(
+            -_sq_dists(points, self.inputs) / (2.0 * DEFAULT_LENGTH_SCALE**2)
         )
         mean = cross @ self._alpha
         solved = linalg.cho_solve(self._factor, cross.T)
-        variance = self.signal_variance - np.einsum("ij,ji->i", cross, solved)
+        variance = DEFAULT_SIGNAL_VARIANCE - np.einsum("ij,ji->i", cross, solved)
         std = np.sqrt(np.maximum(variance, 0.0))
         return mean, std
 
@@ -121,8 +119,6 @@ def gp_fit(inputs: np.ndarray, targets: np.ndarray) -> SurrogateModel:
         inputs=inputs,
         target_mean=mean,
         target_std=std,
-        length_scale=DEFAULT_LENGTH_SCALE,
-        signal_variance=DEFAULT_SIGNAL_VARIANCE,
         jitter=eps,
         _factor=factor,
         _alpha=alpha,

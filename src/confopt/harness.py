@@ -526,12 +526,6 @@ def _compare_chunk(
     return optimizer, found, curves
 
 
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
-    rank = math.ceil(q * len(sorted_values))
-    rank = min(max(rank, 1), len(sorted_values))
-    return float(sorted_values[rank - 1])
-
-
 def compare(
     dataset: Dataset,
     optimizer_names: Sequence[str],
@@ -583,18 +577,15 @@ def compare(
         blocks_by[name].append(curves)
 
     optimum_utility = dataset.optimum.utility
+    samples = np.arange(1, budget + 1)
+    q99_row = math.ceil(0.99 * runs) - 1  # nearest rank, counted from 1
     report: dict[str, OptimizerComparison] = {}
     for name in optimizer_names:
-        found, curves = found_by[name], np.vstack(blocks_by[name])
-        distances = np.abs(curves - optimum_utility)
-        fraction = np.empty(budget)
-        q99 = np.empty(budget)
-        found_arr = np.array([f if f is not None else budget + 1 for f in found])
-        for n in range(1, budget + 1):
-            fraction[n - 1] = float(np.count_nonzero(found_arr <= n)) / runs
-            q99[n - 1] = _nearest_rank(np.sort(distances[:, n - 1]), 0.99)
+        found = np.array([f if f is not None else budget + 1 for f in found_by[name]])
+        distances = np.sort(np.abs(np.vstack(blocks_by[name]) - optimum_utility), axis=0)
         report[name] = OptimizerComparison(
-            fraction_found_optimal=fraction, distance_q99=q99
+            fraction_found_optimal=np.count_nonzero(found[:, None] <= samples, axis=0) / runs,
+            distance_q99=distances[q99_row],
         )
     return ComparisonReport(
         budget=budget,
@@ -737,14 +728,12 @@ def screening_vs_standalone(
             total_budget,
             batch_size,
             seed + 2_000_003,
+            optimum_settings=known_global_optimum,
             **scoring,
         )
         standalone_best = standalone_trace.best
         standalone_found = (
-            any(
-                o.config.settings == known_global_optimum
-                for o in standalone_trace.observations
-            )
+            standalone_trace.found_optimal_at is not None
             if known_global_optimum is not None
             else None
         )

@@ -16,7 +16,8 @@ Strategies, by registry name:
 * ``exhaustive``: full enumeration in canonical odometer order.
 * ``bestconfig``: divide-and-diverge sampling with recursive bound shrink.
 * ``bayesian-ei``: GP surrogate ranking candidates by expected improvement.
-* ``moat``: screening trajectories exposed through the same interface.
+* ``moat``: the points of :func:`screening.screening_design`, in order;
+  elementary effects come from :func:`screening.run_screening`.
 
 Except for the two enumerators (whose whole point is a fixed visiting
 order) and ``moat`` (whose trajectories may legitimately cross), a session
@@ -36,13 +37,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .gp import expected_improvement, gp_fit
-from .screening import (
-    ScreeningStats,
-    compute_stats,
-    generate_trajectories,
-    resolve_p,
-    trajectory_effects,
-)
+from .screening import screening_design
 from .space import Configuration, SearchSpace
 
 __all__ = [
@@ -386,14 +381,14 @@ class BayesianEISession(OptimizerSession):
 
 
 class MoatSession(OptimizerSession):
-    """Screening trajectories behind the common ask/tell interface.
+    """The screening design behind the common ask/tell interface.
 
     The budget buys ``r = budget // (k + 1)`` whole trajectories; any
-    remainder is left unspent. Proposals follow the planned trajectory
-    points in order, so a configuration revisited by a later trajectory is
-    proposed again, which is the documented exception to the fresh-proposal
-    rule. Once every point is told, :meth:`stats` aggregates the elementary
-    effects.
+    remainder is left unspent. Proposals follow the points of
+    :func:`screening.screening_design` in order, so a configuration
+    revisited by a later trajectory is proposed again, which is the
+    documented exception to the fresh-proposal rule. The session only
+    proposes; elementary effects come from :func:`screening.run_screening`.
     """
 
     name = "moat"
@@ -421,51 +416,14 @@ class MoatSession(OptimizerSession):
                 budget,
                 r,
             )
-        self.plans = generate_trajectories(space, r, resolve_p(space, p), seed)
-        self._queue = [
-            space.rank(space.indices_of(space.from_normalized(point)))
-            for plan in self.plans
-            for point in plan.points
-        ]
-        self._stream = iter(self._queue)
+        self._stream = (
+            space.rank(space.indices_of(config))
+            for _, configs in screening_design(space, r, p, seed)
+            for config in configs
+        )
 
     def _propose(self, n: int) -> list[int]:
         return list(itertools.islice(self._stream, n))
-
-    def stats(
-        self, metric: str = "p99_latency_ms", failure_value: float | None = None
-    ) -> ScreeningStats:
-        """Elementary-effect statistics once the whole plan has been told.
-
-        Failed observations (or ones missing ``metric``) take
-        ``failure_value``; without one they are an error.
-        """
-        if self.told < len(self._queue):
-            raise RuntimeError(
-                f"screening incomplete: {self.told} of {len(self._queue)} "
-                f"evaluations told"
-            )
-        for obs, rank in zip(self.history, self._queue):
-            if obs.config != self.space.config_at(rank):
-                raise ValueError("observations were told out of plan order")
-
-        def metric_of(obs: Observation) -> float:
-            if not obs.failed and metric in obs.slis:
-                return float(obs.slis[metric])
-            if failure_value is None:
-                raise ValueError(
-                    f"observation {obs.eval_index} has no metric {metric!r} "
-                    f"and no failure_value was given"
-                )
-            return failure_value
-
-        k = self.space.dimension
-        ys = [metric_of(obs) for obs in self.history]
-        ee = [
-            trajectory_effects(plan, ys[row * (k + 1) : (row + 1) * (k + 1)])
-            for row, plan in enumerate(self.plans)
-        ]
-        return compute_stats(ee, self.space.names)
 
 
 OPTIMIZERS: dict[str, type[OptimizerSession]] = {

@@ -41,6 +41,7 @@ __all__ = [
     "resolve_p",
     "trajectory_delta",
     "generate_trajectories",
+    "screening_design",
     "elementary_effect",
     "trajectory_effects",
     "compute_stats",
@@ -148,6 +149,18 @@ def generate_trajectories(
     return plans
 
 
+def screening_design(
+    space: SearchSpace, r: int, p: int | None, seed: int
+) -> list[tuple[TrajectoryPlan, list[Configuration]]]:
+    """The screening design in evaluation order: each planned trajectory
+    paired with its points snapped to the parameters' own grids.
+
+    ``p`` defaults to the common level count (see :func:`resolve_p`).
+    """
+    plans = generate_trajectories(space, r, resolve_p(space, p), seed)
+    return [(plan, [space.from_normalized(point) for point in plan.points]) for plan in plans]
+
+
 def elementary_effect(y_after: float, y_before: float, signed_delta: float) -> float:
     """Finite difference of the metric across one trajectory step."""
     if signed_delta == 0:
@@ -214,7 +227,7 @@ def compute_stats(
 
 @dataclass(frozen=True, eq=False)
 class ScreeningOutcome:
-    """Everything a screening run produced: plans, evaluations, statistics.
+    """What a screening run produced: statistics and evaluations.
 
     ``evaluations`` pairs every evaluated configuration with its screened
     metric value, in evaluation order (trajectory by trajectory).
@@ -222,7 +235,6 @@ class ScreeningOutcome:
 
     stats: ScreeningStats
     evaluations: tuple[tuple[Configuration, float], ...]
-    plans: tuple[TrajectoryPlan, ...]
 
 
 def run_screening(
@@ -233,27 +245,23 @@ def run_screening(
     p: int | None = None,
     seed: int = 0,
 ) -> ScreeningOutcome:
-    """Plan, evaluate and aggregate a full screening pass.
+    """Evaluate the :func:`screening_design` and aggregate its effects.
 
     ``objective`` maps a grid configuration to the screened metric (for SLO
-    work, the p99 latency). Trajectory points are snapped to each
-    parameter's own grid, so ``p`` may differ from the parameter level
-    counts; by default it is their common level count and must then be
-    uniform across parameters (see :func:`resolve_p`).
+    work, the p99 latency) and is called once per design point, in order.
+    Trajectory points are snapped to each parameter's own grid, so ``p``
+    may differ from the parameter level counts; by default it is their
+    common level count and must then be uniform across parameters (see
+    :func:`resolve_p`).
     """
-    plans = generate_trajectories(space, r, resolve_p(space, p), seed)
-    k = space.dimension
+    design = screening_design(space, r, p, seed)
     evaluations: list[tuple[Configuration, float]] = []
-    ee = np.empty((r, k), dtype=float)
-    for row, plan in enumerate(plans):
-        configs = [space.from_normalized(point) for point in plan.points]
+    ee = np.empty((r, space.dimension), dtype=float)
+    for row, (plan, configs) in enumerate(design):
         ys = [float(objective(c)) for c in configs]
         evaluations.extend(zip(configs, ys))
         ee[row] = trajectory_effects(plan, ys)
-    stats = compute_stats(ee, space.names)
-    return ScreeningOutcome(
-        stats=stats, evaluations=tuple(evaluations), plans=tuple(plans)
-    )
+    return ScreeningOutcome(stats=compute_stats(ee, space.names), evaluations=tuple(evaluations))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import re
 import stat
 import textwrap
 
@@ -86,6 +88,57 @@ class TestServiceModel:
         )
         with pytest.raises(ValueError, match="bogus"):
             load_service_model(path)
+
+    @staticmethod
+    def write_model(tmp_path, web=None, **top):
+        """A one-service model file with the web service's fields and the
+        top-level fields overridden."""
+        document = {
+            "services": {
+                "web": {"base_ms": 40.0, "cpu_demand_mc": 1.0, "mem_working_set_mi": 0.0}
+                | (web or {})
+            },
+            "chain": ["web"],
+            "p99_factor": 3.0,
+            "mem_penalty": 1.5,
+        } | top
+        path = tmp_path / "model.yaml"
+        path.write_text(yaml.safe_dump(document))
+        return path
+
+    def assert_load_fails(self, path, message):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_service_model(path)
+
+    def test_services_must_be_a_mapping(self, tmp_path):
+        path = self.write_model(tmp_path, services=[{"web": {"base_ms": 40.0}}])
+        self.assert_load_fails(path, "services: expected a mapping")
+
+    def test_chain_must_be_a_list_of_names(self, tmp_path):
+        path = self.write_model(tmp_path, chain="web")
+        self.assert_load_fails(path, "chain: expected a list of service names, got 'web'")
+
+    def test_non_finite_service_field_rejected(self, tmp_path):
+        path = self.write_model(tmp_path, web={"base_ms": float("nan")})
+        self.assert_load_fails(path, "service 'web': base_ms must be finite, got nan")
+
+    def test_non_finite_model_field_rejected(self, tmp_path):
+        path = self.write_model(tmp_path, p99_factor=float("inf"))
+        self.assert_load_fails(path, "p99_factor must be finite, got inf")
+
+    def test_non_numeric_field_names_service_and_field(self, tmp_path):
+        path = self.write_model(tmp_path, web={"base_ms": "fast"})
+        self.assert_load_fails(path, "service 'web': base_ms: expected a number, got 'fast'")
+
+    @pytest.mark.parametrize("field", ["base_ms", "cpu_demand_mc", "mem_working_set_mi"])
+    def test_service_spec_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            one_service_model(**{field: float("inf")})
+
+    @pytest.mark.parametrize("field", ["p99_factor", "mem_penalty", "noise_sigma"])
+    def test_model_spec_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(one_service_model(), **{field: float("nan")})
 
 
 class TestSyntheticBackend:

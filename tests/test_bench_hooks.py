@@ -155,3 +155,43 @@ def test_traced_dataset_layers_record_one_call_per_command(tmp_path, monkeypatch
     dataset = (fresh / "dataset.csv").read_bytes()
     assert (report / "dataset.csv").read_bytes() == dataset
     assert (resume / "dataset.csv").read_bytes() == dataset
+
+
+def test_traced_screening_layers_record_every_repetition():
+    """A screening-vs-standalone study reaches the screening hooks through
+    the harness names the full-grid-study workload patches."""
+    tracing = load_tracing()
+    originals = {
+        "run_screening": harness.run_screening,
+        "reduce_bounds": harness.reduce_bounds,
+        "run_optimization": harness.run_optimization,
+    }
+    space = SearchSpace(
+        (
+            ParameterSpec("webCpu", 500, 875, 125, "m"),
+            ParameterSpec("webMemory", 256, 1024, 256, "Mi"),
+        )
+    )
+    repetitions, r = 2, 3
+    tracer = tracing.Tracer()
+    inst = tracing.instrument(tracer)
+    try:
+        harness.screening_vs_standalone(
+            space,
+            SyntheticBackend(MODEL),
+            get_utility("slo-cost"),
+            SloSpec(threshold=1000.0),
+            WorkloadSpec(tenants=4),
+            total_budget=12,
+            r=r,
+            batch_size=3,
+            repetitions=repetitions,
+        )
+    finally:
+        inst.remove()
+    assert tracer.calls["screening.run_screening"] == repetitions
+    assert tracer.counts["screening.evals"] == repetitions * r * (space.dimension + 1)
+    assert tracer.calls["screening.reduce_bounds"] == repetitions
+    assert tracer.calls["harness.run_optimization"] == 2 * repetitions
+    for name, original in originals.items():
+        assert getattr(harness, name) is original, name

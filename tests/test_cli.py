@@ -107,6 +107,33 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, document, path",
+        [
+            (
+                "exhaustive",
+                config_document(
+                    slas=[config_document()["slas"][0] | {"slos": {"99th": float("nan")}}]
+                ),
+                "slas[0].slos.99th",
+            ),
+            (
+                "screen",
+                config_document(screening={"r": 3, "p": 4, "relaxed_factor": float("nan")}),
+                "screening.relaxed_factor",
+            ),
+        ],
+        ids=["exhaustive-slo", "screen-relaxed-factor"],
+    )
+    def test_non_finite_number_is_config_error(
+        self, workdir, monkeypatch, capsys, command, document, path
+    ):
+        write_yaml(workdir / "nan.yaml", document)
+        out = workdir / "o"
+        assert run(monkeypatch, out, [command, "--config", str(workdir / "nan.yaml")]) == 1
+        assert f"{path}: expected a finite number, got nan" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
     def test_compare_rejects_unknown_optimizer_name(self, workdir, monkeypatch, capsys):
         out = workdir / "data"
         assert run(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,36 @@ class TestExtensions:
         document = base_document()
         document["costWeights"] = {"webCpu": 3.0}
         with pytest.raises(ConfigError, match="webMemory"):
+            parse_config(write_config(tmp_path, document))
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("slas", 0, "slos", "99th"), float("nan")),
+            (("slas", 0, "slos", "throughput"), float("inf")),
+            (("slas", 0, "ratePerTenant"), float("nan")),
+            (("costWeights", "webCpu"), float("-inf")),
+            (("screening", "relaxed_factor"), float("nan")),
+            (("screening", "strict_factor"), float("inf")),
+            (("backend", "timeout_s"), float("nan")),
+        ],
+        ids=lambda case: case[-1] if isinstance(case, tuple) else repr(case),
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, keys, value):
+        document = base_document()
+        document["slas"][0]["ratePerTenant"] = 25.0
+        document["costWeights"] = {"webCpu": 3.0, "webMemory": 1.0}
+        document["screening"] = {"relaxed_factor": 1.5, "strict_factor": 0.5}
+        document["backend"] = {"kind": "external", "command": ["./run-bench.sh"], "timeout_s": 30}
+        parse_config(write_config(tmp_path, document))
+        *parents, last = keys
+        target = document
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+        message = f"{path}: expected a finite number, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(write_config(tmp_path, document))
 
 

@@ -343,28 +343,20 @@ class TestMoat:
         with pytest.raises(ValueError, match="trajectory"):
             create_optimizer("moat", space, 3, 4, seed=0)
 
-    def test_stats_match_direct_screening(self):
+    @pytest.mark.parametrize(
+        "levels, p", [([6, 6], None), ([3, 2, 5, 2], 4)], ids=["uniform", "mixed"]
+    )
+    def test_proposes_the_screening_design(self, levels, p):
         from confopt.screening import run_screening
 
-        space = make_space([6, 6], granularity=10)
-
-        def sli(config):
-            x = space.to_normalized(config)
-            return float(40.0 * x[0] + 10.0 * x[1])
-
-        session = create_optimizer("moat", space, 12, 4, seed=21)
-        drive(session, sli, metric="p99_latency_ms")
-        stats = session.stats()
-        direct = run_screening(space, sli, r=4, seed=21).stats
-        assert np.allclose(stats.mu, direct.mu)
-        assert np.allclose(stats.mu_star, direct.mu_star)
-
-    def test_stats_require_complete_history(self):
-        space = make_space([6, 6])
-        session = create_optimizer("moat", space, 12, 4, seed=0)
-        session.ask()
-        with pytest.raises(RuntimeError, match="incomplete"):
-            session.stats()
+        space = make_space(levels, granularity=10)
+        r, seed = 5, 21
+        session = create_optimizer(
+            "moat", space, r * (space.dimension + 1), 4, seed=seed, p=p
+        )
+        proposed = [o.config for o in drive(session, quadratic_score(space))]
+        outcome = run_screening(space, quadratic_score(space), r=r, p=p, seed=seed)
+        assert proposed == [c for c, _ in outcome.evaluations]
 
 
 # Proposal streams as ranks, recorded before sessions proposed ranks
