@@ -110,6 +110,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         workload=config.workload,
         weights=config.cost_weights,
         cost_space=config.cost_reference,
+        options={"p": config.screening.p} if config.optimizer == "moat" else None,
     )
     harness.write_trace_csv(trace, config.space, out / "trace.csv")
     logger.info("wrote %s", out / "trace.csv")

@@ -410,7 +410,11 @@ def build_backend(config: RunConfig) -> Backend | ReplayBackend:
             "(backend: {kind: synthetic|replay|external, ...})"
         )
     if settings.kind == "synthetic":
-        return SyntheticBackend(load_service_model(settings.model), seed=config.seed)
+        try:
+            model = load_service_model(settings.model)
+        except ValueError as exc:  # its messages start with the file name
+            raise ConfigError(str(exc)) from None
+        return SyntheticBackend(model, seed=config.seed)
     if settings.kind == "replay":
         from .harness import load_dataset
 

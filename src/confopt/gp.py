@@ -3,8 +3,18 @@
 Deliberately small: an isotropic squared-exponential kernel with fixed
 hyperparameters tuned for normalized inputs, targets standardized to zero
 mean and unit variance before fitting. No hyperparameter optimization, no
-gradients; the surrogate only has to rank a few thousand grid candidates
-per iteration, deterministically.
+gradients; the surrogate only has to rank grid candidates once per round,
+deterministically.
+
+The posterior is incremental (Rasmussen & Williams, *GPML* 2006, Alg. 2.1
+and §A.3). A fit handed the previous round's model as ``prior`` extends
+its lower Cholesky factor L by the new rows only: the block
+``L⁻¹K(X_old, X_new)`` and a Cholesky of the b×b Schur complement. A model
+keeps ``V = L⁻¹K(X, points)`` for the one read-only ``points`` array it
+last predicted on and passes it to the model that extends it, so a round
+that tells b new observations to a model of n and predicts N points costs
+O(b·n·N) for the new rows of V and O(n·N) for the mean, instead of a fresh
+O(n²·N) solve. V holds n·N floats: 75 MB at n = 144 on a 65,536-point grid.
 """
 
 from __future__ import annotations
@@ -40,6 +50,43 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
+def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return DEFAULT_SIGNAL_VARIANCE * np.exp(
+        -_sq_dists(a, b) / (2.0 * DEFAULT_LENGTH_SCALE**2)
+    )
+
+
+def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return linalg.solve_triangular(factor, rhs, lower=True, check_finite=False)
+
+
+@dataclass(eq=False)
+class _Basis:
+    """``V = L⁻¹K(X, points)`` for one ``points`` array: its first
+    ``filled`` rows in a buffer with room to grow, and the running column
+    sums of V²."""
+
+    points: np.ndarray
+    rows: np.ndarray
+    filled: int
+    sq_sum: np.ndarray
+
+    def extend(self, factor: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Append the rows of V for ``inputs[filled:]`` and return all of V:
+        ``V[m:n] = L[m:n,m:n]⁻¹ (K(X[m:n], points) − L[m:n,:m] V[:m])``."""
+        m, n = self.filled, len(inputs)
+        if n > len(self.rows):
+            grown = np.empty((max(n, 2 * len(self.rows)), len(self.points)))
+            grown[:m] = self.rows[:m]
+            self.rows = grown
+        block = _kernel(inputs[m:], self.points)
+        block -= factor[m:, :m] @ self.rows[:m]
+        self.rows[m:n] = _solve_lower(factor[m:, m:], block)
+        self.sq_sum += np.einsum("ij,ij->j", self.rows[m:n], self.rows[m:n])
+        self.filled = n
+        return self.rows[:n]
+
+
 @dataclass(eq=False)
 class SurrogateModel:
     """A fitted GP posterior over standardized targets.
@@ -53,30 +100,68 @@ class SurrogateModel:
     target_mean: float
     target_std: float
     jitter: float
-    _factor: tuple[np.ndarray, bool]
-    _alpha: np.ndarray
+    _factor: np.ndarray
+    _weights: np.ndarray
+    _basis: _Basis | None = None
 
     def standardize(self, value: float) -> float:
         return (value - self.target_mean) / self.target_std
 
     def predict(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation at ``points``.
+
+        The basis V is kept between calls only for a read-only array, and
+        only while the next call passes that same array object; any other
+        array gets a basis computed from zero rows.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        cross = DEFAULT_SIGNAL_VARIANCE * np.exp(
-            -_sq_dists(points, self.inputs) / (2.0 * DEFAULT_LENGTH_SCALE**2)
-        )
-        mean = cross @ self._alpha
-        solved = linalg.cho_solve(self._factor, cross.T)
-        variance = DEFAULT_SIGNAL_VARIANCE - np.einsum("ij,ji->i", cross, solved)
-        std = np.sqrt(np.maximum(variance, 0.0))
+        basis = self._basis
+        if basis is None or basis.points is not points:
+            n, size = len(self.inputs), len(points)
+            basis = _Basis(points, np.empty((n, size)), 0, np.zeros(size))
+        v = basis.extend(self._factor, self.inputs)
+        self._basis = None if points.flags.writeable else basis
+        mean = self._weights @ v
+        std = np.sqrt(np.maximum(DEFAULT_SIGNAL_VARIANCE - basis.sq_sum, 0.0))
         return mean, std
 
 
-def gp_fit(inputs: np.ndarray, targets: np.ndarray) -> SurrogateModel:
+def _extended_factor(
+    prior: SurrogateModel | None, inputs: np.ndarray, eps: float
+) -> np.ndarray:
+    """Lower Cholesky factor of ``K(inputs) + eps·I``, extending the
+    prior's factor over its leading rows (none without a prior). Raises
+    ``LinAlgError`` when the Schur complement is not positive definite."""
+    old = inputs[:0] if prior is None else prior.inputs
+    m, n = len(old), len(inputs)
+    factor = np.zeros((n, n))
+    if prior is not None:
+        factor[:m, :m] = prior._factor
+    cross = _solve_lower(factor[:m, :m], _kernel(old, inputs[m:]))
+    factor[m:, :m] = cross.T
+    corner = _kernel(inputs[m:], inputs[m:]) + eps * np.eye(n - m) - cross.T @ cross
+    factor[m:, m:] = linalg.cholesky(corner, lower=True, check_finite=False)
+    return factor
+
+
+def gp_fit(
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    *,
+    prior: SurrogateModel | None = None,
+) -> SurrogateModel:
     """Fit the surrogate to observed (normalized input, raw target) pairs.
 
     Targets are standardized internally; a constant target vector gets unit
     scale so standardization never divides by zero. Duplicate inputs are
     fine, the jitter absorbs the resulting rank deficiency.
+
+    When ``prior``'s inputs are the leading rows of ``inputs`` and it did
+    not escalate its jitter, its factor is extended by the new rows at
+    ``DEFAULT_JITTER`` and its prediction basis passes to the new model.
+    Otherwise, or when that extension fails, the factor is computed from
+    zero rows, escalating the jitter as needed; the result is the same
+    model up to rounding either way.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -97,31 +182,34 @@ def gp_fit(inputs: np.ndarray, targets: np.ndarray) -> SurrogateModel:
         std = 1.0
     y = (targets - mean) / std
 
-    kernel = DEFAULT_SIGNAL_VARIANCE * np.exp(
-        -_sq_dists(inputs, inputs) / (2.0 * DEFAULT_LENGTH_SCALE**2)
-    )
-    eps = DEFAULT_JITTER
-    factor = None
-    for _ in range(_JITTER_ESCALATIONS + 1):
+    attempts = [(None, DEFAULT_JITTER * 10.0**i) for i in range(_JITTER_ESCALATIONS + 1)]
+    if (
+        prior is not None
+        and prior.jitter == DEFAULT_JITTER
+        and np.array_equal(prior.inputs, inputs[: len(prior.inputs)])
+    ):
+        attempts.insert(0, (prior, DEFAULT_JITTER))
+    for base, eps in attempts:
         try:
-            factor = linalg.cho_factor(
-                kernel + eps * np.eye(n), lower=True, check_finite=False
-            )
+            factor = _extended_factor(base, inputs, eps)
             break
         except linalg.LinAlgError:
-            eps *= 10.0
-    if factor is None:
+            pass
+    else:
         raise linalg.LinAlgError(
-            f"kernel matrix not positive definite even with jitter {eps / 10.0:g}"
+            f"kernel matrix not positive definite even with jitter {eps:g}"
         )
-    alpha = linalg.cho_solve(factor, y)
+    basis = None
+    if base is not None:
+        basis, base._basis = base._basis, None
     return SurrogateModel(
         inputs=inputs,
         target_mean=mean,
         target_std=std,
         jitter=eps,
         _factor=factor,
-        _alpha=alpha,
+        _weights=_solve_lower(factor, y),
+        _basis=basis,
     )
 
 

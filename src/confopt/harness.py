@@ -17,7 +17,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -242,15 +242,17 @@ def run_optimization(
     weights: CostWeights | None = None,
     cost_space: SearchSpace | None = None,
     optimum_settings: tuple[int, ...] | None = None,
+    options: Mapping[str, object] | None = None,
 ) -> RunTrace:
     """Run one optimizer session to its budget (or space exhaustion).
 
     Every batch goes through one :class:`Evaluator` built from ``backend``
     and the scoring arguments. ``optimum_settings``, when known, drives
-    ``found_optimal_at``.
+    ``found_optimal_at``. ``options`` go to the optimizer's constructor,
+    such as ``p`` for ``moat``.
     """
     evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
-    session = create_optimizer(optimizer, space, budget, batch_size, seed)
+    session = create_optimizer(optimizer, space, budget, batch_size, seed, **(options or {}))
     observations: list[Observation] = []
     best_curve: list[float] = []
     found_at: int | None = None

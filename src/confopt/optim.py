@@ -31,12 +31,13 @@ import itertools
 import logging
 import math
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gp import expected_improvement, gp_fit
+from .gp import SurrogateModel, expected_improvement, gp_fit
 from .screening import screening_design
 from .space import Configuration, SearchSpace
 
@@ -106,7 +107,12 @@ class OptimizerSession(ABC):
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.history: list[Observation] = []
-        self._pending: list[Configuration] = []
+        # Ranks of the told observations, in history order.
+        self._told: list[int] = []
+        # The asked batch's ranks (a multiset: moat may repeat one) and the
+        # rank of each of its configurations.
+        self._pending: list[int] = []
+        self._rank_of: dict[tuple[int, ...], int] = {}
         self._best: tuple[Configuration, float] | None = None
         self._counts = [p.level_count for p in space.parameters]
         self._asked: set[int] = set()
@@ -128,24 +134,29 @@ class OptimizerSession(ABC):
         ranks = self._propose(min(self.batch_size, remaining))
         if not ranks:
             raise SpaceExhausted("every configuration has been evaluated")
-        self._pending = [self.space.config_at(rank) for rank in ranks]
-        return list(self._pending)
+        batch = [self.space.config_at(rank) for rank in ranks]
+        self._pending = ranks
+        self._rank_of = {config.settings: rank for config, rank in zip(batch, ranks)}
+        return batch
 
     def tell(self, observations: Sequence[Observation]) -> None:
-        outstanding = [c.settings for c in self._pending]
+        outstanding = Counter(self._pending)
+        told = []
         for obs in observations:
-            try:
-                outstanding.remove(obs.config.settings)
-            except ValueError:
+            rank = self._rank_of.get(obs.config.settings)
+            if not outstanding[rank]:
                 raise ValueError(
                     f"told about a configuration that was not asked: "
                     f"{self.space.config_text(obs.config)}"
-                ) from None
-        if outstanding:
+                )
+            outstanding[rank] -= 1
+            told.append(rank)
+        if outstanding.total():
             raise ValueError(
-                f"{len(outstanding)} asked configurations missing from tell"
+                f"{outstanding.total()} asked configurations missing from tell"
             )
         self._pending = []
+        self._told.extend(told)
         for obs in observations:
             self.history.append(obs)
             if self._best is None or obs.utility < self._best[1]:
@@ -325,11 +336,15 @@ class BayesianEISession(OptimizerSession):
     improvement.
 
     Before the first full batch of results arrives the session proposes
-    seeded random configurations. Afterwards it refits the surrogate on the
+    seeded random configurations. Afterwards it fits the surrogate to the
     whole history each round and scores a candidate set: the entire
     remaining grid for spaces up to ``GRID_LIMIT`` configurations, otherwise
     4096 seeded random points plus every observed point's grid neighbors.
     Expected-improvement ties resolve by candidate generation order.
+
+    On the grid the fit extends the previous round's model and predicts
+    over the whole read-only grid, so each round pays only for the batch
+    it was last told (see :mod:`confopt.gp`).
     """
 
     name = "bayesian-ei"
@@ -337,32 +352,48 @@ class BayesianEISession(OptimizerSession):
     GRID_LIMIT = 100_000
     SAMPLED_CANDIDATES = 4096
 
+    def __init__(self, space: SearchSpace, budget: int, batch_size: int, seed: int):
+        super().__init__(space, budget, batch_size, seed)
+        self._on_grid = space.size <= self.GRID_LIMIT
+        self._inputs = np.empty((0, space.dimension))
+        self._model: SurrogateModel | None = None
+
     @functools.cached_property
     def _grid(self) -> np.ndarray:
-        return self.space.normalized_grid()
+        grid = self.space.normalized_grid()
+        grid.setflags(write=False)
+        return grid
 
     def _propose(self, n: int) -> list[int]:
         if self.told < self.batch_size:
             return self._random_unseen(n)
-        inputs = np.array([self.space.to_normalized(o.config) for o in self.history])
+        known = len(self._inputs)
+        if self._on_grid:
+            new = self._grid[self._told[known:]]
+        else:
+            new = [self.space.to_normalized(o.config) for o in self.history[known:]]
+        self._inputs = np.concatenate([self._inputs, new])
         targets = np.array([o.utility for o in self.history])
-        model = gp_fit(inputs, targets)
+        prior = self._model if self._on_grid else None
+        model = self._model = gp_fit(self._inputs, targets, prior=prior)
         best = model.standardize(float(targets.min()))
-        ranks, candidates = self._candidates()
+        ranks, points = self._candidates()
         if not len(ranks):  # a sampled set can miss what is left
-            return [] if self.space.size <= self.GRID_LIMIT else self._random_unseen(n)
-        mean, std = model.predict(candidates)
+            return [] if self._on_grid else self._random_unseen(n)
+        mean, std = model.predict(points)
         ei = expected_improvement(mean, std, best)
-        order = np.argsort(-ei, kind="stable")
+        if self._on_grid:  # the grid holds the claimed ranks too
+            ei = ei[ranks]
         # Every candidate is unclaimed, so the filter keeps the whole pick.
-        return [r for r in (int(ranks[i]) for i in order[:n]) if self._fresh(r)]
+        return [r for r in (int(ranks[i]) for i in _top(ei, n)) if self._fresh(r)]
 
     def _candidates(self) -> tuple[Sequence[int], np.ndarray]:
-        """Unclaimed candidate ranks and their normalized coordinates."""
-        if self.space.size <= self.GRID_LIMIT:
+        """Unclaimed candidate ranks and the points to predict at: the whole
+        grid, which the ranks index, or the sampled candidates' coordinates."""
+        if self._on_grid:
             unclaimed = np.ones(len(self._grid), dtype=bool)
             unclaimed[list(self._asked)] = False
-            return np.flatnonzero(unclaimed), self._grid[unclaimed]
+            return np.flatnonzero(unclaimed), self._grid
         counts = self._counts
         draws = self.rng.integers(counts, size=(self.SAMPLED_CANDIDATES, len(counts)))
         generated = [self.space.rank(row) for row in draws]
@@ -378,6 +409,18 @@ class BayesianEISession(OptimizerSession):
         # dict.fromkeys keeps the first occurrence of each rank, in order.
         ranks = list(dict.fromkeys(r for r in generated if r not in self._asked))
         return ranks, np.array([self.space.to_normalized(self.space.config_at(r)) for r in ranks])
+
+
+def _top(scores: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the ``n`` highest scores, earlier positions first among
+    equals: the first ``n`` of a stable descending sort, found by
+    partitioning at the n-th score and sorting only what reaches it."""
+    keys = -scores
+    picked = np.arange(len(keys))
+    if n < len(keys):
+        cut = keys[np.argpartition(keys, n - 1)[n - 1]]
+        picked = np.flatnonzero(keys <= cut)
+    return picked[np.argsort(keys[picked], kind="stable")[:n]]
 
 
 class MoatSession(OptimizerSession):

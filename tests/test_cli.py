@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from confopt import bundled_path
 from confopt.cli import main
 
 MODEL = {
@@ -106,6 +107,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_service_model_is_config_error(self, workdir, monkeypatch, capsys):
+        write_yaml(workdir / "model.yaml", MODEL | {"services": [MODEL["services"]["web"]]})
+        out = workdir / "o"
+        config = str(workdir / "config.yaml")
+        assert run(monkeypatch, out, ["exhaustive", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "model.yaml: services: expected a mapping" in err
+        assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "command, document, path",
@@ -241,6 +251,18 @@ class TestOptimize:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12  # 2 iterations x 6 samples
         assert "best_so_far" in rows[0]
+
+    def test_moat_gets_the_configured_p(self, workdir, monkeypatch):
+        # The reduced toystore has mixed level counts; only screening.p
+        # (4 here) lets the moat design fit them.
+        document = yaml.safe_load(bundled_path("toystore-reduced.yaml").read_text())
+        document["optimizer"] = "moat"
+        document["backend"]["model"] = str(bundled_path("toystore-model.yaml"))
+        config = write_yaml(workdir / "moat.yaml", document)
+        out = workdir / "o"
+        assert run(monkeypatch, out, ["optimize", "--config", str(config)]) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 144  # 16 trajectories of 9
 
     def test_seed_override_changes_proposals(self, workdir, monkeypatch):
         config = str(workdir / "config.yaml")

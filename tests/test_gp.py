@@ -106,3 +106,117 @@ class TestExpectedImprovement:
         stddevs = np.linspace(0.01, 5.0, 40)
         ei = expected_improvement(np.full(40, 2.0), stddevs, best=1.0)
         assert np.all(np.diff(ei) > 0)
+
+
+def read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def assert_same_posterior(model, reference, points, tol):
+    mean, std = model.predict(points)
+    ref_mean, ref_std = reference.predict(points)
+    assert np.max(np.abs(mean - ref_mean)) <= tol
+    assert np.max(np.abs(std - ref_std)) <= tol
+
+
+class TestIncrementalPosterior:
+    """A fit extending its prior must be the fresh fit, up to rounding."""
+
+    @pytest.mark.parametrize(
+        "ends",
+        [list(range(1, 13)), [6, 12, 18, 24, 30], [2, 3, 9, 16, 17, 29]],
+        ids=["block-1", "block-6", "uneven"],
+    )
+    def test_extension_matches_fresh_fit(self, ends):
+        rng = np.random.default_rng(7)
+        inputs = rng.random((ends[-1], 3))
+        targets = np.sin(4 * inputs[:, 0]) + inputs[:, 1] * inputs[:, 2]
+        points = read_only(rng.random((500, 3)))
+        model = None
+        for end in ends:
+            model = gp_fit(inputs[:end], targets[:end], prior=model)
+            assert model.jitter == DEFAULT_JITTER
+            assert_same_posterior(model, gp_fit(inputs[:end], targets[:end]), points, 1e-9)
+
+    def test_extension_takes_over_the_basis(self):
+        rng = np.random.default_rng(8)
+        inputs = rng.random((12, 2))
+        targets = inputs.sum(axis=1)
+        points = read_only(rng.random((50, 2)))
+        prior = gp_fit(inputs[:6], targets[:6])
+        prior.predict(points)
+        basis = prior._basis
+        assert basis is not None and basis.filled == 6
+        model = gp_fit(inputs, targets, prior=prior)
+        model.predict(points)
+        assert model._basis is basis and basis.filled == 12
+
+    @staticmethod
+    def near_duplicates():
+        # Far from the origin the expanded squared distance loses about
+        # ten digits, so near-duplicate rows make the new corner of the
+        # kernel matrix indefinite at the default jitter.
+        rng = np.random.default_rng(1)
+        base = 1e5 + 3.0 * rng.random((6, 2))
+        inputs = np.vstack([base, base[:3] + 1e-9])
+        return inputs, np.arange(9.0), read_only(1e5 + 3.0 * rng.random((40, 2)))
+
+    def test_duplicate_inputs_fall_back_to_a_fresh_fit(self):
+        inputs, targets, points = self.near_duplicates()
+        prior = gp_fit(inputs[:6], targets[:6])
+        assert prior.jitter == DEFAULT_JITTER
+        prior.predict(points)
+        model = gp_fit(inputs, targets, prior=prior)
+        fresh = gp_fit(inputs, targets)
+        assert fresh.jitter > DEFAULT_JITTER
+        assert model.jitter == fresh.jitter
+        assert_same_posterior(model, fresh, points, 0.0)
+
+    def test_escalated_prior_is_not_extended(self):
+        inputs, targets, points = self.near_duplicates()
+        prior = gp_fit(inputs, targets)
+        assert prior.jitter > DEFAULT_JITTER
+        more = np.vstack([inputs, inputs[:2] + 0.5])
+        more_targets = np.arange(11.0)
+        model = gp_fit(more, more_targets, prior=prior)
+        assert_same_posterior(model, gp_fit(more, more_targets), points, 0.0)
+
+    def test_non_prefix_prior_is_ignored(self):
+        rng = np.random.default_rng(9)
+        inputs = rng.random((10, 2))
+        targets = inputs[:, 0] - inputs[:, 1]
+        points = read_only(rng.random((60, 2)))
+        prior = gp_fit(inputs[1:6], targets[1:6])
+        prior.predict(points)
+        model = gp_fit(inputs, targets, prior=prior)
+        assert_same_posterior(model, gp_fit(inputs, targets), points, 0.0)
+
+    def test_second_points_array_starts_a_new_basis(self):
+        rng = np.random.default_rng(10)
+        inputs = rng.random((14, 2))
+        targets = np.cos(3 * inputs[:, 0]) + inputs[:, 1]
+        first = read_only(rng.random((80, 2)))
+        second = read_only(rng.random((30, 2)))
+        prior = gp_fit(inputs[:7], targets[:7])
+        prior.predict(first)
+        model = gp_fit(inputs, targets, prior=prior)
+        model.predict(first)
+        fresh = gp_fit(inputs, targets)
+        assert_same_posterior(model, fresh, second, 1e-9)
+        assert_same_posterior(model, fresh, first, 1e-9)
+
+    def test_prior_predicts_after_its_successor_extended_the_basis(self):
+        rng = np.random.default_rng(11)
+        inputs = rng.random((12, 3))
+        targets = inputs @ np.array([1.0, -2.0, 0.5])
+        points = read_only(rng.random((90, 3)))
+        prior = gp_fit(inputs[:6], targets[:6])
+        before = prior.predict(points)
+        successor = gp_fit(inputs, targets, prior=prior)
+        successor.predict(points)
+        after = prior.predict(points)
+        fresh = gp_fit(inputs[:6], targets[:6]).predict(points)
+        for got in (before, after):
+            assert np.max(np.abs(got[0] - fresh[0])) <= 1e-9
+            assert np.max(np.abs(got[1] - fresh[1])) <= 1e-9

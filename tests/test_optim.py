@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from confopt import optim
+from confopt.gp import gp_fit
 from confopt.optim import (
     OPTIMIZERS,
     BestConfigSession,
@@ -320,6 +322,30 @@ class TestBayesianEI:
         history = drive(session, quadratic_score(space))
         assert len(history) == 4
         assert len({o.config.settings for o in history}) == 4
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_grid_proposals_match_refitting_from_scratch(self, seed, monkeypatch):
+        space = make_space([7, 6, 5])
+        score = quadratic_score(space, Configuration((5, 1, 3)))
+        priors, models = [], []
+
+        def extending_fit(inputs, targets, prior=None):
+            priors.append(prior)
+            models.append(gp_fit(inputs, targets, prior=prior))
+            return models[-1]
+
+        monkeypatch.setattr(optim, "gp_fit", extending_fit)
+        extended = drive(create_optimizer("bayesian-ei", space, 60, 5, seed=seed), score)
+        assert priors == [None] + models[:-1]
+        monkeypatch.setattr(optim, "gp_fit", lambda inputs, targets, prior=None: gp_fit(inputs, targets))
+        refitted = drive(create_optimizer("bayesian-ei", space, 60, 5, seed=seed), score)
+        assert [o.config for o in extended] == [o.config for o in refitted]
+
+    def test_top_picks_match_a_stable_sort_with_ties(self):
+        scores = np.random.default_rng(0).integers(0, 5, size=200).astype(float)
+        for n in (1, 3, 40, 199, 200, 250):
+            expected = np.argsort(-scores, kind="stable")[:n]
+            assert optim._top(scores, n).tolist() == expected.tolist()
 
     def test_large_space_candidates_stay_sane(self):
         # 12 dims x 6 levels > 1e5, exercising the sampled-candidate path
