@@ -15,19 +15,31 @@ last predicted on and passes it to the model that extends it, so a round
 that tells b new observations to a model of n and predicts N points costs
 O(b·n·N) for the new rows of V and O(n·N) for the mean, instead of a fresh
 O(n²·N) solve. V holds n·N floats: 75 MB at n = 144 on a 65,536-point grid.
+It grows in place by the new rows only, so it never holds more rows than
+the model has inputs.
+
+That work is a few large, memory-bound BLAS calls on b new rows per round,
+which BLAS threads only slow down. :func:`one_blas_thread` runs a round on
+one OpenBLAS thread, so results and speed do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 __all__ = [
     "SurrogateModel",
     "gp_fit",
     "expected_improvement",
+    "one_blas_thread",
 ]
 
 #: Kernel length scale in normalized coordinates.
@@ -60,31 +72,99 @@ def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return linalg.solve_triangular(factor, rhs, lower=True, check_finite=False)
 
 
+#: The maps of this process's address space, one mapped file per line (Linux).
+_MAPS = "/proc/self/maps"
+#: Thread-count setters of the OpenBLAS builds in use: upstream's, scipy's
+#: wheel's and numpy's wheel's. Each getter is named alike with ``get``.
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The thread-count getter and setter of every OpenBLAS library mapped
+    into this process; none without ``/proc/self/maps`` or without OpenBLAS
+    (MKL, Accelerate). Looked up once: the first call comes after numpy
+    and scipy.linalg, which load every BLAS in use, were imported."""
+    try:
+        with open(_MAPS, encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = sorted(
+        {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    )
+    controls = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # the mapped file was replaced or deleted
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            getter = getattr(library, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the body on one thread in every OpenBLAS library of the process,
+    then restore each library's thread count, also when the body raises.
+    Does nothing where no OpenBLAS is found."""
+    controls = _openblas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
+
+
 @dataclass(eq=False)
 class _Basis:
-    """``V = L⁻¹K(X, points)`` for one ``points`` array: its first
-    ``filled`` rows in a buffer with room to grow, and the running column
-    sums of V²."""
+    """``V = L⁻¹K(X, points)`` for one ``points`` array, one row per input,
+    and the running column sums of V².
+
+    ``rows`` never leaves this class as a view (readers take the array
+    itself), so no view of it is alive when ``extend`` grows it in place
+    with ``resize(refcheck=False)``. That is a ``realloc``, which on Linux
+    moves a large buffer's pages with ``mremap`` instead of copying them,
+    so a large V is never resident twice."""
 
     points: np.ndarray
     rows: np.ndarray
-    filled: int
     sq_sum: np.ndarray
 
-    def extend(self, factor: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Append the rows of V for ``inputs[filled:]`` and return all of V:
+    @property
+    def filled(self) -> int:
+        """Number of inputs V covers."""
+        return len(self.rows)
+
+    def extend(self, factor: np.ndarray, inputs: np.ndarray) -> None:
+        """Append the rows of V for the inputs past the first m:
         ``V[m:n] = L[m:n,m:n]⁻¹ (K(X[m:n], points) − L[m:n,:m] V[:m])``."""
         m, n = self.filled, len(inputs)
-        if n > len(self.rows):
-            grown = np.empty((max(n, 2 * len(self.rows)), len(self.points)))
-            grown[:m] = self.rows[:m]
-            self.rows = grown
         block = _kernel(inputs[m:], self.points)
-        block -= factor[m:, :m] @ self.rows[:m]
-        self.rows[m:n] = _solve_lower(factor[m:, m:], block)
-        self.sq_sum += np.einsum("ij,ij->j", self.rows[m:n], self.rows[m:n])
-        self.filled = n
-        return self.rows[:n]
+        block -= factor[m:, :m] @ self.rows
+        self.rows.resize((n, len(self.points)), refcheck=False)
+        # A right-side solve of V[m:n]ᵀ L[m:n,m:n]ᵀ = blockᵀ on the
+        # transposed, uncopied layout: LAPACK's left-side solve would walk
+        # the N columns of a Fortran copy of the block.
+        new = linalg.blas.dtrsm(
+            1.0, factor[m:, m:], block.T, side=1, lower=1, trans_a=1, overwrite_b=1
+        ).T
+        self.rows[m:] = new
+        self.sq_sum += np.einsum("ij,ij->j", new, new)
 
 
 @dataclass(eq=False)
@@ -117,11 +197,10 @@ class SurrogateModel:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         basis = self._basis
         if basis is None or basis.points is not points:
-            n, size = len(self.inputs), len(points)
-            basis = _Basis(points, np.empty((n, size)), 0, np.zeros(size))
-        v = basis.extend(self._factor, self.inputs)
+            basis = _Basis(points, np.empty((0, len(points))), np.zeros(len(points)))
+        basis.extend(self._factor, self.inputs)
         self._basis = None if points.flags.writeable else basis
-        mean = self._weights @ v
+        mean = self._weights @ basis.rows
         std = np.sqrt(np.maximum(DEFAULT_SIGNAL_VARIANCE - basis.sq_sum, 0.0))
         return mean, std
 
@@ -221,7 +300,8 @@ def expected_improvement(
     With predictive spread the usual closed form applies:
     ``(best - mean) * Phi(z) + stddev * phi(z)`` with
     ``z = (best - mean) / stddev``. At zero spread it degenerates to
-    ``max(best - mean, 0)``. Always non-negative.
+    ``max(best - mean, 0)``. Always non-negative. Phi and phi are the
+    expressions ``scipy.stats.norm`` evaluates, without importing it.
     """
     mean = np.asarray(mean, dtype=float)
     stddev = np.asarray(stddev, dtype=float)
@@ -230,7 +310,7 @@ def expected_improvement(
     z = improvement / safe
     ei = np.where(
         stddev > 0,
-        improvement * stats.norm.cdf(z) + stddev * stats.norm.pdf(z),
+        improvement * special.ndtr(z) + stddev * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)),
         np.maximum(improvement, 0.0),
     )
     return np.maximum(ei, 0.0)

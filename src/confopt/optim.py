@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gp import SurrogateModel, expected_improvement, gp_fit
+from .gp import SurrogateModel, expected_improvement, gp_fit, one_blas_thread
 from .screening import screening_design
 from .space import Configuration, SearchSpace
 
@@ -344,7 +344,8 @@ class BayesianEISession(OptimizerSession):
 
     On the grid the fit extends the previous round's model and predicts
     over the whole read-only grid, so each round pays only for the batch
-    it was last told (see :mod:`confopt.gp`).
+    it was last told (see :mod:`confopt.gp`). Each round runs on one BLAS
+    thread (:func:`confopt.gp.one_blas_thread`).
     """
 
     name = "bayesian-ei"
@@ -367,6 +368,10 @@ class BayesianEISession(OptimizerSession):
     def _propose(self, n: int) -> list[int]:
         if self.told < self.batch_size:
             return self._random_unseen(n)
+        with one_blas_thread():
+            return self._propose_by_ei(n)
+
+    def _propose_by_ei(self, n: int) -> list[int]:
         known = len(self._inputs)
         if self._on_grid:
             new = self._grid[self._told[known:]]

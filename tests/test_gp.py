@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from confopt import gp
 from confopt.gp import (
     DEFAULT_JITTER,
     expected_improvement,
     gp_fit,
+    one_blas_thread,
 )
 
 
@@ -106,6 +114,16 @@ class TestExpectedImprovement:
         stddevs = np.linspace(0.01, 5.0, 40)
         ei = expected_improvement(np.full(40, 2.0), stddevs, best=1.0)
         assert np.all(np.diff(ei) > 0)
+
+    def test_equals_the_scipy_stats_closed_form_bit_for_bit(self):
+        z = np.concatenate([np.linspace(-8.0, 8.0, 321), [-8.0, 0.0, 8.0]])
+        stddev = np.random.default_rng(5).uniform(0.05, 4.0, size=len(z))
+        mean = 1.0 - z * stddev
+        improvement = 1.0 - mean
+        z = improvement / stddev
+        expected = improvement * stats.norm.cdf(z) + stddev * stats.norm.pdf(z)
+        got = expected_improvement(mean, stddev, best=1.0)
+        assert np.array_equal(got, np.maximum(expected, 0.0))
 
 
 def read_only(array):
@@ -220,3 +238,65 @@ class TestIncrementalPosterior:
         for got in (before, after):
             assert np.max(np.abs(got[0] - fresh[0])) <= 1e-9
             assert np.max(np.abs(got[1] - fresh[1])) <= 1e-9
+
+
+class FakeOpenBlas:
+    """A library's thread-count getter and setter, recording every set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.sets.append(count)
+        self.count = count
+
+
+class TestOneBlasThread:
+    def test_caps_every_library_and_restores_its_count(self, monkeypatch):
+        libraries = [FakeOpenBlas(2), FakeOpenBlas(4)]
+        controls = tuple((lib.get, lib.set) for lib in libraries)
+        monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: controls)
+        with one_blas_thread():
+            assert [lib.count for lib in libraries] == [1, 1]
+        assert [lib.count for lib in libraries] == [2, 4]
+        with pytest.raises(ZeroDivisionError), one_blas_thread():
+            1 / 0
+        assert [lib.sets for lib in libraries] == [[1, 2, 1, 2], [1, 4, 1, 4]]
+
+    def test_does_nothing_without_openblas(self, monkeypatch):
+        real = gp._openblas_thread_controls()
+        before = [get() for get, _ in real]
+        monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: ())
+        with one_blas_thread():
+            assert [get() for get, _ in real] == before
+            fitted = gp_fit(grid_inputs(5), np.arange(5.0))
+        assert [get() for get, _ in real] == before
+        assert fitted.jitter == DEFAULT_JITTER
+
+    def test_lookup_finds_no_library_in_maps_without_openblas(self, monkeypatch, tmp_path):
+        maps = tmp_path / "maps"
+        maps.write_text(
+            "7f0000000000-7f0000001000 r-xp 00000000 08:01 42   /usr/lib/libmkl_rt.so.2\n"
+            "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0    [stack]\n"
+            "7ffd00100000-7ffd00102000 r-xp 00000000 00:00 0\n"
+        )
+        monkeypatch.setattr(gp, "_MAPS", str(maps))
+        assert gp._openblas_thread_controls.__wrapped__() == ()
+        monkeypatch.setattr(gp, "_MAPS", str(tmp_path / "missing"))
+        assert gp._openblas_thread_controls.__wrapped__() == ()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import confopt.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

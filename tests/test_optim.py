@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from confopt import optim
+from confopt import gp, optim
 from confopt.gp import gp_fit
 from confopt.optim import (
     OPTIMIZERS,
@@ -346,6 +348,47 @@ class TestBayesianEI:
         for n in (1, 3, 40, 199, 200, 250):
             expected = np.argsort(-scores, kind="stable")[:n]
             assert optim._top(scores, n).tolist() == expected.tolist()
+
+    def test_rounds_restore_blas_thread_counts(self, monkeypatch):
+        controls = gp._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library in this process")
+        before = [get() for get, _ in controls]
+        inside = []
+
+        def counting_fit(inputs, targets, prior=None):
+            inside.append([get() for get, _ in controls])
+            return gp_fit(inputs, targets, prior=prior)
+
+        space = make_space([7, 6, 5])
+        session = create_optimizer("bayesian-ei", space, 30, 5, seed=2)
+        monkeypatch.setattr(optim, "gp_fit", counting_fit)
+        score = quadratic_score(space)
+        session.tell([obs(c, score(c), i + 1) for i, c in enumerate(session.ask())])
+        session.ask()
+        assert inside == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == before
+
+        def failing_fit(inputs, targets, prior=None):
+            raise np.linalg.LinAlgError("round failed")
+
+        monkeypatch.setattr(optim, "gp_fit", failing_fit)
+        session = create_optimizer("bayesian-ei", space, 30, 5, seed=2)
+        session.tell([obs(c, score(c), i + 1) for i, c in enumerate(session.ask())])
+        with pytest.raises(np.linalg.LinAlgError):
+            session.ask()
+        assert [get() for get, _ in controls] == before
+
+    @pytest.mark.parametrize(
+        "levels, budget", [([7, 6, 5], 60), ([6] * 12, 18)], ids=["grid", "sampled"]
+    )
+    def test_proposals_do_not_depend_on_the_thread_cap(self, levels, budget, monkeypatch):
+        space = make_space(levels)
+        score = quadratic_score(space)
+        capped = drive(create_optimizer("bayesian-ei", space, budget, 6, seed=3), score)
+        monkeypatch.setattr(optim, "one_blas_thread", contextlib.nullcontext)
+        uncapped = drive(create_optimizer("bayesian-ei", space, budget, 6, seed=3), score)
+        assert [o.config for o in capped] == [o.config for o in uncapped]
 
     def test_large_space_candidates_stay_sane(self):
         # 12 dims x 6 levels > 1e5, exercising the sampled-candidate path
