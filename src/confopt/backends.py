@@ -219,37 +219,57 @@ class SyntheticBackend:
     def __init__(self, model: ServiceModelSpec, seed: int = 0):
         self.model = model
         self.seed = seed
+        self._chain = tuple(
+            (name, model.service(name), f"{name}Cpu", f"{name}Memory") for name in model.chain
+        )
+        self._saturation_ms = model.saturation_latency_ms
+        # (service, rendered cpu, rendered memory, tenants) -> the service's
+        # latency in ms, or None when it runs out of memory. A grid repeats
+        # each service's few settings across many configurations.
+        self._latencies: dict[tuple[str, str, str, int], float | None] = {}
 
     def evaluate(self, params: Mapping[str, str], workload: WorkloadSpec) -> SliResult:
         model = self.model
         total_ms = 0.0
-        for name in model.chain:
-            spec = model.service(name)
-            cpu_key, mem_key = f"{name}Cpu", f"{name}Memory"
-            for key in (cpu_key, mem_key):
-                if key not in params:
-                    raise ValueError(f"configuration is missing parameter {key!r}")
-            cpu = _parse_quantity(cpu_key, params[cpu_key])
-            mem = _parse_quantity(mem_key, params[mem_key])
-            if cpu <= 0:
-                raise ValueError(f"parameter {cpu_key!r}: cpu must be positive")
-            if mem <= 0:
-                raise ValueError(f"parameter {mem_key!r}: memory must be positive")
-            if spec.mem_working_set_mi > 0 and mem < 0.5 * spec.mem_working_set_mi:
+        for service in self._chain:
+            name, _, cpu_key, mem_key = service
+            try:
+                key = (name, params[cpu_key], params[mem_key], workload.tenants)
+            except KeyError as exc:
+                raise ValueError(f"configuration is missing parameter {exc.args[0]!r}") from None
+            try:
+                latency = self._latencies[key]
+            except KeyError:
+                latency = self._latencies[key] = self._latency(service, *key[1:])
+            if latency is None:
                 return SliResult(failed=True, failure_reason=f"{name} out of memory")
-            rho = workload.tenants * spec.cpu_demand_mc / cpu
-            if rho >= SATURATION_RHO:
-                latency = model.saturation_latency_ms
-            else:
-                latency = spec.base_ms / (1.0 - rho)
-            if 0 < mem < spec.mem_working_set_mi:
-                latency *= 1.0 + model.mem_penalty * (spec.mem_working_set_mi / mem - 1.0)
             total_ms += latency
         p99 = model.p99_factor * total_ms
         if model.noise_sigma > 0:
             p99 *= self._noise(params, workload)
         throughput = workload.tenants * 1000.0 / total_ms
         return SliResult(slis={"p99_latency_ms": p99, "throughput_rps": throughput})
+
+    def _latency(
+        self, service: tuple, cpu_text: str, mem_text: str, tenants: int
+    ) -> float | None:
+        _, spec, cpu_key, mem_key = service
+        cpu = _parse_quantity(cpu_key, cpu_text)
+        mem = _parse_quantity(mem_key, mem_text)
+        if cpu <= 0:
+            raise ValueError(f"parameter {cpu_key!r}: cpu must be positive")
+        if mem <= 0:
+            raise ValueError(f"parameter {mem_key!r}: memory must be positive")
+        if spec.mem_working_set_mi > 0 and mem < 0.5 * spec.mem_working_set_mi:
+            return None
+        rho = tenants * spec.cpu_demand_mc / cpu
+        if rho >= SATURATION_RHO:
+            latency = self._saturation_ms
+        else:
+            latency = spec.base_ms / (1.0 - rho)
+        if 0 < mem < spec.mem_working_set_mi:
+            latency *= 1.0 + self.model.mem_penalty * (spec.mem_working_set_mi / mem - 1.0)
+        return latency
 
     def _noise(self, params: Mapping[str, str], workload: WorkloadSpec) -> float:
         # Seed per configuration, not per call, so results are independent

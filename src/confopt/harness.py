@@ -8,6 +8,7 @@ emitted file is a pure function of its inputs (no timestamps).
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import itertools
@@ -17,7 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -56,6 +57,8 @@ logger = logging.getLogger(__name__)
 EXHAUSTIVE_CAP = 100_000
 #: ``collect_exhaustive`` flushes its checkpoint file every this many rows.
 _FLUSH_EVERY = 100
+#: Dataset rows parsed at a time.
+_READ_CHUNK = 4096
 
 _METRIC_COLUMNS = ("p99_latency_ms", "throughput_rps", "utility", "feasible", "failed")
 _FLAGS = {"true": True, "false": False}
@@ -144,8 +147,8 @@ class Evaluator:
         self.utility_fn = utility_fn
         self.slo = slo
         self.workload = workload
-        self.weights = weights
         self.cost_space = cost_space or space
+        self.weights = weights or CostWeights.uniform(self.cost_space.dimension)
         if isinstance(backend, ReplayBackend):
             stored = backend.space.names
             if set(stored) != set(space.names):
@@ -285,34 +288,144 @@ def run_optimization(
 # -- datasets ----------------------------------------------------------------
 
 
-@dataclass(eq=False)
+class _Columns(NamedTuple):
+    """Dataset columns as lists, one entry per row in enumeration order."""
+
+    settings: list[tuple[int, ...]]
+    p99: list[float]
+    throughput: list[float]
+    utility: list[float]
+    feasible: list[bool]
+    failed: list[bool]
+
+    @classmethod
+    def empty(cls) -> "_Columns":
+        return cls([], [], [], [], [], [])
+
+    def append(self, obs: Observation) -> tuple:
+        """Add one observation; return its dataset CSV record."""
+        settings = obs.config.settings
+        p99 = float(obs.slis.get("p99_latency_ms", math.nan))
+        throughput = float(obs.slis.get("throughput_rps", math.nan))
+        utility = float(obs.utility)
+        feasible, failed = bool(obs.feasible), bool(obs.failed)
+        self.settings.append(settings)
+        self.p99.append(p99)
+        self.throughput.append(throughput)
+        self.utility.append(utility)
+        self.feasible.append(feasible)
+        self.failed.append(failed)
+        return (*settings, p99, throughput, utility, _bool(feasible), _bool(failed))
+
+    def records(self) -> Iterator[tuple]:
+        """Every row's dataset CSV record."""
+        flags = map(_bool, self.feasible), map(_bool, self.failed)
+        return zip(*zip(*self.settings), *self[1:4], *flags)
+
+
+def _row_format(dimension: int) -> str:
+    """``%`` format of a dataset CSV record, writing what csv.writer would
+    at half its cost: no cell needs quoting, and csv.writer too writes
+    ``str`` of a setting or flag and ``repr`` of a float, the text ``_fmt``
+    gives. The record's metrics must be Python floats."""
+    return ",".join(["%s"] * dimension + ["%r"] * 3 + ["%s"] * 2) + "\n"
+
+
+def _write_dataset(handle: TextIO, space: SearchSpace, columns: _Columns) -> None:
+    csv.writer(handle, lineterminator="\n").writerow(_dataset_header(space))
+    handle.writelines(map(_row_format(space.dimension).__mod__, columns.records()))
+
+
 class Dataset:
-    """An exhaustively measured space: one observation per configuration,
-    in enumeration order. The optimum is the first row attaining the
-    minimum utility."""
+    """An exhaustively measured space: one row per configuration, in
+    enumeration order, held as columns.
 
-    space: SearchSpace
-    rows: tuple[Observation, ...]
-    slo: SloSpec | None = None
+    ``settings`` lists each row's settings tuple; ``p99``, ``throughput``
+    and ``utility`` are float arrays, where NaN marks an absent metric;
+    ``feasible`` and ``failed`` are boolean arrays. The optimum is the
+    first row attaining the minimum utility. ``rows``, one
+    :class:`Observation` per row numbered from 1, and the replay index are
+    built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.space.size:
-            raise ValueError(
-                f"dataset has {len(self.rows)} rows for a space of "
-                f"{self.space.size} configurations"
-            )
-        index = {obs.config.settings: obs for obs in self.rows}
-        if len(index) != len(self.rows):
+    def __init__(
+        self, space: SearchSpace, rows: Sequence[Observation], slo: SloSpec | None = None
+    ):
+        rows = tuple(rows)
+        columns = _Columns.empty()
+        for obs in rows:
+            columns.append(obs)
+        self._fill(space, columns, slo)
+        if len(set(columns.settings)) != len(rows):
             raise ValueError("dataset contains duplicate configurations")
-        self.optimum = best_observation(self.rows)
-        self._replay = ReplayBackend(self.space, index)
+        self.rows = rows
+        self.optimum = rows[int(np.argmin(self.utility))]
+
+    @classmethod
+    def _from_columns(
+        cls, space: SearchSpace, columns: _Columns, slo: SloSpec | None = None
+    ) -> "Dataset":
+        """A dataset of columns whose settings follow the space's
+        enumeration order, as the reader and the collector produce them."""
+        dataset = cls.__new__(cls)
+        dataset._fill(space, columns, slo)
+        return dataset
+
+    def _fill(self, space: SearchSpace, columns: _Columns, slo: SloSpec | None) -> None:
+        if len(columns.settings) != space.size:
+            raise ValueError(
+                f"dataset has {len(columns.settings)} rows for a space of "
+                f"{space.size} configurations"
+            )
+        self.space = space
+        self.slo = slo
+        self.settings = columns.settings
+        self.p99, self.throughput, self.utility = (
+            np.array(column, dtype=float) for column in columns[1:4]
+        )
+        self.feasible, self.failed = (np.array(column, dtype=bool) for column in columns[4:])
+
+    def _row(self, index: int) -> Observation:
+        slis = {}
+        for name, column in (("p99_latency_ms", self.p99), ("throughput_rps", self.throughput)):
+            value = column[index].item()
+            if not math.isnan(value):
+                slis[name] = value
+        return Observation(
+            Configuration(self.settings[index]),
+            slis,
+            self.utility[index].item(),
+            bool(self.feasible[index]),
+            index + 1,
+            bool(self.failed[index]),
+        )
+
+    @functools.cached_property
+    def rows(self) -> tuple[Observation, ...]:
+        return tuple(map(self._row, range(len(self.settings))))
+
+    @functools.cached_property
+    def optimum(self) -> Observation:
+        return self._row(int(np.argmin(self.utility)))
 
     @property
     def feasible_fraction(self) -> float:
-        return sum(1 for o in self.rows if o.feasible) / len(self.rows)
+        return np.count_nonzero(self.feasible) / len(self.settings)
+
+    @functools.cached_property
+    def _replay(self) -> ReplayBackend:
+        return ReplayBackend(self.space, dict(zip(self.settings, self.rows)))
 
     def replay_backend(self) -> ReplayBackend:
         return self._replay
+
+    def _columns(self) -> _Columns:
+        """The columns as lists of Python values."""
+        return _Columns(
+            self.settings,
+            *(column.tolist() for column in (self.p99, self.throughput, self.utility)),
+            *(column.tolist() for column in (self.feasible, self.failed)),
+        )
 
 
 def _dataset_header(space: SearchSpace) -> list[str]:
@@ -329,18 +442,35 @@ def _dataset_row(obs: Observation) -> list[str]:
     )
 
 
-def _read_dataset(
-    path: Path, space: SearchSpace | None = None
-) -> tuple[SearchSpace, list[Observation]]:
-    """Parse a dataset or ``.partial`` file into observations.
+def _parse_record(record: Sequence[str], converters: Sequence[Callable]) -> list | None:
+    """One record's values, or None when it is malformed."""
+    if len(record) != len(converters):
+        return None
+    try:
+        return [convert(cell) for convert, cell in zip(converters, record)]
+    except (ValueError, KeyError):
+        return None
+
+
+def _line_number(path: Path, index: int) -> int:
+    """The line on which data record ``index`` of a CSV file ends."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        collections.deque(itertools.islice(reader, index + 2), maxlen=0)
+        return reader.line_num
+
+
+def _read_dataset(path: Path, space: SearchSpace | None = None) -> tuple[SearchSpace, _Columns]:
+    """Parse a dataset or ``.partial`` file into columns.
 
     Only a torn final line (an interrupted write) is dropped; any other
-    malformed row is an error naming its line. With ``space`` the parameter
-    columns must match its names; without it the space is inferred: per
-    parameter the grid levels are the distinct values seen and the
-    granularity is their greatest common step. Either way the rows must
-    follow the space's enumeration order, at most one per configuration.
-    A NaN metric cell means the metric is absent.
+    malformed row, a non-finite utility or a failed row marked feasible is
+    an error naming its line. With ``space`` the parameter columns must
+    match its names; without it the space is inferred: per parameter the
+    grid levels are the distinct values seen and the granularity is their
+    greatest common step. Either way the rows must follow the space's
+    enumeration order, at most one per configuration. A NaN metric cell
+    means the metric is absent.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -360,33 +490,46 @@ def _read_dataset(
                 f"{path}: parameter columns {names} do not match the "
                 f"configured space {list(space.names)}"
             )
-        rows: list[Observation] = []
-        bad_line = None
-        for row in reader:
-            if bad_line is not None:
-                raise ValueError(f"{path}: line {bad_line}: malformed dataset row")
+        converters = (int,) * k + (float,) * 3 + (_FLAGS.__getitem__,) * 2
+
+        def parse(records: list[list[str]]) -> list[list]:
+            if records and set(map(len, records)) != {len(header)}:
+                raise ValueError
+            columns = list(zip(*records))
+            settings = [
+                # A settings column repeats a few cells: parse each one once.
+                list(map({cell: int(cell) for cell in set(column)}.__getitem__, column))
+                for column in columns[:k]
+            ]
+            return settings + [list(map(f, c)) for f, c in zip(converters[k:], columns[k:])]
+
+        parsed: list[list] = [[] for _ in converters]
+        # Chunks bound the text held at once; rows are parsed column-wise.
+        for chunk in iter(lambda: list(itertools.islice(reader, _READ_CHUNK)), []):
             try:
-                if len(row) != len(header):
-                    raise ValueError
-                settings = tuple([int(v) for v in row[:k]])
-                p99, throughput, utility = float(row[k]), float(row[k + 1]), float(row[k + 2])
-                feasible, failed = _FLAGS[row[k + 3]], _FLAGS[row[k + 4]]
+                values = parse(chunk)
             except (ValueError, KeyError):
-                bad_line = reader.line_num
-                continue
-            slis = {}
-            if not math.isnan(p99):
-                slis["p99_latency_ms"] = p99
-            if not math.isnan(throughput):
-                slis["throughput_rps"] = throughput
-            rows.append(
-                Observation(Configuration(settings), slis, utility, feasible, len(rows) + 1, failed)
-            )
+                bad = next(i for i, r in enumerate(chunk) if _parse_record(r, converters) is None)
+                if bad < len(chunk) - 1 or next(reader, None) is not None:
+                    line = _line_number(path, len(parsed[0]) + bad)
+                    raise ValueError(f"{path}: line {line}: malformed dataset row") from None
+                values = parse(chunk[:-1])  # a torn final line
+            for column, chunk_values in zip(parsed, values):
+                column.extend(chunk_values)
+    count = len(parsed[0])
+    p99, throughput, utility, feasible, failed = parsed[k:]
+    for problem, bad in (
+        ("utility is not finite", ~np.isfinite(np.array(utility, dtype=float))),
+        ("a failed row is marked feasible", np.array(failed, bool) & np.array(feasible, bool)),
+    ):
+        if bad.any():
+            line = _line_number(path, int(np.argmax(bad)))
+            raise ValueError(f"{path}: line {line}: {problem}")
     if space is None:
-        if not rows:
+        if not count:
             raise ValueError(f"{path}: no data rows")
         specs = []
-        for name, column in zip(names, zip(*(obs.config.settings for obs in rows))):
+        for name, column in zip(names, parsed[:k]):
             levels = sorted(set(column))
             steps = [b - a for a, b in zip(levels, levels[1:])]
             specs.append(
@@ -399,17 +542,19 @@ def _read_dataset(
                 )
             )
         space = SearchSpace(tuple(specs))
-    if len(rows) > space.size:
-        raise ValueError(
-            f"{path}: {len(rows)} rows for a space of {space.size} configurations"
+    if count > space.size:
+        raise ValueError(f"{path}: {count} rows for a space of {space.size} configurations")
+    expected = list(itertools.islice(space.iter_settings(), count))
+    settings = list(zip(*parsed[:k]))
+    if settings != expected:
+        number, got, want = next(
+            (n, a, b) for n, (a, b) in enumerate(zip(settings, expected), 1) if a != b
         )
-    for number, (config, obs) in enumerate(zip(space.iter_configurations(), rows), 1):
-        if obs.config.settings != config.settings:
-            raise ValueError(
-                f"{path}: data row {number} has settings {obs.config.settings}, "
-                f"expected {config.settings}; rows must follow enumeration order"
-            )
-    return space, rows
+        raise ValueError(
+            f"{path}: data row {number} has settings {got}, expected {want}; "
+            f"rows must follow enumeration order"
+        )
+    return space, _Columns(expected, p99, throughput, utility, feasible, failed)
 
 
 def collect_exhaustive(
@@ -437,28 +582,30 @@ def collect_exhaustive(
             f"{EXHAUSTIVE_CAP}; screen first to reduce the bounds"
         )
     evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
+    columns = _Columns.empty()
     if out_path is None:
-        rows = tuple(evaluator.evaluate(space.iter_configurations()))
-        return Dataset(space=space, rows=rows, slo=slo)
+        for obs in evaluator.evaluate(space.iter_configurations()):
+            columns.append(obs)
+        return Dataset._from_columns(space, columns, slo)
     out_path = Path(out_path)
     partial_path = out_path.with_name(out_path.name + ".partial")
-    rows: list[Observation] = []
     if partial_path.exists():
-        _, rows = _read_dataset(partial_path, space)
-        logger.info("resuming exhaustive collection: %d rows already measured", len(rows))
-    todo = itertools.islice(space.iter_configurations(), len(rows), None)
+        _, columns = _read_dataset(partial_path, space)
+        logger.info(
+            "resuming exhaustive collection: %d rows already measured", len(columns.settings)
+        )
+    done = len(columns.settings)
+    todo = map(Configuration, itertools.islice(space.iter_settings(), done, None))
+    row_format = _row_format(space.dimension)
     with open(partial_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_dataset_header(space))
-        writer.writerows(_dataset_row(obs) for obs in rows)
+        _write_dataset(handle, space, columns)
         handle.flush()
-        for obs in evaluator.evaluate(todo, len(rows) + 1):
-            rows.append(obs)
-            writer.writerow(_dataset_row(obs))
-            if len(rows) % _FLUSH_EVERY == 0:
+        for index, obs in enumerate(evaluator.evaluate(todo, done + 1), done + 1):
+            handle.write(row_format % columns.append(obs))
+            if index % _FLUSH_EVERY == 0:
                 handle.flush()
     os.replace(partial_path, out_path)
-    return Dataset(space=space, rows=tuple(rows), slo=slo)
+    return Dataset._from_columns(space, columns, slo)
 
 
 def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
@@ -467,8 +614,7 @@ def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
     The optimum is recomputed from the stored utilities, so a hand-edited
     file cannot smuggle in a stale one.
     """
-    space, rows = _read_dataset(Path(path))
-    return Dataset(space=space, rows=tuple(rows), slo=slo)
+    return Dataset._from_columns(*_read_dataset(Path(path)), slo=slo)
 
 
 # -- comparisons -------------------------------------------------------------
@@ -773,23 +919,20 @@ def _write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    rows = [_dataset_header(dataset.space)]
-    rows.extend(_dataset_row(obs) for obs in dataset.rows)
-    _write_csv(path, rows)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        _write_dataset(handle, dataset.space, dataset._columns())
 
 
 def write_slo_cdf_csv(dataset: Dataset, path: str | Path) -> None:
     """Empirical CDF of p99 latency over successful evaluations."""
-    latencies = sorted(
-        obs.slis["p99_latency_ms"]
-        for obs in dataset.rows
-        if not obs.failed and "p99_latency_ms" in obs.slis
-    )
-    rows: list[Sequence] = [["p99_latency_ms", "cumulative_fraction"]]
-    total = len(latencies)
-    for i, latency in enumerate(latencies, start=1):
-        rows.append([_fmt(latency), _fmt(i / total)])
-    _write_csv(path, rows)
+    measured = dataset.p99[~dataset.failed & ~np.isnan(dataset.p99)]
+    # A stable sort orders ties as sorted() would.
+    latencies = np.sort(measured, kind="stable")
+    fractions = np.arange(1, len(latencies) + 1) / len(latencies)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("p99_latency_ms,cumulative_fraction\n")
+        # Python floats, whose repr is the text _fmt gives.
+        handle.writelines(map("%r,%r\n".__mod__, zip(latencies.tolist(), fractions.tolist())))
 
 
 def write_trace_csv(trace: RunTrace, space: SearchSpace, path: str | Path) -> None:
@@ -853,12 +996,12 @@ def write_svb_csv(report: SvbReport, path: str | Path) -> None:
 
 
 def dataset_summary(dataset: Dataset) -> str:
-    feasible = sum(1 for o in dataset.rows if o.feasible)
-    failed = sum(1 for o in dataset.rows if o.failed)
+    rows = len(dataset.settings)
+    feasible = int(np.count_nonzero(dataset.feasible))
     lines = [
-        f"configurations: {len(dataset.rows)}",
-        f"feasible: {feasible} ({_fmt(feasible / len(dataset.rows))})",
-        f"failed: {failed}",
+        f"configurations: {rows}",
+        f"feasible: {feasible} ({_fmt(feasible / rows)})",
+        f"failed: {np.count_nonzero(dataset.failed)}",
     ]
     if dataset.slo is not None:
         lines.append(f"slo: {dataset.slo.metric} <= {_fmt(dataset.slo.threshold)}")

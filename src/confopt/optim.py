@@ -30,6 +30,7 @@ import functools
 import itertools
 import logging
 import math
+import operator
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -115,6 +116,8 @@ class OptimizerSession(ABC):
         self._rank_of: dict[tuple[int, ...], int] = {}
         self._best: tuple[Configuration, float] | None = None
         self._counts = [p.level_count for p in space.parameters]
+        # A level index's weight in the rank.
+        self._strides = [math.prod(self._counts[d + 1 :]) for d in range(space.dimension)]
         self._asked: set[int] = set()
 
     @property
@@ -224,9 +227,9 @@ class RandomIncSession(OptimizerSession):
 
     def __init__(self, space: SearchSpace, budget: int, batch_size: int, seed: int):
         super().__init__(space, budget, batch_size, seed)
-        # A dimension's stride is its weight in the canonical rank.
-        strides = [math.prod(self._counts[d + 1 :]) for d in range(space.dimension)]
-        self._order = [(self._counts[d], strides[d]) for d in self.rng.permutation(space.dimension)]
+        self._order = [
+            (self._counts[d], self._strides[d]) for d in self.rng.permutation(space.dimension)
+        ]
         self._stream = map(self._decode, range(space.size))
 
     def _propose(self, n: int) -> list[int]:
@@ -399,21 +402,23 @@ class BayesianEISession(OptimizerSession):
             unclaimed = np.ones(len(self._grid), dtype=bool)
             unclaimed[list(self._asked)] = False
             return np.flatnonzero(unclaimed), self._grid
-        counts = self._counts
-        draws = self.rng.integers(counts, size=(self.SAMPLED_CANDIDATES, len(counts)))
-        generated = [self.space.rank(row) for row in draws]
-        for obs in self.history:
-            indices = list(self.space.indices_of(obs.config))
-            for dim in range(self.space.dimension):
-                for step in (-1, 1):
-                    j = indices[dim] + step
-                    if 0 <= j < counts[dim]:
-                        generated.append(
-                            self.space.rank(indices[:dim] + [j] + indices[dim + 1 :])
-                        )
-        # dict.fromkeys keeps the first occurrence of each rank, in order.
-        ranks = list(dict.fromkeys(r for r in generated if r not in self._asked))
-        return ranks, np.array([self.space.to_normalized(self.space.config_at(r)) for r in ranks])
+        counts = np.array(self._counts)
+        dimension = len(counts)
+        draws = self.rng.integers(self._counts, size=(self.SAMPLED_CANDIDATES, dimension))
+        told = np.array([self.space.indices_of(o.config) for o in self.history])
+        # Each told point's grid neighbours: one step down, then up, per axis.
+        steps = np.stack([-np.eye(dimension, dtype=int), np.eye(dimension, dtype=int)], axis=1)
+        neighbours = (told[:, None, None, :] + steps).reshape(-1, dimension)
+        inside = ((neighbours >= 0) & (neighbours < counts)).all(axis=1)
+        levels = np.concatenate([draws, neighbours[inside]])
+        ranks = [sum(map(operator.mul, row, self._strides)) for row in levels.tolist()]
+        # Keys keep each rank's first occurrence in order; a repeated rank
+        # has the same levels wherever it occurs.
+        positions = dict(zip(ranks, range(len(ranks))))
+        kept = [(rank, i) for rank, i in positions.items() if rank not in self._asked]
+        rows = levels[[i for _, i in kept]]
+        # index / (count - 1) is to_normalized's value; a pinned axis reads 0.0.
+        return [rank for rank, _ in kept], rows / np.maximum(counts - 1, 1)
 
 
 def _top(scores: np.ndarray, n: int) -> np.ndarray:

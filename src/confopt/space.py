@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class SearchSpace:
     def dimension(self) -> int:
         return len(self.parameters)
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
 
@@ -192,6 +192,22 @@ class SearchSpace:
             stride //= p.level_count
             digits.append((stride, p.level_count, tuple(p.levels())))
         return tuple(digits)
+
+    @functools.cached_property
+    def _coordinate_tables(self) -> tuple[dict[int, float], ...]:
+        """Per parameter, each grid setting's normalized coordinate."""
+        return tuple({v: p.normalized(v) for v in p.levels()} for p in self.parameters)
+
+    @functools.cached_property
+    def _render_tables(self) -> tuple[dict[int, str], ...]:
+        """Per parameter, each grid setting's rendered string."""
+        return tuple({v: p.render(v) for v in p.levels()} for p in self.parameters)
+
+    def _reject(self, config: Configuration) -> NoReturn:
+        """Raise for a configuration the level tables miss: :meth:`validate`'s
+        error, since the tables hold exactly the settings ``index_of`` accepts."""
+        self.validate(config)
+        raise ValueError(f"configuration {config.settings} is not on the grid")
 
     def parameter(self, name: str) -> ParameterSpec:
         for p in self.parameters:
@@ -246,11 +262,14 @@ class SearchSpace:
 
     def to_normalized(self, config: Configuration) -> np.ndarray:
         """Normalized coordinates of a grid configuration, shape ``(dimension,)``."""
-        self.validate(config)
-        return np.array(
-            [p.normalized(v) for p, v in zip(self.parameters, config.settings)],
-            dtype=float,
-        )
+        settings = config.settings
+        if len(settings) == len(self.parameters):
+            try:
+                coordinates = map(dict.__getitem__, self._coordinate_tables, settings)
+                return np.fromiter(coordinates, float, len(settings))
+            except KeyError:
+                pass
+        self._reject(config)
 
     def from_normalized(self, coordinates: Sequence[float]) -> Configuration:
         """Snap unit-cube coordinates to the nearest grid configuration.
@@ -267,18 +286,24 @@ class SearchSpace:
             tuple(p.from_normalized(c) for p, c in zip(self.parameters, coords))
         )
 
+    def iter_settings(self) -> Iterator[tuple[int, ...]]:
+        """Every configuration's settings tuple, in odometer order, last
+        parameter fastest."""
+        return itertools.product(*(p.levels() for p in self.parameters))
+
     def iter_configurations(self) -> Iterator[Configuration]:
-        """Yield every configuration in odometer order, last parameter fastest."""
-        for settings in itertools.product(*(p.levels() for p in self.parameters)):
-            yield Configuration(settings)
+        """Every configuration, in :meth:`iter_settings` order."""
+        return map(Configuration, self.iter_settings())
 
     def render(self, config: Configuration) -> dict[str, str]:
         """Deployable string per parameter, e.g. ``{"webCpu": "750m"}``."""
-        self.validate(config)
-        return {
-            p.name: p.render(v)
-            for p, v in zip(self.parameters, config.settings)
-        }
+        settings = config.settings
+        if len(settings) == len(self.parameters):
+            try:
+                return dict(zip(self.names, map(dict.__getitem__, self._render_tables, settings)))
+            except KeyError:
+                pass
+        self._reject(config)
 
     def config_text(self, config: Configuration) -> str:
         """Canonical one-line form, ``name=value`` pairs without suffixes."""

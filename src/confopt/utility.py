@@ -8,6 +8,7 @@ counts as satisfied.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -85,8 +86,16 @@ class CostWeights:
         return cls((1.0,) * dimension)
 
     def normalized(self) -> np.ndarray:
+        """The weights rescaled to sum to one, as a read-only array computed
+        once per instance."""
+        return self._normalized
+
+    @functools.cached_property
+    def _normalized(self) -> np.ndarray:
         raw = np.asarray(self.weights, dtype=float)
-        return raw / raw.sum()
+        normalized = raw / raw.sum()
+        normalized.setflags(write=False)
+        return normalized
 
 
 def allocation_cost(

@@ -205,6 +205,27 @@ class TestSyntheticBackend:
         b = backend.evaluate({"webCpu": "1000m", "webMemory": "512Mi"}, WORKLOAD)
         assert a.slis == b.slis
 
+    def test_cached_service_latencies_match_a_fresh_backend(self):
+        """A service's latency is reused only for the same settings and
+        tenant count; failures repeat, and invalid settings raise each time."""
+        model = one_service_model(mem_working_set_mi=600.0)
+        warm = SyntheticBackend(model)
+        cases = [
+            ({"webCpu": "1000m", "webMemory": "400Mi"}, 1),
+            ({"webCpu": "1000m", "webMemory": "400Mi"}, 2),
+            ({"webCpu": "1000m", "webMemory": "200Mi"}, 1),
+            ({"webCpu": "1000m", "webMemory": "400Mi"}, 1),
+            ({"webCpu": "1000m", "webMemory": "200Mi"}, 1),
+        ]
+        for params, tenants in cases:
+            workload = WorkloadSpec(tenants=tenants)
+            assert warm.evaluate(params, workload) == SyntheticBackend(model).evaluate(
+                params, workload
+            )
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cpu must be positive"):
+                warm.evaluate({"webCpu": "0m", "webMemory": "400Mi"}, WORKLOAD)
+
     def test_noise_is_per_config_deterministic(self):
         model = ServiceModelSpec(
             services=(ServiceSpec("web", 50.0, 500.0, 0.0),),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,50 @@ class TestExhaustiveAndReport:
         assert (out_a / "dataset.csv").read_bytes() == (
             out_b / "dataset.csv"
         ).read_bytes()
+
+
+class TestPinnedDatasetBytes:
+    """sha256 of every file ``exhaustive`` and ``report`` write for a noisy
+    toystore grid (3 levels per parameter) where a third of the
+    configurations run out of memory. The digests come from a known-good
+    run; regenerating them would defeat the test."""
+
+    DIGESTS = {
+        "fresh/dataset.csv": "878d5528f71752e91d6392254316aadc9c8b0c4aa75f252eababf070c5cea59f",
+        "fresh/summary.txt": "fe0759c341db823be8110e89e6e2e5bc573458f11d1dc2ad9f0fad77b57d1d68",
+        "report/dataset.csv": "878d5528f71752e91d6392254316aadc9c8b0c4aa75f252eababf070c5cea59f",
+        "report/slo_cdf.csv": "ddd9aaa19bedd7353dcc257c49c086a13311c004859d021c93c32ea1a360c9ea",
+        "report/summary.txt": "6c7d768d00ceb5caa31a0641719a4c4b2204333a5bfe969f923645c4db04b683",
+    }
+
+    def test_exhaustive_report_and_resume(self, tmp_path, monkeypatch):
+        model = yaml.safe_load(bundled_path("toystore-model.yaml").read_text())
+        model["services"]["rec"]["mem_working_set_mi"] = 640.0
+        model["noise_sigma"] = 0.1
+        write_yaml(tmp_path / "model.yaml", model)
+        document = yaml.safe_load(bundled_path("toystore.yaml").read_text())
+        for parameter in document["slas"][0]["parameters"]:
+            box = parameter["searchspace"]
+            box["granularity"] = (box["max"] - box["min"]) // 2
+        document["backend"]["model"] = "model.yaml"
+        config = str(write_yaml(tmp_path / "config.yaml", document))
+        fresh, report, resume = tmp_path / "fresh", tmp_path / "report", tmp_path / "resume"
+        assert run(monkeypatch, fresh, ["exhaustive", "--config", config]) == 0
+        assert run(monkeypatch, report, ["report", "--in", str(fresh / "dataset.csv")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS
+
+        lines = (fresh / "dataset.csv").read_bytes().splitlines(keepends=True)
+        keep = len(lines) // 2
+        resume.mkdir()
+        torn = b"".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2]
+        (resume / "dataset.csv.partial").write_bytes(torn)
+        assert run(monkeypatch, resume, ["exhaustive", "--config", config]) == 0
+        assert (resume / "dataset.csv").read_bytes() == (fresh / "dataset.csv").read_bytes()
+        assert not (resume / "dataset.csv.partial").exists()
 
 
 class TestCompare:

@@ -18,6 +18,7 @@ from confopt.harness import (
     Evaluator,
     collect_exhaustive,
     compare,
+    dataset_summary,
     failure_utility,
     load_dataset,
     run_optimization,
@@ -341,6 +342,24 @@ class TestDataset:
         expected = sum(1 for o in dataset.rows if o.feasible) / dataset.space.size
         assert dataset.feasible_fraction == expected
 
+    def test_rows_are_built_on_first_use_as_the_evaluator_scores_them(self):
+        space = make_space([3, 3])
+        backend = SurfaceBackend(space, fail_settings=(625, 625))
+        dataset = collect_exhaustive(space, backend, UTILITY, SLO, WORKLOAD)
+        dataset_summary(dataset)
+        assert "rows" not in vars(dataset) and "_replay" not in vars(dataset)
+        evaluator = Evaluator(space, backend, UTILITY, SLO, WORKLOAD)
+        assert dataset.rows == tuple(evaluator.evaluate(space.iter_configurations()))
+        assert dataset.optimum == min(dataset.rows, key=lambda obs: obs.utility)
+
+    def test_rows_and_columns_describe_the_same_dataset(self):
+        dataset, _ = surface_dataset(fail_settings=(500, 625))
+        rebuilt = Dataset(dataset.space, dataset.rows, SLO)
+        assert rebuilt.settings == dataset.settings
+        for name in ("p99", "throughput", "utility", "feasible", "failed"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(dataset, name))
+        assert rebuilt.optimum is rebuilt.rows[int(np.argmin(dataset.utility))]
+
 
 class TestCollectExhaustive:
     def test_cap_enforced(self):
@@ -515,6 +534,44 @@ class TestDatasetCsv:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 10:")):
             load_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [1, 9])
+    def test_non_finite_utility_names_file_and_line(self, tmp_path, cell, row):
+        dataset, _ = surface_dataset()
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[row].split(",")
+        cells[-3] = cell
+        lines[row] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}: line {row + 1}: utility is not finite")
+        ):
+            load_dataset(path)
+
+    def test_failed_row_marked_feasible_names_file_and_line(self, tmp_path):
+        dataset, _ = surface_dataset(fail_settings=(625, 625))
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.endswith(",false,true\n"))
+        lines[row] = lines[row].replace(",false,true\n", ",true,true\n")
+        path.write_text("".join(lines))
+        message = re.escape(f"{path}: line {row + 1}: a failed row is marked feasible")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
+        # A checkpoint is read by the same code, before anything is measured.
+        partial = tmp_path / "out.csv.partial"
+        partial.write_text("".join(lines))
+        backend = SurfaceBackend(dataset.space)
+        message = re.escape(f"{partial}: line {row + 1}: a failed row is marked feasible")
+        with pytest.raises(ValueError, match=message):
+            collect_exhaustive(
+                dataset.space, backend, UTILITY, SLO, WORKLOAD, out_path=tmp_path / "out.csv"
+            )
+        assert backend.calls == 0
 
     def test_reordered_rows_rejected(self, tmp_path):
         space = make_space([2, 2])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 
 import numpy as np
 import pytest
@@ -397,6 +398,35 @@ class TestBayesianEI:
         history = drive(session, quadratic_score(space))
         assert len(history) == 18
         assert len({o.config.settings for o in history}) == 18
+
+
+    def test_sampled_candidates_match_the_per_candidate_construction(self):
+        """Candidate ranks and coordinates past GRID_LIMIT equal ranking each
+        drawn row and neighbour through ``space.rank`` and normalizing
+        ``config_at(rank)``, first occurrences in order; a pinned axis too."""
+        pinned = ParameterSpec("pinned", 7, 7, 1, allow_single_level=True)
+        space = SearchSpace((pinned,) + make_space([6] * 11, granularity=5).parameters)
+        session = create_optimizer("bayesian-ei", space, 24, 6, seed=2)
+        drive(session, quadratic_score(space))
+        counts = [p.level_count for p in space.parameters]
+        draws = copy.deepcopy(session.rng).integers(
+            counts, size=(session.SAMPLED_CANDIDATES, len(counts))
+        )
+        generated = [space.rank(row) for row in draws]
+        for told in session.history:
+            indices = list(space.indices_of(told.config))
+            for dim in range(space.dimension):
+                for step in (-1, 1):
+                    j = indices[dim] + step
+                    if 0 <= j < counts[dim]:
+                        generated.append(space.rank(indices[:dim] + [j] + indices[dim + 1 :]))
+        expected = list(dict.fromkeys(r for r in generated if r not in session._asked))
+
+        ranks, points = session._candidates()
+        assert ranks == expected
+        assert all(type(rank) is int for rank in ranks)
+        reference = np.array([space.to_normalized(space.config_at(r)) for r in expected])
+        assert np.array_equal(points, reference)
 
 
 class TestMoat:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,24 @@ class TestSearchSpace:
         config = Configuration((750, 640))
         assert space.render(config) == {"webCpu": "750m", "webMemory": "640Mi"}
         assert space.config_text(config) == "webCpu=750,webMemory=640"
+
+    def test_render_and_to_normalized_raise_the_validation_error(self):
+        space = SearchSpace((cpu_spec(), mem_spec()))
+        for settings in ((500,), (500, 512, 0), (501, 512), (500, 1280)):
+            config = Configuration(settings)
+            with pytest.raises(ValueError) as expected:
+                space.validate(config)
+            for method in (space.render, space.to_normalized):
+                with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                    method(config)
+
+    def test_level_tables_match_the_parameter_arithmetic(self):
+        pinned = ParameterSpec("pin", 3, 3, 1, allow_single_level=True)
+        space = SearchSpace((cpu_spec("webCpu"), pinned, mem_spec("webMemory")))
+        for config in space.iter_configurations():
+            pairs = list(zip(space.parameters, config.settings))
+            assert space.render(config) == {p.name: p.render(v) for p, v in pairs}
+            assert space.to_normalized(config).tolist() == [p.normalized(v) for p, v in pairs]
 
     def test_normalized_grid_matches_enumeration(self):
         space = SearchSpace((cpu_spec("a"), ParameterSpec("b", 0, 2, 1)))

@@ -52,6 +52,14 @@ class TestSpecs:
             CostWeights((1.0, -0.5))
 
 
+    def test_normalized_weights_are_computed_once_and_read_only(self):
+        weights = CostWeights((2.0, 0.0, 2.0, 0.0))
+        assert weights.normalized() is weights.normalized()
+        with pytest.raises(ValueError, match="read-only"):
+            weights.normalized()[0] = 1.0
+        assert tuple(weights.normalized()) == (0.5, 0.0, 0.5, 0.0)
+
+
 class TestAllocationCost:
     def test_extremes(self, space):
         at_min = Configuration((500, 512, 500, 512))
