@@ -11,12 +11,15 @@ and §A.3). A fit handed the previous round's model as ``prior`` extends
 its lower Cholesky factor L by the new rows only: the block
 ``L⁻¹K(X_old, X_new)`` and a Cholesky of the b×b Schur complement. A model
 keeps ``V = L⁻¹K(X, points)`` for the one read-only ``points`` array it
-last predicted on and passes it to the model that extends it, so a round
-that tells b new observations to a model of n and predicts N points costs
-O(b·n·N) for the new rows of V and O(n·N) for the mean, instead of a fresh
-O(n²·N) solve. V holds n·N floats: 75 MB at n = 144 on a 65,536-point grid.
-It grows in place by the new rows only, so it never holds more rows than
-the model has inputs.
+last predicted on, with running column sums of V² (the variance) and of
+the mean weights times V (the mean), and passes them to the model that
+extends it. A round that tells b new observations to a model of n and
+predicts N points reads V once, O(b·n·N) to form the new rows in place,
+and costs O(b·N) more for the kernel block, the sums, the mean and the
+variance, instead of a fresh O(n²·N) solve. V is reserved once at the
+fit's ``capacity`` rows by N floats (150 rows on a 65,536-point grid are
+78.6 MB) and its pages are resident only as rows are filled; without a
+capacity a fit reserves its own n rows and V grows in place as needed.
 
 That work is a few large, memory-bound BLAS calls on b new rows per round,
 which BLAS threads only slow down. :func:`one_blas_thread` runs a round on
@@ -28,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import mmap
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -50,22 +54,59 @@ DEFAULT_SIGNAL_VARIANCE = 1.0
 #: kernel matrix resists factorization.
 DEFAULT_JITTER = 1e-6
 _JITTER_ESCALATIONS = 3
+_FLOAT_BYTES = 8
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped against negative fuzz."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.maximum(sq, 0.0)
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    return np.sum(points * points, axis=1)
 
 
-def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return DEFAULT_SIGNAL_VARIANCE * np.exp(
-        -_sq_dists(a, b) / (2.0 * DEFAULT_LENGTH_SCALE**2)
-    )
+def _kernel(
+    a: np.ndarray,
+    b: np.ndarray,
+    b_norms: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``K(a, b) = σ² exp(−max(|a|² + |b|² − 2a·b, 0) / 2ℓ²)``, computed in
+    ``out`` (a new array when None) by in-place ufuncs in the order the
+    expression reads. ``b_norms`` are ``b``'s cached squared row norms."""
+    if b_norms is None:
+        b_norms = _row_norms(b)
+    if out is None:
+        out = np.empty((len(a), len(b)))
+    # b·aᵀ into out's transpose holds a·bᵀ's values; numpy hands it to
+    # BLAS as one call on uncopied operands, where a @ b.T into out ran
+    # about twice as slow.
+    np.matmul(b, a.T, out=out.T)
+    out *= 2.0
+    # |a|² + |b|² one line at a time, along the longer axis, so no second
+    # matrix is made and each pair is still summed before subtracting.
+    lines, norms, other = (out, _row_norms(a), b_norms)
+    if len(a) > len(b):
+        lines, norms, other = (out.T, b_norms, _row_norms(a))
+    scratch = np.empty_like(other)
+    for line, norm in zip(lines, norms):
+        np.add(norm, other, out=scratch)
+        np.subtract(scratch, line, out=line)
+    np.maximum(out, 0.0, out=out)
+    out /= -2.0 * DEFAULT_LENGTH_SCALE**2
+    np.exp(out, out=out)
+    out *= DEFAULT_SIGNAL_VARIANCE
+    return out
+
+
+def _anonymous_memory(size: int) -> mmap.mmap:
+    """``size`` bytes of private anonymous memory outside the malloc heap:
+    resident only once written, returned to the system when released, and
+    on huge pages where the system offers them, as numpy asks for its large
+    arrays. Private, so a forked process never shares its pages (Windows
+    mappings take no flags)."""
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    memory = mmap.mmap(-1, max(size, 1), **private)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel without huge pages
+            memory.madvise(mmap.MADV_HUGEPAGE)
+    return memory
 
 
 def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -133,38 +174,70 @@ def one_blas_thread() -> Iterator[None]:
 @dataclass(eq=False)
 class _Basis:
     """``V = L⁻¹K(X, points)`` for one ``points`` array, one row per input,
-    and the running column sums of V².
+    with running column sums over its rows: ``sq_sum`` of V² and ``sums``
+    of ``cᵀV`` for the two columns c of the model's ``_coef``, and
+    ``targets``, the raw targets those sums were formed with.
 
-    ``rows`` never leaves this class as a view (readers take the array
-    itself), so no view of it is alive when ``extend`` grows it in place
-    with ``resize(refcheck=False)``. That is a ``realloc``, which on Linux
-    moves a large buffer's pages with ``mremap`` instead of copying them,
-    so a large V is never resident twice."""
+    ``rows`` views anonymous memory reserved at the model's capacity, so
+    its pages become resident only as rows are filled and go back to the
+    system with the basis, whatever malloc would have done with a buffer
+    of that size. Only the first ``filled`` rows hold V. ``rows`` never
+    leaves this class as a view, so when a model has more inputs than
+    reserved rows the mapping grows in place (``mremap`` moves its pages,
+    never copies them)."""
 
     points: np.ndarray
+    norms: np.ndarray
+    memory: mmap.mmap
     rows: np.ndarray
     sq_sum: np.ndarray
+    sums: np.ndarray
+    targets: np.ndarray
+    filled: int = 0
 
-    @property
-    def filled(self) -> int:
-        """Number of inputs V covers."""
-        return len(self.rows)
+    @classmethod
+    def reserve(cls, points: np.ndarray, capacity: int) -> _Basis:
+        size = len(points)
+        memory = _anonymous_memory(capacity * size * _FLOAT_BYTES)
+        rows = np.frombuffer(memory, count=capacity * size).reshape(capacity, size)
+        return cls(
+            points, _row_norms(points), memory, rows, np.zeros(size), np.zeros((2, size)), np.empty(0)
+        )
 
-    def extend(self, factor: np.ndarray, inputs: np.ndarray) -> None:
-        """Append the rows of V for the inputs past the first m:
-        ``V[m:n] = L[m:n,m:n]⁻¹ (K(X[m:n], points) − L[m:n,:m] V[:m])``."""
-        m, n = self.filled, len(inputs)
-        block = _kernel(inputs[m:], self.points)
-        block -= factor[m:, :m] @ self.rows
-        self.rows.resize((n, len(self.points)), refcheck=False)
-        # A right-side solve of V[m:n]ᵀ L[m:n,m:n]ᵀ = blockᵀ on the
-        # transposed, uncopied layout: LAPACK's left-side solve would walk
-        # the N columns of a Fortran copy of the block.
-        new = linalg.blas.dtrsm(
-            1.0, factor[m:, m:], block.T, side=1, lower=1, trans_a=1, overwrite_b=1
-        ).T
-        self.rows[m:] = new
+    def _grow(self, count: int) -> None:
+        """Grow the mapping to ``count`` rows; its view goes first, since a
+        mapping with a view cannot grow."""
+        size = len(self.points)
+        del self.rows
+        self.memory.resize(count * size * _FLOAT_BYTES)
+        self.rows = np.frombuffer(self.memory, count=count * size).reshape(count, size)
+
+    def extend(self, model: SurrogateModel) -> None:
+        """Bring V and the sums up to the model's n inputs, reading the m
+        rows already filled once: ``V[m:n] = L[m:n,m:n]⁻¹ (K(X[m:n], points)
+        − L[m:n,:m] V[:m])``, each step in place in the new rows."""
+        factor, coef = model._factor, model._coef
+        m, n = self.filled, len(model.inputs)
+        if not np.array_equal(self.targets, model._targets[:m]):
+            self.sums = coef[:m].T @ self.rows[:m]
+        self.targets = model._targets
+        if n == m:
+            return
+        if n > len(self.rows):
+            self._grow(n)
+        new = self.rows[m:n]
+        _kernel(model.inputs[m:], self.points, self.norms, out=new)
+        # BLAS on the transposed, uncopied layout of V's rows: the update
+        # with beta = 1, then a right-side solve of V[m:n]ᵀ L[m:n,m:n]ᵀ =
+        # blockᵀ, both overwriting the new rows.
+        if m:
+            linalg.blas.dgemm(
+                -1.0, self.rows[:m].T, factor[m:, :m].T, beta=1.0, c=new.T, overwrite_c=1
+            )
+        linalg.blas.dtrsm(1.0, factor[m:, m:], new.T, side=1, lower=1, trans_a=1, overwrite_b=1)
         self.sq_sum += np.einsum("ij,ij->j", new, new)
+        self.sums += coef[m:].T @ new
+        self.filled = n
 
 
 @dataclass(eq=False)
@@ -174,6 +247,12 @@ class SurrogateModel:
     ``predict`` returns means and standard deviations in standardized
     units; use :meth:`standardize` to move reference values (such as the
     incumbent best) into the same units.
+
+    The mean weights ``L⁻¹y`` are kept as ``_coef``, the two columns
+    ``u = L⁻¹(t − t₀)`` and ``v = L⁻¹1`` with t₀ the first raw target, so
+    that the mean ``(uᵀV − (μ − t₀) vᵀV)/σ`` is a sum over V's rows that
+    later rounds extend. The offset keeps utility-scale targets from
+    cancelling in the subtraction.
     """
 
     inputs: np.ndarray
@@ -181,7 +260,9 @@ class SurrogateModel:
     target_std: float
     jitter: float
     _factor: np.ndarray
-    _weights: np.ndarray
+    _coef: np.ndarray
+    _targets: np.ndarray
+    _capacity: int
     _basis: _Basis | None = None
 
     def standardize(self, value: float) -> float:
@@ -197,10 +278,12 @@ class SurrogateModel:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         basis = self._basis
         if basis is None or basis.points is not points:
-            basis = _Basis(points, np.empty((0, len(points))), np.zeros(len(points)))
-        basis.extend(self._factor, self.inputs)
+            basis = _Basis.reserve(points, self._capacity)
+        basis.extend(self)
         self._basis = None if points.flags.writeable else basis
-        mean = self._weights @ basis.rows
+        mean = basis.sums[1] * (self._targets[0] - self.target_mean)
+        mean += basis.sums[0]
+        mean /= self.target_std
         std = np.sqrt(np.maximum(DEFAULT_SIGNAL_VARIANCE - basis.sq_sum, 0.0))
         return mean, std
 
@@ -228,6 +311,7 @@ def gp_fit(
     targets: np.ndarray,
     *,
     prior: SurrogateModel | None = None,
+    capacity: int | None = None,
 ) -> SurrogateModel:
     """Fit the surrogate to observed (normalized input, raw target) pairs.
 
@@ -240,10 +324,16 @@ def gp_fit(
     ``DEFAULT_JITTER`` and its prediction basis passes to the new model.
     Otherwise, or when that extension fails, the factor is computed from
     zero rows, escalating the jitter as needed; the result is the same
-    model up to rounding either way.
+    model up to rounding either way. The basis keeps its sums only while
+    the leading targets equal the prior's.
+
+    ``capacity`` is the number of inputs the caller will grow the model
+    to; a prediction basis started by this model reserves that many rows
+    of V (at least n), and grows past them only as needed.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.asarray(targets, dtype=float).reshape(-1)
+    # Copies: the model and its basis compare them with later fits'.
+    inputs = np.atleast_2d(np.array(inputs, dtype=float))
+    targets = np.array(targets, dtype=float).reshape(-1)
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("at least one observation required")
@@ -251,6 +341,9 @@ def gp_fit(
         raise ValueError(
             f"{n} inputs but {targets.shape[0]} targets"
         )
+    if not np.isfinite(inputs).all():
+        bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1)).tolist()
+        raise ValueError(f"inputs must be finite; non-finite at rows {bad}")
     if not np.isfinite(targets).all():
         bad = np.flatnonzero(~np.isfinite(targets)).tolist()
         raise ValueError(f"targets must be finite; non-finite at rows {bad}")
@@ -259,7 +352,6 @@ def gp_fit(
     std = float(targets.std())
     if std == 0.0:
         std = 1.0
-    y = (targets - mean) / std
 
     attempts = [(None, DEFAULT_JITTER * 10.0**i) for i in range(_JITTER_ESCALATIONS + 1)]
     if (
@@ -287,7 +379,9 @@ def gp_fit(
         target_std=std,
         jitter=eps,
         _factor=factor,
-        _weights=_solve_lower(factor, y),
+        _coef=_solve_lower(factor, np.column_stack([targets - targets[0], np.ones(n)])),
+        _targets=targets,
+        _capacity=max(n, capacity or 0),
         _basis=basis,
     )
 
@@ -301,16 +395,24 @@ def expected_improvement(
     ``(best - mean) * Phi(z) + stddev * phi(z)`` with
     ``z = (best - mean) / stddev``. At zero spread it degenerates to
     ``max(best - mean, 0)``. Always non-negative. Phi and phi are the
-    expressions ``scipy.stats.norm`` evaluates, without importing it.
+    expressions ``scipy.stats.norm`` evaluates, without importing it,
+    computed in place in the order those expressions read.
     """
-    mean = np.asarray(mean, dtype=float)
-    stddev = np.asarray(stddev, dtype=float)
-    improvement = best - mean
-    safe = np.where(stddev > 0, stddev, 1.0)
-    z = improvement / safe
-    ei = np.where(
-        stddev > 0,
-        improvement * special.ndtr(z) + stddev * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)),
-        np.maximum(improvement, 0.0),
+    mean, stddev = np.broadcast_arrays(
+        np.asarray(mean, dtype=float), np.asarray(stddev, dtype=float)
     )
-    return np.maximum(ei, 0.0)
+    improvement = best - mean
+    spread = stddev > 0
+    z = np.where(spread, stddev, 1.0)
+    np.divide(improvement, z, out=z)
+    ei = special.ndtr(z, out=np.empty_like(z))
+    ei *= improvement
+    # z becomes stddev · exp(−z²/2)/√(2π).
+    np.square(z, out=z)
+    z /= -2.0
+    np.exp(z, out=z)
+    z /= np.sqrt(2 * np.pi)
+    z *= stddev
+    ei += z
+    np.copyto(ei, improvement, where=~spread)
+    return np.maximum(ei, 0.0, out=ei)

@@ -347,8 +347,12 @@ class BayesianEISession(OptimizerSession):
 
     On the grid the fit extends the previous round's model and predicts
     over the whole read-only grid, so each round pays only for the batch
-    it was last told (see :mod:`confopt.gp`). Each round runs on one BLAS
-    thread (:func:`confopt.gp.one_blas_thread`).
+    it was last told: one read of the basis V = L⁻¹K(X, grid) to add that
+    batch's rows, and O(b·N) for the mean and variance (see
+    :mod:`confopt.gp`). The first fit reserves V's rows for the whole
+    budget (at most the grid size), so V is never reallocated during the
+    run and its pages become resident only as rounds fill them. Each round
+    runs on one BLAS thread (:func:`confopt.gp.one_blas_thread`).
     """
 
     name = "bayesian-ei"
@@ -383,7 +387,8 @@ class BayesianEISession(OptimizerSession):
         self._inputs = np.concatenate([self._inputs, new])
         targets = np.array([o.utility for o in self.history])
         prior = self._model if self._on_grid else None
-        model = self._model = gp_fit(self._inputs, targets, prior=prior)
+        capacity = min(self.budget, self.space.size)
+        model = self._model = gp_fit(self._inputs, targets, prior=prior, capacity=capacity)
         best = model.standardize(float(targets.min()))
         ranks, points = self._candidates()
         if not len(ranks):  # a sampled set can miss what is left

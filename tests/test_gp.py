@@ -79,9 +79,29 @@ class TestFit:
         with pytest.raises(ValueError, match=r"targets must be finite.*\[1\]"):
             gp_fit(np.array([[0.0], [0.5], [1.0]]), np.array([1.0, bad, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        inputs = np.array([[0.1, 0.2], [bad, 0.3], [0.5, 0.5], [0.7, bad]])
+        with pytest.raises(ValueError, match=r"inputs must be finite.*\[1, 3\]"):
+            gp_fit(inputs, np.array([1.0, 2.0, 3.0, 4.0]))
+
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
             gp_fit(np.empty((0, 2)), np.empty(0))
+
+
+@pytest.mark.parametrize("rows", [(6, 500), (40, 6), (1, 1)], ids=["wide", "tall", "single"])
+def test_kernel_in_place_equals_the_expression_bit_for_bit(rows):
+    rng = np.random.default_rng(15)
+    a, b = rng.random((rows[0], 3)), rng.random((rows[1], 3))
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    expected = gp.DEFAULT_SIGNAL_VARIANCE * np.exp(
+        -np.maximum(sq, 0.0) / (2.0 * gp.DEFAULT_LENGTH_SCALE**2)
+    )
+    out = np.empty((rows[0] + 2, rows[1]))[1:-1]
+    assert np.array_equal(gp._kernel(a, b), expected)
+    assert gp._kernel(a, b, gp._row_norms(b), out=out) is out
+    assert np.array_equal(out, expected)
 
 
 class TestExpectedImprovement:
@@ -138,14 +158,18 @@ def assert_same_posterior(model, reference, points, tol):
     assert np.max(np.abs(std - ref_std)) <= tol
 
 
+# Input counts of successive fits, each extending the one before.
+EXTENSION_SEQUENCES = pytest.mark.parametrize(
+    "ends",
+    [list(range(1, 13)), [6, 12, 18, 24, 30], [2, 3, 9, 16, 17, 29]],
+    ids=["block-1", "block-6", "uneven"],
+)
+
+
 class TestIncrementalPosterior:
     """A fit extending its prior must be the fresh fit, up to rounding."""
 
-    @pytest.mark.parametrize(
-        "ends",
-        [list(range(1, 13)), [6, 12, 18, 24, 30], [2, 3, 9, 16, 17, 29]],
-        ids=["block-1", "block-6", "uneven"],
-    )
+    @EXTENSION_SEQUENCES
     def test_extension_matches_fresh_fit(self, ends):
         rng = np.random.default_rng(7)
         inputs = rng.random((ends[-1], 3))
@@ -156,6 +180,56 @@ class TestIncrementalPosterior:
             model = gp_fit(inputs[:end], targets[:end], prior=model)
             assert model.jitter == DEFAULT_JITTER
             assert_same_posterior(model, gp_fit(inputs[:end], targets[:end]), points, 1e-9)
+
+    @EXTENSION_SEQUENCES
+    def test_running_mean_at_utility_scale_matches_fresh_fit(self, ends):
+        """Targets of mean ~500 and spread ~100: the running sums must not
+        cancel where the standardized mean subtracts the target mean."""
+        rng = np.random.default_rng(12)
+        inputs = rng.random((ends[-1], 3))
+        targets = 500.0 + 100.0 * rng.standard_normal(ends[-1])
+        points = read_only(rng.random((400, 3)))
+        model = None
+        for end in ends:
+            model = gp_fit(inputs[:end], targets[:end], prior=model)
+            assert_same_posterior(model, gp_fit(inputs[:end], targets[:end]), points, 1e-9)
+
+    def test_successor_with_other_leading_targets_gets_the_fresh_posterior(self):
+        rng = np.random.default_rng(13)
+        inputs = rng.random((12, 2))
+        targets = 500.0 + 100.0 * rng.standard_normal(12)
+        points = read_only(rng.random((70, 2)))
+        prior = gp_fit(inputs[:6], targets[:6])
+        prior.predict(points)
+        for changed in (0, 4):  # the offset target, then a later one
+            rescored = targets.copy()
+            rescored[changed] += 37.0
+            model = gp_fit(inputs, rescored, prior=prior)
+            assert model._basis is not None
+            assert_same_posterior(model, gp_fit(inputs, rescored), points, 1e-9)
+            prior = gp_fit(inputs[:6], targets[:6])
+            prior.predict(points)
+
+    def test_capacity_reserves_the_rows_of_v(self):
+        rng = np.random.default_rng(14)
+        inputs = rng.random((20, 2))
+        targets = inputs.sum(axis=1)
+        points = read_only(rng.random((40, 2)))
+        reserved = gp_fit(inputs[:5], targets[:5], capacity=20)
+        reserved.predict(points)
+        buffer = reserved._basis.rows
+        assert buffer.shape == (20, 40)
+        exact = gp_fit(inputs[:5], targets[:5])
+        exact.predict(points)
+        assert exact._basis.rows.shape == (5, 40)
+        for end in (11, 20):
+            reserved = gp_fit(inputs[:end], targets[:end], prior=reserved, capacity=20)
+            exact = gp_fit(inputs[:end], targets[:end], prior=exact)
+            for model in (reserved, exact):
+                assert_same_posterior(model, gp_fit(inputs[:end], targets[:end]), points, 1e-9)
+            assert reserved._basis.rows is buffer
+            assert reserved._basis.filled == end
+            assert exact._basis.rows.shape == (end, 40)
 
     def test_extension_takes_over_the_basis(self):
         rng = np.random.default_rng(8)

@@ -332,17 +332,41 @@ class TestBayesianEI:
         score = quadratic_score(space, Configuration((5, 1, 3)))
         priors, models = [], []
 
-        def extending_fit(inputs, targets, prior=None):
+        def extending_fit(inputs, targets, prior=None, capacity=None):
             priors.append(prior)
-            models.append(gp_fit(inputs, targets, prior=prior))
+            models.append(gp_fit(inputs, targets, prior=prior, capacity=capacity))
             return models[-1]
 
         monkeypatch.setattr(optim, "gp_fit", extending_fit)
         extended = drive(create_optimizer("bayesian-ei", space, 60, 5, seed=seed), score)
         assert priors == [None] + models[:-1]
-        monkeypatch.setattr(optim, "gp_fit", lambda inputs, targets, prior=None: gp_fit(inputs, targets))
+        monkeypatch.setattr(optim, "gp_fit", lambda inputs, targets, **_: gp_fit(inputs, targets))
         refitted = drive(create_optimizer("bayesian-ei", space, 60, 5, seed=seed), score)
         assert [o.config for o in extended] == [o.config for o in refitted]
+
+    def test_grid_basis_is_reserved_once_for_the_budget(self):
+        """V's buffer holds the budget's rows from the first BO round on and
+        is never reallocated; a fit on the whole history fills it."""
+        space = make_space([7, 6, 5])
+        budget = 40
+        session = create_optimizer("bayesian-ei", space, budget, 5, seed=3)
+        score = quadratic_score(space)
+        pointers = set()
+        while session.told < budget:
+            batch = session.ask()
+            if session._model is not None:
+                basis = session._model._basis
+                assert basis.rows.shape == (budget, space.size)
+                assert basis.filled == session.told
+                pointers.add(basis.rows.ctypes.data)
+            session.tell([obs(c, score(c), session.told + i + 1) for i, c in enumerate(batch)])
+        assert len(pointers) == 1
+        inputs = session._grid[session._told]
+        targets = [o.utility for o in session.history]
+        final = gp_fit(inputs, targets, prior=session._model, capacity=budget)
+        final.predict(session._grid)
+        assert final._basis.rows.ctypes.data in pointers
+        assert final._basis.filled == budget
 
     def test_top_picks_match_a_stable_sort_with_ties(self):
         scores = np.random.default_rng(0).integers(0, 5, size=200).astype(float)
@@ -357,9 +381,9 @@ class TestBayesianEI:
         before = [get() for get, _ in controls]
         inside = []
 
-        def counting_fit(inputs, targets, prior=None):
+        def counting_fit(inputs, targets, **options):
             inside.append([get() for get, _ in controls])
-            return gp_fit(inputs, targets, prior=prior)
+            return gp_fit(inputs, targets, **options)
 
         space = make_space([7, 6, 5])
         session = create_optimizer("bayesian-ei", space, 30, 5, seed=2)
@@ -370,7 +394,7 @@ class TestBayesianEI:
         assert inside == [[1] * len(controls)]
         assert [get() for get, _ in controls] == before
 
-        def failing_fit(inputs, targets, prior=None):
+        def failing_fit(inputs, targets, **_):
             raise np.linalg.LinAlgError("round failed")
 
         monkeypatch.setattr(optim, "gp_fit", failing_fit)
