@@ -16,10 +16,10 @@ the mean weights times V (the mean), and passes them to the model that
 extends it. A round that tells b new observations to a model of n and
 predicts N points reads V once, O(b·n·N) to form the new rows in place,
 and costs O(b·N) more for the kernel block, the sums, the mean and the
-variance, instead of a fresh O(n²·N) solve. V is reserved once at the
-fit's ``capacity`` rows by N floats (150 rows on a 65,536-point grid are
-78.6 MB) and its pages are resident only as rows are filled; without a
-capacity a fit reserves its own n rows and V grows in place as needed.
+variance, instead of a fresh O(n²·N) solve. V holds n·N floats (78.6 MB
+at n = 150 on a 65,536-point grid) in one anonymous mapping that grows in
+place by each batch's rows, whose pages become resident only as those
+rows are written.
 
 That work is a few large, memory-bound BLAS calls on b new rows per round,
 which BLAS threads only slow down. :func:`one_blas_thread` runs a round on
@@ -95,14 +95,14 @@ def _kernel(
     return out
 
 
-def _anonymous_memory(size: int) -> mmap.mmap:
-    """``size`` bytes of private anonymous memory outside the malloc heap:
-    resident only once written, returned to the system when released, and
-    on huge pages where the system offers them, as numpy asks for its large
-    arrays. Private, so a forked process never shares its pages (Windows
-    mappings take no flags)."""
+def _anonymous_memory() -> mmap.mmap:
+    """Private anonymous memory outside the malloc heap, one byte until
+    resized: resident only once written, returned to the system when
+    released, and on huge pages where the system offers them, as numpy asks
+    for its large arrays. Private, so a forked process never shares its
+    pages (Windows mappings take no flags)."""
     private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    memory = mmap.mmap(-1, max(size, 1), **private)
+    memory = mmap.mmap(-1, 1, **private)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         with contextlib.suppress(OSError):  # a kernel without huge pages
             memory.madvise(mmap.MADV_HUGEPAGE)
@@ -178,13 +178,12 @@ class _Basis:
     of ``cᵀV`` for the two columns c of the model's ``_coef``, and
     ``targets``, the raw targets those sums were formed with.
 
-    ``rows`` views anonymous memory reserved at the model's capacity, so
-    its pages become resident only as rows are filled and go back to the
-    system with the basis, whatever malloc would have done with a buffer
-    of that size. Only the first ``filled`` rows hold V. ``rows`` never
-    leaves this class as a view, so when a model has more inputs than
-    reserved rows the mapping grows in place (``mremap`` moves its pages,
-    never copies them)."""
+    ``rows`` views anonymous memory outside the malloc heap, so its pages
+    become resident only as rows are filled and go back to the system with
+    the basis, whatever malloc would have done with a buffer of that size.
+    Only the first ``filled`` rows hold V. ``rows`` never leaves this class
+    as a view, so the mapping grows in place by each model's new rows
+    (``mremap`` moves its pages, never copies them)."""
 
     points: np.ndarray
     norms: np.ndarray
@@ -196,21 +195,25 @@ class _Basis:
     filled: int = 0
 
     @classmethod
-    def reserve(cls, points: np.ndarray, capacity: int) -> _Basis:
+    def empty(cls, points: np.ndarray) -> _Basis:
         size = len(points)
-        memory = _anonymous_memory(capacity * size * _FLOAT_BYTES)
-        rows = np.frombuffer(memory, count=capacity * size).reshape(capacity, size)
         return cls(
-            points, _row_norms(points), memory, rows, np.zeros(size), np.zeros((2, size)), np.empty(0)
+            points, _row_norms(points), _anonymous_memory(), np.empty((0, size)),
+            np.zeros(size), np.zeros((2, size)), np.empty(0),
         )
 
     def _grow(self, count: int) -> None:
-        """Grow the mapping to ``count`` rows; its view goes first, since a
-        mapping with a view cannot grow."""
+        """Grow the mapping to ``count`` rows. Its view goes first, since a
+        mapping with a view cannot grow, and comes back over whatever size
+        the mapping has, also when another view makes the growth raise."""
         size = len(self.points)
+        row_bytes = max(size, 1) * _FLOAT_BYTES  # rows over no points too
         del self.rows
-        self.memory.resize(count * size * _FLOAT_BYTES)
-        self.rows = np.frombuffer(self.memory, count=count * size).reshape(count, size)
+        try:
+            self.memory.resize(count * row_bytes)
+        finally:
+            held = len(self.memory) // row_bytes
+            self.rows = np.frombuffer(self.memory, count=held * size).reshape(held, size)
 
     def extend(self, model: SurrogateModel) -> None:
         """Bring V and the sums up to the model's n inputs, reading the m
@@ -218,13 +221,13 @@ class _Basis:
         − L[m:n,:m] V[:m])``, each step in place in the new rows."""
         factor, coef = model._factor, model._coef
         m, n = self.filled, len(model.inputs)
+        if n > len(self.rows):
+            self._grow(n)
         if not np.array_equal(self.targets, model._targets[:m]):
             self.sums = coef[:m].T @ self.rows[:m]
         self.targets = model._targets
         if n == m:
             return
-        if n > len(self.rows):
-            self._grow(n)
         new = self.rows[m:n]
         _kernel(model.inputs[m:], self.points, self.norms, out=new)
         # BLAS on the transposed, uncopied layout of V's rows: the update
@@ -262,7 +265,6 @@ class SurrogateModel:
     _factor: np.ndarray
     _coef: np.ndarray
     _targets: np.ndarray
-    _capacity: int
     _basis: _Basis | None = None
 
     def standardize(self, value: float) -> float:
@@ -278,7 +280,7 @@ class SurrogateModel:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         basis = self._basis
         if basis is None or basis.points is not points:
-            basis = _Basis.reserve(points, self._capacity)
+            basis = _Basis.empty(points)
         basis.extend(self)
         self._basis = None if points.flags.writeable else basis
         mean = basis.sums[1] * (self._targets[0] - self.target_mean)
@@ -311,7 +313,6 @@ def gp_fit(
     targets: np.ndarray,
     *,
     prior: SurrogateModel | None = None,
-    capacity: int | None = None,
 ) -> SurrogateModel:
     """Fit the surrogate to observed (normalized input, raw target) pairs.
 
@@ -326,10 +327,6 @@ def gp_fit(
     zero rows, escalating the jitter as needed; the result is the same
     model up to rounding either way. The basis keeps its sums only while
     the leading targets equal the prior's.
-
-    ``capacity`` is the number of inputs the caller will grow the model
-    to; a prediction basis started by this model reserves that many rows
-    of V (at least n), and grows past them only as needed.
     """
     # Copies: the model and its basis compare them with later fits'.
     inputs = np.atleast_2d(np.array(inputs, dtype=float))
@@ -381,7 +378,6 @@ def gp_fit(
         _factor=factor,
         _coef=_solve_lower(factor, np.column_stack([targets - targets[0], np.ones(n)])),
         _targets=targets,
-        _capacity=max(n, capacity or 0),
         _basis=basis,
     )
 
@@ -395,24 +391,16 @@ def expected_improvement(
     ``(best - mean) * Phi(z) + stddev * phi(z)`` with
     ``z = (best - mean) / stddev``. At zero spread it degenerates to
     ``max(best - mean, 0)``. Always non-negative. Phi and phi are the
-    expressions ``scipy.stats.norm`` evaluates, without importing it,
-    computed in place in the order those expressions read.
+    expressions ``scipy.stats.norm`` evaluates, without importing it.
     """
-    mean, stddev = np.broadcast_arrays(
-        np.asarray(mean, dtype=float), np.asarray(stddev, dtype=float)
-    )
+    mean = np.asarray(mean, dtype=float)
+    stddev = np.asarray(stddev, dtype=float)
     improvement = best - mean
-    spread = stddev > 0
-    z = np.where(spread, stddev, 1.0)
-    np.divide(improvement, z, out=z)
-    ei = special.ndtr(z, out=np.empty_like(z))
-    ei *= improvement
-    # z becomes stddev · exp(−z²/2)/√(2π).
-    np.square(z, out=z)
-    z /= -2.0
-    np.exp(z, out=z)
-    z /= np.sqrt(2 * np.pi)
-    z *= stddev
-    ei += z
-    np.copyto(ei, improvement, where=~spread)
-    return np.maximum(ei, 0.0, out=ei)
+    safe = np.where(stddev > 0, stddev, 1.0)
+    z = improvement / safe
+    ei = np.where(
+        stddev > 0,
+        improvement * special.ndtr(z) + stddev * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)),
+        np.maximum(improvement, 0.0),
+    )
+    return np.maximum(ei, 0.0)

@@ -349,10 +349,8 @@ class BayesianEISession(OptimizerSession):
     over the whole read-only grid, so each round pays only for the batch
     it was last told: one read of the basis V = L⁻¹K(X, grid) to add that
     batch's rows, and O(b·N) for the mean and variance (see
-    :mod:`confopt.gp`). The first fit reserves V's rows for the whole
-    budget (at most the grid size), so V is never reallocated during the
-    run and its pages become resident only as rounds fill them. Each round
-    runs on one BLAS thread (:func:`confopt.gp.one_blas_thread`).
+    :mod:`confopt.gp`). Each round runs on one BLAS thread
+    (:func:`confopt.gp.one_blas_thread`).
     """
 
     name = "bayesian-ei"
@@ -387,8 +385,7 @@ class BayesianEISession(OptimizerSession):
         self._inputs = np.concatenate([self._inputs, new])
         targets = np.array([o.utility for o in self.history])
         prior = self._model if self._on_grid else None
-        capacity = min(self.budget, self.space.size)
-        model = self._model = gp_fit(self._inputs, targets, prior=prior, capacity=capacity)
+        model = self._model = gp_fit(self._inputs, targets, prior=prior)
         best = model.standardize(float(targets.min()))
         ranks, points = self._candidates()
         if not len(ranks):  # a sampled set can miss what is left

@@ -210,26 +210,27 @@ class TestIncrementalPosterior:
             prior = gp_fit(inputs[:6], targets[:6])
             prior.predict(points)
 
-    def test_capacity_reserves_the_rows_of_v(self):
-        rng = np.random.default_rng(14)
-        inputs = rng.random((20, 2))
-        targets = inputs.sum(axis=1)
+    def test_growth_blocked_by_a_view_leaves_the_model_usable(self):
+        rng = np.random.default_rng(15)
+        inputs = rng.random((11, 2))
+        targets = 500.0 + 100.0 * rng.standard_normal(11)
         points = read_only(rng.random((40, 2)))
-        reserved = gp_fit(inputs[:5], targets[:5], capacity=20)
-        reserved.predict(points)
-        buffer = reserved._basis.rows
-        assert buffer.shape == (20, 40)
-        exact = gp_fit(inputs[:5], targets[:5])
-        exact.predict(points)
-        assert exact._basis.rows.shape == (5, 40)
-        for end in (11, 20):
-            reserved = gp_fit(inputs[:end], targets[:end], prior=reserved, capacity=20)
-            exact = gp_fit(inputs[:end], targets[:end], prior=exact)
-            for model in (reserved, exact):
-                assert_same_posterior(model, gp_fit(inputs[:end], targets[:end]), points, 1e-9)
-            assert reserved._basis.rows is buffer
-            assert reserved._basis.filled == end
-            assert exact._basis.rows.shape == (end, 40)
+        prior = gp_fit(inputs[:5], targets[:5])
+        prior.predict(points)
+        view = prior._basis.rows
+        model = gp_fit(inputs, targets, prior=prior)
+        with pytest.raises(BufferError):
+            model.predict(points)
+        assert model._basis.rows.shape == (5, 40) and model._basis.filled == 5
+        del view
+        assert_same_posterior(model, gp_fit(inputs, targets), points, 1e-9)
+        assert model._basis.filled == 11
+
+    def test_no_points_predicts_nothing(self):
+        inputs = grid_inputs(4)
+        model = gp_fit(inputs, inputs.sum(axis=1))
+        mean, std = model.predict(read_only(np.empty((0, 2))))
+        assert mean.shape == std.shape == (0,)
 
     def test_extension_takes_over_the_basis(self):
         rng = np.random.default_rng(8)
@@ -240,9 +241,11 @@ class TestIncrementalPosterior:
         prior.predict(points)
         basis = prior._basis
         assert basis is not None and basis.filled == 6
+        memory = basis.memory
         model = gp_fit(inputs, targets, prior=prior)
         model.predict(points)
         assert model._basis is basis and basis.filled == 12
+        assert basis.memory is memory and basis.rows.shape == (12, 50)
 
     @staticmethod
     def near_duplicates():

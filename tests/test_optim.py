@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import mmap
 
 import numpy as np
 import pytest
@@ -332,40 +333,40 @@ class TestBayesianEI:
         score = quadratic_score(space, Configuration((5, 1, 3)))
         priors, models = [], []
 
-        def extending_fit(inputs, targets, prior=None, capacity=None):
+        def extending_fit(inputs, targets, prior=None):
             priors.append(prior)
-            models.append(gp_fit(inputs, targets, prior=prior, capacity=capacity))
+            models.append(gp_fit(inputs, targets, prior=prior))
             return models[-1]
 
         monkeypatch.setattr(optim, "gp_fit", extending_fit)
         extended = drive(create_optimizer("bayesian-ei", space, 60, 5, seed=seed), score)
         assert priors == [None] + models[:-1]
-        monkeypatch.setattr(optim, "gp_fit", lambda inputs, targets, **_: gp_fit(inputs, targets))
+        monkeypatch.setattr(optim, "gp_fit", lambda inputs, targets, prior=None: gp_fit(inputs, targets))
         refitted = drive(create_optimizer("bayesian-ei", space, 60, 5, seed=seed), score)
         assert [o.config for o in extended] == [o.config for o in refitted]
 
-    def test_grid_basis_is_reserved_once_for_the_budget(self):
-        """V's buffer holds the budget's rows from the first BO round on and
-        is never reallocated; a fit on the whole history fills it."""
+    def test_grid_basis_is_kept_and_filled_to_the_budget(self):
+        """One basis, in one mapping outside the malloc heap, serves every
+        BO round on the grid, and a fit on the whole history fills it."""
         space = make_space([7, 6, 5])
         budget = 40
         session = create_optimizer("bayesian-ei", space, budget, 5, seed=3)
         score = quadratic_score(space)
-        pointers = set()
+        bases = []
         while session.told < budget:
             batch = session.ask()
             if session._model is not None:
                 basis = session._model._basis
-                assert basis.rows.shape == (budget, space.size)
-                assert basis.filled == session.told
-                pointers.add(basis.rows.ctypes.data)
+                assert basis.filled == len(basis.rows) == session.told
+                bases.append(basis)
             session.tell([obs(c, score(c), session.told + i + 1) for i, c in enumerate(batch)])
-        assert len(pointers) == 1
+        assert len(bases) > 1 and all(b is bases[0] for b in bases)
+        assert isinstance(bases[0].memory, mmap.mmap)
         inputs = session._grid[session._told]
         targets = [o.utility for o in session.history]
-        final = gp_fit(inputs, targets, prior=session._model, capacity=budget)
+        final = gp_fit(inputs, targets, prior=session._model)
         final.predict(session._grid)
-        assert final._basis.rows.ctypes.data in pointers
+        assert final._basis is bases[0]
         assert final._basis.filled == budget
 
     def test_top_picks_match_a_stable_sort_with_ties(self):
@@ -381,9 +382,9 @@ class TestBayesianEI:
         before = [get() for get, _ in controls]
         inside = []
 
-        def counting_fit(inputs, targets, **options):
+        def counting_fit(inputs, targets, prior=None):
             inside.append([get() for get, _ in controls])
-            return gp_fit(inputs, targets, **options)
+            return gp_fit(inputs, targets, prior=prior)
 
         space = make_space([7, 6, 5])
         session = create_optimizer("bayesian-ei", space, 30, 5, seed=2)
@@ -394,7 +395,7 @@ class TestBayesianEI:
         assert inside == [[1] * len(controls)]
         assert [get() for get, _ in controls] == before
 
-        def failing_fit(inputs, targets, **_):
+        def failing_fit(inputs, targets, prior=None):
             raise np.linalg.LinAlgError("round failed")
 
         monkeypatch.setattr(optim, "gp_fit", failing_fit)
