@@ -6,24 +6,27 @@ mean and unit variance before fitting. No hyperparameter optimization, no
 gradients; the surrogate only has to rank grid candidates once per round,
 deterministically.
 
-The posterior is incremental (Rasmussen & Williams, *GPML* 2006, Alg. 2.1
-and §A.3). A fit handed the previous round's model as ``prior`` extends
-its lower Cholesky factor L by the new rows only: the block
-``L⁻¹K(X_old, X_new)`` and a Cholesky of the b×b Schur complement. A model
-keeps ``V = L⁻¹K(X, points)`` for the one read-only ``points`` array it
-last predicted on, with running column sums of V² (the variance) and of
-the mean weights times V (the mean), and passes them to the model that
-extends it. A round that tells b new observations to a model of n and
-predicts N points reads V once, O(b·n·N) to form the new rows in place,
-and costs O(b·N) more for the kernel block, the sums, the mean and the
-variance, instead of a fresh O(n²·N) solve. V holds n·N floats (78.6 MB
-at n = 150 on a 65,536-point grid) in one anonymous mapping that grows in
-place by each batch's rows, whose pages become resident only as those
-rows are written.
+The posterior is GPML's (Rasmussen & Williams 2006, Alg. 2.1): mean
+``K(X, x)ᵀα`` with ``α = K⁻¹y``, variance ``σ² − Σ V²`` over the columns
+of ``V = L⁻¹K(X, x)``. A fit handed the previous round's model as ``prior``
+extends its lower Cholesky factor L by the new rows only: the block
+``L⁻¹K(X_old, X_new)`` and a Cholesky of the b×b Schur complement.
 
-That work is a few large, memory-bound BLAS calls on b new rows per round,
-which BLAS threads only slow down. :func:`one_blas_thread` runs a round on
-one OpenBLAS thread, so results and speed do not depend on the core count.
+A point array gets that posterior from scratch. A :class:`ProductGrid`,
+the Cartesian product of per-axis levels, gets it without forming
+K(X, grid) or V. The kernel is a product over axes, so splitting the axes
+into a leading and a trailing group gives ``K(x, grid) = A(x) ⊗ B(x)``
+with A over the N_A leading points and B over the N_B trailing ones
+(Saatçi 2011); a weighted sum of kernel rows, ``cᵀK(X, grid)``, is then
+the N_A×N_B matrix ``Aᵀ diag(c) B``. A round that tells b observations to
+a model of n computes V's b new rows ``(L⁻¹)[m:n, :]·K(X, grid)`` and the
+mean ``αᵀK(X, grid)`` as one batched GEMM, O(b·n·N) on operands of
+n·(N_A + N_B) floats. The only state a model keeps for the grid, and hands
+to the model that extends it, is the column sum of V² (N floats).
+
+That work is a few BLAS calls on b new rows per round, which BLAS threads
+only slow down. :func:`one_blas_thread` runs a round on one OpenBLAS
+thread, so results and speed do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -31,15 +34,16 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import mmap
+import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg, special
 
 __all__ = [
+    "ProductGrid",
     "SurrogateModel",
     "gp_fit",
     "expected_improvement",
@@ -54,7 +58,9 @@ DEFAULT_SIGNAL_VARIANCE = 1.0
 #: kernel matrix resists factorization.
 DEFAULT_JITTER = 1e-6
 _JITTER_ESCALATIONS = 3
-_FLOAT_BYTES = 8
+#: Weight rows per batched GEMM over a grid, which bounds its operands and
+#: result when a model starts the grid from zero rows.
+_ROWS_PER_GEMM = 8
 
 
 def _row_norms(points: np.ndarray) -> np.ndarray:
@@ -93,20 +99,6 @@ def _kernel(
     np.exp(out, out=out)
     out *= DEFAULT_SIGNAL_VARIANCE
     return out
-
-
-def _anonymous_memory() -> mmap.mmap:
-    """Private anonymous memory outside the malloc heap, one byte until
-    resized: resident only once written, returned to the system when
-    released, and on huge pages where the system offers them, as numpy asks
-    for its large arrays. Private, so a forked process never shares its
-    pages (Windows mappings take no flags)."""
-    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    memory = mmap.mmap(-1, 1, **private)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        with contextlib.suppress(OSError):  # a kernel without huge pages
-            memory.madvise(mmap.MADV_HUGEPAGE)
-    return memory
 
 
 def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -171,76 +163,64 @@ def one_blas_thread() -> Iterator[None]:
             setter(count)
 
 
-@dataclass(eq=False)
-class _Basis:
-    """``V = L⁻¹K(X, points)`` for one ``points`` array, one row per input,
-    with running column sums over its rows: ``sq_sum`` of V² and ``sums``
-    of ``cᵀV`` for the two columns c of the model's ``_coef``, and
-    ``targets``, the raw targets those sums were formed with.
+class ProductGrid:
+    """The Cartesian product of per-axis normalized ``levels``, in row-major
+    order (the first axis varies slowest), as one prediction target.
 
-    ``rows`` views anonymous memory outside the malloc heap, so its pages
-    become resident only as rows are filled and go back to the system with
-    the basis, whatever malloc would have done with a buffer of that size.
-    Only the first ``filled`` rows hold V. ``rows`` never leaves this class
-    as a view, so the mapping grows in place by each model's new rows
-    (``mremap`` moves its pages, never copies them)."""
+    The ``split`` leading axes form the factor A of ``K(x, grid)`` and the
+    rest the factor B, split so that N_A is nearest N_B. The levels are
+    read-only, since a model keeps its running sum of V² per grid object.
+    """
 
-    points: np.ndarray
-    norms: np.ndarray
-    memory: mmap.mmap
-    rows: np.ndarray
-    sq_sum: np.ndarray
-    sums: np.ndarray
-    targets: np.ndarray
-    filled: int = 0
-
-    @classmethod
-    def empty(cls, points: np.ndarray) -> _Basis:
-        size = len(points)
-        return cls(
-            points, _row_norms(points), _anonymous_memory(), np.empty((0, size)),
-            np.zeros(size), np.zeros((2, size)), np.empty(0),
+    def __init__(self, levels: Iterable[Sequence[float]]):
+        self.levels = tuple(np.array(axis, dtype=float) for axis in levels)
+        for axis in self.levels:
+            axis.setflags(write=False)
+        self.shape = tuple(map(len, self.levels))
+        self.split = min(
+            range(len(self.shape) + 1),
+            key=lambda s: abs(math.log(math.prod(self.shape[:s]) ** 2 / len(self))),
         )
+        # All levels side by side, each column's axis and each axis's columns.
+        self._stacked = np.concatenate(self.levels)
+        self._axis_of_column = np.repeat(np.arange(len(self.shape)), self.shape)
+        ends = np.cumsum(self.shape).tolist()
+        self._columns = [slice(end - count, end) for end, count in zip(ends, self.shape)]
 
-    def _grow(self, count: int) -> None:
-        """Grow the mapping to ``count`` rows. Its view goes first, since a
-        mapping with a view cannot grow, and comes back over whatever size
-        the mapping has, also when another view makes the growth raise."""
-        size = len(self.points)
-        row_bytes = max(size, 1) * _FLOAT_BYTES  # rows over no points too
-        del self.rows
-        try:
-            self.memory.resize(count * row_bytes)
-        finally:
-            held = len(self.memory) // row_bytes
-            self.rows = np.frombuffer(self.memory, count=held * size).reshape(held, size)
+    def __len__(self) -> int:
+        return math.prod(self.shape)
 
-    def extend(self, model: SurrogateModel) -> None:
-        """Bring V and the sums up to the model's n inputs, reading the m
-        rows already filled once: ``V[m:n] = L[m:n,m:n]⁻¹ (K(X[m:n], points)
-        − L[m:n,:m] V[:m])``, each step in place in the new rows."""
-        factor, coef = model._factor, model._coef
-        m, n = self.filled, len(model.inputs)
-        if n > len(self.rows):
-            self._grow(n)
-        if not np.array_equal(self.targets, model._targets[:m]):
-            self.sums = coef[:m].T @ self.rows[:m]
-        self.targets = model._targets
-        if n == m:
-            return
-        new = self.rows[m:n]
-        _kernel(model.inputs[m:], self.points, self.norms, out=new)
-        # BLAS on the transposed, uncopied layout of V's rows: the update
-        # with beta = 1, then a right-side solve of V[m:n]ᵀ L[m:n,m:n]ᵀ =
-        # blockᵀ, both overwriting the new rows.
-        if m:
-            linalg.blas.dgemm(
-                -1.0, self.rows[:m].T, factor[m:, :m].T, beta=1.0, c=new.T, overwrite_c=1
-            )
-        linalg.blas.dtrsm(1.0, factor[m:, m:], new.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        self.sq_sum += np.einsum("ij,ij->j", new, new)
-        self.sums += coef[m:].T @ new
-        self.filled = n
+    def at(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Coordinates of the points at ``ranks``, one row each."""
+        digits = np.unravel_index(np.asarray(ranks, dtype=np.intp), self.shape)
+        return np.column_stack([axis[d] for axis, d in zip(self.levels, digits)])
+
+    def factors(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``K(inputs, grid)`` as A (n×N_A) and B (n×N_B): the kernel at the
+        point of rank ``i·N_B + j`` is ``A[:, i] · B[:, j]``."""
+        # Every axis's kernel at its own levels, in one pass over n×Σ levels.
+        gap = inputs[:, self._axis_of_column] - self._stacked
+        kernel = np.exp(gap * gap / (-2.0 * DEFAULT_LENGTH_SCALE**2))
+
+        def factor(axes: range, scale: float) -> np.ndarray:
+            # Slower axes go in front, so each product's inner loop runs
+            # over the columns built so far.
+            out = np.full((len(inputs), 1), scale)
+            for axis in reversed(axes):
+                along = kernel[:, self._columns[axis], None]
+                out = (along * out[:, None, :]).reshape(len(inputs), -1)
+            return out
+
+        leading, trailing = range(self.split), range(self.split, len(self.shape))
+        return factor(leading, DEFAULT_SIGNAL_VARIANCE), factor(trailing, 1.0)
+
+
+class _GridVariance(NamedTuple):
+    """Column sums of V² over V's first ``rows`` rows on ``grid``."""
+
+    grid: ProductGrid
+    rows: int
+    sq_sum: np.ndarray
 
 
 @dataclass(eq=False)
@@ -251,11 +231,9 @@ class SurrogateModel:
     units; use :meth:`standardize` to move reference values (such as the
     incumbent best) into the same units.
 
-    The mean weights ``L⁻¹y`` are kept as ``_coef``, the two columns
-    ``u = L⁻¹(t − t₀)`` and ``v = L⁻¹1`` with t₀ the first raw target, so
-    that the mean ``(uᵀV − (μ − t₀) vᵀV)/σ`` is a sum over V's rows that
-    later rounds extend. The offset keeps utility-scale targets from
-    cancelling in the subtraction.
+    ``_alpha`` holds the mean weights ``K⁻¹y`` of the standardized targets
+    y. ``_grid_variance`` is the running sum of V² of the last grid
+    predicted on, which a fit extending this model takes over.
     """
 
     inputs: np.ndarray
@@ -263,31 +241,54 @@ class SurrogateModel:
     target_std: float
     jitter: float
     _factor: np.ndarray
-    _coef: np.ndarray
-    _targets: np.ndarray
-    _basis: _Basis | None = None
+    _alpha: np.ndarray
+    _grid_variance: _GridVariance | None = None
 
     def standardize(self, value: float) -> float:
         return (value - self.target_mean) / self.target_std
 
-    def predict(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at ``points``.
+    def predict(self, points: np.ndarray | ProductGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation at ``points``: an array of
+        points, or every point of a grid in its order.
 
-        The basis V is kept between calls only for a read-only array, and
-        only while the next call passes that same array object; any other
-        array gets a basis computed from zero rows.
+        The running sum of V² is kept between calls only for a grid, and
+        only while the next call passes that same grid object; any other
+        grid starts it from zero rows.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        basis = self._basis
-        if basis is None or basis.points is not points:
-            basis = _Basis.empty(points)
-        basis.extend(self)
-        self._basis = None if points.flags.writeable else basis
-        mean = basis.sums[1] * (self._targets[0] - self.target_mean)
-        mean += basis.sums[0]
-        mean /= self.target_std
-        std = np.sqrt(np.maximum(DEFAULT_SIGNAL_VARIANCE - basis.sq_sum, 0.0))
-        return mean, std
+        if isinstance(points, ProductGrid):
+            mean, sq_sum = self._predict_grid(points)
+        else:
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+            cross = _kernel(self.inputs, points)
+            mean = cross.T @ self._alpha
+            basis = _solve_lower(self._factor, cross)
+            sq_sum = np.einsum("ij,ij->j", basis, basis)
+        return mean, np.sqrt(np.maximum(DEFAULT_SIGNAL_VARIANCE - sq_sum, 0.0))
+
+    def _predict_grid(self, grid: ProductGrid) -> tuple[np.ndarray, np.ndarray]:
+        """The mean and the column sums of V² over the whole grid, adding
+        V's rows past those the running sum holds."""
+        n = len(self.inputs)
+        state = self._grid_variance
+        if state is None or state.grid is not grid:
+            state = _GridVariance(grid, 0, np.zeros(len(grid)))
+        # Row 0 weights the kernel rows into the mean, the rest into V's new
+        # rows: rows m..n of L⁻¹, the X of X·L = I[m:n]. Raw BLAS and LAPACK
+        # here and in gp_fit: on small grids scipy's checked wrappers cost
+        # more than the solves.
+        unit_rows = np.eye(n)[state.rows :]
+        inverse_rows = linalg.blas.dtrsm(1.0, self._factor, unit_rows, side=1, lower=1)
+        weights = np.vstack([self._alpha, inverse_rows])
+        left, right = grid.factors(self.inputs)
+        mean, sq_sum = None, state.sq_sum
+        for start in range(0, len(weights), _ROWS_PER_GEMM):
+            chunk = weights[start : start + _ROWS_PER_GEMM, :, None]
+            rows = np.matmul(left.T, chunk * right).reshape(len(chunk), -1)
+            if mean is None:
+                mean, rows = rows[0].copy(), rows[1:]
+            sq_sum = sq_sum + np.einsum("ij,ij->j", rows, rows)
+        self._grid_variance = _GridVariance(grid, n, sq_sum)
+        return mean, sq_sum
 
 
 def _extended_factor(
@@ -322,15 +323,14 @@ def gp_fit(
 
     When ``prior``'s inputs are the leading rows of ``inputs`` and it did
     not escalate its jitter, its factor is extended by the new rows at
-    ``DEFAULT_JITTER`` and its prediction basis passes to the new model.
-    Otherwise, or when that extension fails, the factor is computed from
-    zero rows, escalating the jitter as needed; the result is the same
-    model up to rounding either way. The basis keeps its sums only while
-    the leading targets equal the prior's.
+    ``DEFAULT_JITTER`` and its running sum of V² on a grid passes to the
+    new model. Otherwise, or when that extension fails, the factor is
+    computed from zero rows, escalating the jitter as needed, and the sum
+    starts again; the result is the same model up to rounding either way.
     """
-    # Copies: the model and its basis compare them with later fits'.
+    # A copy: later fits compare it with their inputs.
     inputs = np.atleast_2d(np.array(inputs, dtype=float))
-    targets = np.array(targets, dtype=float).reshape(-1)
+    targets = np.asarray(targets, dtype=float).reshape(-1)
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("at least one observation required")
@@ -367,18 +367,14 @@ def gp_fit(
         raise linalg.LinAlgError(
             f"kernel matrix not positive definite even with jitter {eps:g}"
         )
-    basis = None
-    if base is not None:
-        basis, base._basis = base._basis, None
     return SurrogateModel(
         inputs=inputs,
         target_mean=mean,
         target_std=std,
         jitter=eps,
         _factor=factor,
-        _coef=_solve_lower(factor, np.column_stack([targets - targets[0], np.ones(n)])),
-        _targets=targets,
-        _basis=basis,
+        _alpha=linalg.lapack.dpotrs(factor, (targets - mean) / std, lower=1)[0],
+        _grid_variance=None if base is None else base._grid_variance,
     )
 
 

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gp import SurrogateModel, expected_improvement, gp_fit, one_blas_thread
+from .gp import ProductGrid, SurrogateModel, expected_improvement, gp_fit, one_blas_thread
 from .screening import screening_design
 from .space import Configuration, SearchSpace
 
@@ -346,11 +346,12 @@ class BayesianEISession(OptimizerSession):
     Expected-improvement ties resolve by candidate generation order.
 
     On the grid the fit extends the previous round's model and predicts
-    over the whole read-only grid, so each round pays only for the batch
-    it was last told: one read of the basis V = L⁻¹K(X, grid) to add that
-    batch's rows, and O(b·N) for the mean and variance (see
-    :mod:`confopt.gp`). Each round runs on one BLAS thread
-    (:func:`confopt.gp.one_blas_thread`).
+    over the whole grid as a :class:`confopt.gp.ProductGrid`, built once in
+    enumeration order. A round then pays only for the batch it was last
+    told: one batched GEMM of O(b·n·N) over the kernel's per-axis factors
+    gives the mean and that batch's share of the variance, and the model
+    carries N floats to the next round (see :mod:`confopt.gp`). Each round
+    runs on one BLAS thread (:func:`confopt.gp.one_blas_thread`).
     """
 
     name = "bayesian-ei"
@@ -365,10 +366,8 @@ class BayesianEISession(OptimizerSession):
         self._model: SurrogateModel | None = None
 
     @functools.cached_property
-    def _grid(self) -> np.ndarray:
-        grid = self.space.normalized_grid()
-        grid.setflags(write=False)
-        return grid
+    def _grid(self) -> ProductGrid:
+        return ProductGrid(self.space.normalized_levels())
 
     def _propose(self, n: int) -> list[int]:
         if self.told < self.batch_size:
@@ -379,7 +378,7 @@ class BayesianEISession(OptimizerSession):
     def _propose_by_ei(self, n: int) -> list[int]:
         known = len(self._inputs)
         if self._on_grid:
-            new = self._grid[self._told[known:]]
+            new = self._grid.at(self._told[known:])
         else:
             new = [self.space.to_normalized(o.config) for o in self.history[known:]]
         self._inputs = np.concatenate([self._inputs, new])
@@ -397,7 +396,7 @@ class BayesianEISession(OptimizerSession):
         # Every candidate is unclaimed, so the filter keeps the whole pick.
         return [r for r in (int(ranks[i]) for i in _top(ei, n)) if self._fresh(r)]
 
-    def _candidates(self) -> tuple[Sequence[int], np.ndarray]:
+    def _candidates(self) -> tuple[Sequence[int], np.ndarray | ProductGrid]:
         """Unclaimed candidate ranks and the points to predict at: the whole
         grid, which the ranks index, or the sampled candidates' coordinates."""
         if self._on_grid:

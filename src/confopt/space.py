@@ -312,14 +312,17 @@ class SearchSpace:
             f"{p.name}={v}" for p, v in zip(self.parameters, config.settings)
         )
 
+    def normalized_levels(self) -> list[np.ndarray]:
+        """Each parameter's levels in normalized coordinates, ascending."""
+        return [
+            np.array([p.normalized(v) for v in p.levels()], dtype=float)
+            for p in self.parameters
+        ]
+
     def normalized_grid(self) -> np.ndarray:
         """Normalized coordinates of every configuration, in enumeration order.
 
         Only sensible for small spaces; guarded by the caller.
         """
-        axes = [
-            np.array([p.normalized(v) for v in p.levels()], dtype=float)
-            for p in self.parameters
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.normalized_levels(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)

@@ -12,6 +12,7 @@ from scipy import stats
 from confopt import gp
 from confopt.gp import (
     DEFAULT_JITTER,
+    ProductGrid,
     expected_improvement,
     gp_fit,
     one_blas_thread,
@@ -146,11 +147,6 @@ class TestExpectedImprovement:
         assert np.array_equal(got, np.maximum(expected, 0.0))
 
 
-def read_only(array):
-    array.setflags(write=False)
-    return array
-
-
 def assert_same_posterior(model, reference, points, tol):
     mean, std = model.predict(points)
     ref_mean, ref_std = reference.predict(points)
@@ -174,7 +170,7 @@ class TestIncrementalPosterior:
         rng = np.random.default_rng(7)
         inputs = rng.random((ends[-1], 3))
         targets = np.sin(4 * inputs[:, 0]) + inputs[:, 1] * inputs[:, 2]
-        points = read_only(rng.random((500, 3)))
+        points = rng.random((500, 3))
         model = None
         for end in ends:
             model = gp_fit(inputs[:end], targets[:end], prior=model)
@@ -183,69 +179,22 @@ class TestIncrementalPosterior:
 
     @EXTENSION_SEQUENCES
     def test_running_mean_at_utility_scale_matches_fresh_fit(self, ends):
-        """Targets of mean ~500 and spread ~100: the running sums must not
-        cancel where the standardized mean subtracts the target mean."""
+        """Targets of mean ~500 and spread ~100: the mean must not cancel
+        where the standardized mean subtracts the target mean."""
         rng = np.random.default_rng(12)
         inputs = rng.random((ends[-1], 3))
         targets = 500.0 + 100.0 * rng.standard_normal(ends[-1])
-        points = read_only(rng.random((400, 3)))
+        points = rng.random((400, 3))
         model = None
         for end in ends:
             model = gp_fit(inputs[:end], targets[:end], prior=model)
             assert_same_posterior(model, gp_fit(inputs[:end], targets[:end]), points, 1e-9)
 
-    def test_successor_with_other_leading_targets_gets_the_fresh_posterior(self):
-        rng = np.random.default_rng(13)
-        inputs = rng.random((12, 2))
-        targets = 500.0 + 100.0 * rng.standard_normal(12)
-        points = read_only(rng.random((70, 2)))
-        prior = gp_fit(inputs[:6], targets[:6])
-        prior.predict(points)
-        for changed in (0, 4):  # the offset target, then a later one
-            rescored = targets.copy()
-            rescored[changed] += 37.0
-            model = gp_fit(inputs, rescored, prior=prior)
-            assert model._basis is not None
-            assert_same_posterior(model, gp_fit(inputs, rescored), points, 1e-9)
-            prior = gp_fit(inputs[:6], targets[:6])
-            prior.predict(points)
-
-    def test_growth_blocked_by_a_view_leaves_the_model_usable(self):
-        rng = np.random.default_rng(15)
-        inputs = rng.random((11, 2))
-        targets = 500.0 + 100.0 * rng.standard_normal(11)
-        points = read_only(rng.random((40, 2)))
-        prior = gp_fit(inputs[:5], targets[:5])
-        prior.predict(points)
-        view = prior._basis.rows
-        model = gp_fit(inputs, targets, prior=prior)
-        with pytest.raises(BufferError):
-            model.predict(points)
-        assert model._basis.rows.shape == (5, 40) and model._basis.filled == 5
-        del view
-        assert_same_posterior(model, gp_fit(inputs, targets), points, 1e-9)
-        assert model._basis.filled == 11
-
     def test_no_points_predicts_nothing(self):
         inputs = grid_inputs(4)
         model = gp_fit(inputs, inputs.sum(axis=1))
-        mean, std = model.predict(read_only(np.empty((0, 2))))
+        mean, std = model.predict(np.empty((0, 2)))
         assert mean.shape == std.shape == (0,)
-
-    def test_extension_takes_over_the_basis(self):
-        rng = np.random.default_rng(8)
-        inputs = rng.random((12, 2))
-        targets = inputs.sum(axis=1)
-        points = read_only(rng.random((50, 2)))
-        prior = gp_fit(inputs[:6], targets[:6])
-        prior.predict(points)
-        basis = prior._basis
-        assert basis is not None and basis.filled == 6
-        memory = basis.memory
-        model = gp_fit(inputs, targets, prior=prior)
-        model.predict(points)
-        assert model._basis is basis and basis.filled == 12
-        assert basis.memory is memory and basis.rows.shape == (12, 50)
 
     @staticmethod
     def near_duplicates():
@@ -255,7 +204,7 @@ class TestIncrementalPosterior:
         rng = np.random.default_rng(1)
         base = 1e5 + 3.0 * rng.random((6, 2))
         inputs = np.vstack([base, base[:3] + 1e-9])
-        return inputs, np.arange(9.0), read_only(1e5 + 3.0 * rng.random((40, 2)))
+        return inputs, np.arange(9.0), 1e5 + 3.0 * rng.random((40, 2))
 
     def test_duplicate_inputs_fall_back_to_a_fresh_fit(self):
         inputs, targets, points = self.near_duplicates()
@@ -281,40 +230,159 @@ class TestIncrementalPosterior:
         rng = np.random.default_rng(9)
         inputs = rng.random((10, 2))
         targets = inputs[:, 0] - inputs[:, 1]
-        points = read_only(rng.random((60, 2)))
+        points = rng.random((60, 2))
         prior = gp_fit(inputs[1:6], targets[1:6])
         prior.predict(points)
         model = gp_fit(inputs, targets, prior=prior)
         assert_same_posterior(model, gp_fit(inputs, targets), points, 0.0)
 
-    def test_second_points_array_starts_a_new_basis(self):
-        rng = np.random.default_rng(10)
-        inputs = rng.random((14, 2))
-        targets = np.cos(3 * inputs[:, 0]) + inputs[:, 1]
-        first = read_only(rng.random((80, 2)))
-        second = read_only(rng.random((30, 2)))
+
+def unit_levels(*counts):
+    """Evenly spaced levels on [0, 1] per axis; a single level reads 0.0."""
+    return [np.linspace(0.0, 1.0, count) if count > 1 else np.zeros(1) for count in counts]
+
+
+def assert_grid_matches_points(model, grid, tol=1e-12):
+    """The grid posterior is the array posterior at the enumerated points.
+    Variances, not deviations, are compared: near a training point the
+    square root turns a 1e-16 difference of variances into about 1e-12."""
+    mean, std = model.predict(grid)
+    ref_mean, ref_std = model.predict(grid.at(range(len(grid))))
+    assert mean.shape == std.shape == (len(grid),)
+    assert np.max(np.abs(mean - ref_mean)) <= tol
+    assert np.max(np.abs(std**2 - ref_std**2)) <= tol
+
+
+def grid_history(grid, count, seed):
+    """``count`` distinct grid points and utility-scale targets."""
+    rng = np.random.default_rng(seed)
+    inputs = grid.at(rng.permutation(len(grid))[:count])
+    return inputs, 500.0 + 100.0 * rng.standard_normal(count)
+
+
+class TestProductGrid:
+    """Predicting on a ProductGrid must equal predicting at its points."""
+
+    def test_points_enumerate_the_product_in_row_major_order(self):
+        levels = unit_levels(4, 1, 3, 4, 5, 2)
+        grid = ProductGrid(levels)
+        mesh = np.meshgrid(*levels, indexing="ij")
+        assert len(grid) == 480
+        assert np.array_equal(grid.at(range(480)), np.stack([m.ravel() for m in mesh], -1))
+        assert np.array_equal(grid.at([7, 0]), grid.at(range(480))[[7, 0]])
+
+    @pytest.mark.parametrize(
+        "counts, halves",
+        [((4, 1, 3, 4, 5, 2), (12, 40)), ((4,) * 8, (256, 256)), ((9,), (1, 9))],
+        ids=["pinned", "toystore", "one-axis"],
+    )
+    def test_factors_multiply_to_the_kernel(self, counts, halves):
+        grid = ProductGrid(unit_levels(*counts))
+        inputs, _ = grid_history(grid, 5, seed=1)
+        left, right = grid.factors(inputs)
+        assert (left.shape[1], right.shape[1]) == halves
+        product = (left[:, :, None] * right[:, None, :]).reshape(5, -1)
+        kernel = gp._kernel(inputs, grid.at(range(len(grid))))
+        assert np.max(np.abs(product - kernel)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "counts, observed",
+        # On one axis, inputs much closer than the length scale make the mean
+        # weights large, and the rounding of any kernel evaluation with them.
+        [((4, 1, 3, 4, 5, 2), 24), ((9,), 4), ((4,) * 8, 36)],
+        ids=["pinned", "one-axis", "toystore"],
+    )
+    def test_rounds_hand_the_running_sum_on(self, counts, observed):
+        grid = ProductGrid(unit_levels(*counts))
+        inputs, targets = grid_history(grid, observed, seed=2)
+        step = observed // 4
+        model = None
+        for end in range(step, observed + 1, step):
+            prior = model
+            model = gp_fit(inputs[:end], targets[:end], prior=prior)
+            if prior is not None:
+                assert model._grid_variance is prior._grid_variance
+                assert model._grid_variance.rows == end - step
+            assert_grid_matches_points(model, grid)
+            assert model._grid_variance.rows == end
+            assert model._grid_variance.sq_sum.shape == (len(grid),)
+        assert_same_posterior(model, gp_fit(inputs, targets), grid, 1e-9)
+
+    def test_successor_with_other_leading_targets_gets_their_posterior(self):
+        """The running sum depends on the inputs only: a successor rescoring
+        the prior's observations takes it over and predicts its own mean."""
+        grid = ProductGrid(unit_levels(5, 4, 3))
+        inputs, targets = grid_history(grid, 12, seed=7)
+        for changed in (0, 4):
+            prior = gp_fit(inputs[:6], targets[:6])
+            prior.predict(grid)
+            rescored = targets.copy()
+            rescored[changed] += 37.0
+            model = gp_fit(inputs, rescored, prior=prior)
+            assert model._grid_variance is prior._grid_variance
+            assert_grid_matches_points(model, grid)
+            assert_same_posterior(model, gp_fit(inputs, rescored), grid, 1e-9)
+
+    def test_jitter_escalated_prior_restarts_the_sum(self, monkeypatch):
+        grid = ProductGrid(unit_levels(4, 1, 3, 4, 5, 2))
+        inputs, targets = grid_history(grid, 20, seed=3)
+        real = gp._extended_factor
+
+        def indefinite_at_the_default_jitter(prior, rows, eps):
+            if eps == DEFAULT_JITTER:
+                raise gp.linalg.LinAlgError("not positive definite")
+            return real(prior, rows, eps)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "_extended_factor", indefinite_at_the_default_jitter)
+            prior = gp_fit(inputs[:10], targets[:10])
+        assert prior.jitter == 10 * DEFAULT_JITTER
+        assert_grid_matches_points(prior, grid)
+        model = gp_fit(inputs, targets, prior=prior)
+        assert model.jitter == DEFAULT_JITTER and model._grid_variance is None
+        assert_grid_matches_points(model, grid)
+        assert_same_posterior(model, gp_fit(inputs, targets), grid, 0.0)
+
+    def test_non_prefix_prior_restarts_the_sum(self):
+        grid = ProductGrid(unit_levels(5, 4, 3))
+        inputs, targets = grid_history(grid, 12, seed=4)
+        prior = gp_fit(inputs[1:7], targets[1:7])
+        prior.predict(grid)
+        model = gp_fit(inputs, targets, prior=prior)
+        assert model._grid_variance is None
+        assert_grid_matches_points(model, grid)
+        assert_same_posterior(model, gp_fit(inputs, targets), grid, 0.0)
+
+    def test_another_grid_object_restarts_the_sum(self):
+        first = ProductGrid(unit_levels(6, 5))
+        second = ProductGrid([axis**2 for axis in unit_levels(6, 5)])
+        inputs, targets = grid_history(first, 14, seed=5)
         prior = gp_fit(inputs[:7], targets[:7])
         prior.predict(first)
         model = gp_fit(inputs, targets, prior=prior)
-        model.predict(first)
-        fresh = gp_fit(inputs, targets)
-        assert_same_posterior(model, fresh, second, 1e-9)
-        assert_same_posterior(model, fresh, first, 1e-9)
+        assert_grid_matches_points(model, second)
+        assert model._grid_variance.grid is second
+        assert_grid_matches_points(model, first)
+        assert model._grid_variance.rows == 14
 
-    def test_prior_predicts_after_its_successor_extended_the_basis(self):
-        rng = np.random.default_rng(11)
-        inputs = rng.random((12, 3))
-        targets = inputs @ np.array([1.0, -2.0, 0.5])
-        points = read_only(rng.random((90, 3)))
+    def test_prior_predicts_after_its_successor(self):
+        """A successor sums into arrays of its own: the prior's sum stays
+        whole, so the prior still predicts its own posterior."""
+        grid = ProductGrid(unit_levels(4, 3, 5))
+        inputs, targets = grid_history(grid, 12, seed=6)
         prior = gp_fit(inputs[:6], targets[:6])
-        before = prior.predict(points)
-        successor = gp_fit(inputs, targets, prior=prior)
-        successor.predict(points)
-        after = prior.predict(points)
-        fresh = gp_fit(inputs[:6], targets[:6]).predict(points)
-        for got in (before, after):
-            assert np.max(np.abs(got[0] - fresh[0])) <= 1e-9
-            assert np.max(np.abs(got[1] - fresh[1])) <= 1e-9
+        before = prior.predict(grid)
+        gp_fit(inputs, targets, prior=prior).predict(grid)
+        after = prior.predict(grid)
+        assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
+        assert_grid_matches_points(prior, grid)
+
+    def test_many_new_rows_are_summed_in_gemm_sized_blocks(self):
+        """A fresh model on many inputs adds V's rows in several batched
+        GEMMs; their sum is the single-pass posterior."""
+        grid = ProductGrid(unit_levels(6, 6, 5))
+        inputs, targets = grid_history(grid, 3 * gp._ROWS_PER_GEMM + 2, seed=8)
+        assert_grid_matches_points(gp_fit(inputs, targets), grid)
 
 
 class FakeOpenBlas:

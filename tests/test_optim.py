@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,29 +345,43 @@ class TestBayesianEI:
         refitted = drive(create_optimizer("bayesian-ei", space, 60, 5, seed=seed), score)
         assert [o.config for o in extended] == [o.config for o in refitted]
 
-    def test_grid_basis_is_kept_and_filled_to_the_budget(self):
-        """One basis, in one mapping outside the malloc heap, serves every
-        BO round on the grid, and a fit on the whole history fills it."""
+    def test_grid_rounds_carry_only_the_running_variance(self, monkeypatch):
+        """One grid object serves every BO round, and each fit takes over
+        its prior's running sum of V², N floats covering the prior's rows."""
         space = make_space([7, 6, 5])
-        budget = 40
-        session = create_optimizer("bayesian-ei", space, budget, 5, seed=3)
-        score = quadratic_score(space)
-        bases = []
-        while session.told < budget:
-            batch = session.ask()
-            if session._model is not None:
-                basis = session._model._basis
-                assert basis.filled == len(basis.rows) == session.told
-                bases.append(basis)
-            session.tell([obs(c, score(c), session.told + i + 1) for i, c in enumerate(batch)])
-        assert len(bases) > 1 and all(b is bases[0] for b in bases)
-        assert isinstance(bases[0].memory, mmap.mmap)
-        inputs = session._grid[session._told]
-        targets = [o.utility for o in session.history]
-        final = gp_fit(inputs, targets, prior=session._model)
-        final.predict(session._grid)
-        assert final._basis is bases[0]
-        assert final._basis.filled == budget
+        handed = []
+
+        def extending_fit(inputs, targets, prior=None):
+            model = gp_fit(inputs, targets, prior=prior)
+            handed.append((prior, model._grid_variance))
+            return model
+
+        monkeypatch.setattr(optim, "gp_fit", extending_fit)
+        session = create_optimizer("bayesian-ei", space, 40, 5, seed=3)
+        drive(session, quadratic_score(space))
+        assert handed[0] == (None, None) and len(handed) > 2
+        for prior, state in handed[1:]:
+            assert state is prior._grid_variance
+            assert state.grid is session._grid and state.rows == len(prior.inputs)
+            assert state.sq_sum.shape == (space.size,)
+        assert session._model._grid_variance.rows == 35
+
+    def test_grid_bo_memory_stays_linear_in_the_grid(self):
+        """150 evaluations on the 65,536-point grid: the state a model hands
+        to the next is N floats, and the traced peak stays far below one
+        n×N array (78.6 MB at n = 150)."""
+        space = make_space([4] * 8)
+        session = create_optimizer("bayesian-ei", space, 150, 6, seed=4)
+        tracemalloc.start()
+        try:
+            drive(session, quadratic_score(space))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = session._model._grid_variance
+        assert state.grid is session._grid and state.rows == 144
+        assert state.sq_sum.size + sum(map(len, state.grid.levels)) == space.size + 32
+        assert peak < 32 * 2**20
 
     def test_top_picks_match_a_stable_sort_with_ties(self):
         scores = np.random.default_rng(0).integers(0, 5, size=200).astype(float)
@@ -487,6 +501,9 @@ class TestMoat:
 # themselves: a change to any draw, tie-break or fallback order shows here.
 # "mixed" has a pinned parameter and is driven to exhaustion (scan
 # fallbacks); "wide" (6**12 configurations) takes BO's sampled path.
+# "pinned-grid" and "toystore" pin BO's grid path, recorded while it still
+# predicted through V = L⁻¹K(X, grid): a grid with a pinned axis whose two
+# kernel factors both have several points, and the 4**8 study grid.
 STREAM_SPACES = {
     "mixed": (
         SearchSpace(
@@ -502,8 +519,52 @@ STREAM_SPACES = {
         {"moat": {"p": 4}},
     ),
     "wide": (make_space([6] * 12), 26, 4, {}),
+    "pinned-grid": (
+        SearchSpace(
+            (
+                ParameterSpec("a", 0, 3, 1),
+                ParameterSpec("pinned", 7, 7, 1, allow_single_level=True),
+                ParameterSpec("b", 0, 20, 10),
+                ParameterSpec("c", 0, 3, 1),
+                ParameterSpec("d", 0, 4, 1),
+                ParameterSpec("e", 0, 1, 1),
+            )
+        ),
+        60,
+        5,
+        {},
+    ),
+    "toystore": (make_space([4] * 8), 60, 6, {}),
 }
 PINNED_STREAMS = {
+    ('pinned-grid', 'bayesian-ei', 3): [
+        362, 460, 184, 100, 194, 186, 182, 304, 64, 174, 296, 294, 306, 176, 144,
+        336, 216, 226, 346, 324, 172, 292, 6, 396, 388, 140, 260, 150, 20, 30, 302,
+        38, 78, 185, 295, 305, 175, 173, 177, 307, 293, 183, 145, 135, 215, 315, 55,
+        65, 195, 415, 345, 347, 343, 165, 285, 299, 189, 259, 269, 297,
+    ],
+    ('pinned-grid', 'bayesian-ei', 11): [
+        35, 324, 221, 119, 404, 284, 444, 282, 286, 402, 164, 294, 162, 174, 166,
+        304, 184, 306, 302, 182, 254, 264, 134, 144, 224, 186, 64, 314, 194, 66,
+        424, 348, 340, 470, 358, 296, 292, 176, 172, 268, 260, 140, 250, 380, 270,
+        92, 94, 90, 100, 96, 417, 287, 419, 285, 247, 413, 455, 445, 403, 325,
+    ],
+    ('toystore', 'bayesian-ei', 3): [
+        49214, 1428, 41054, 23087, 54957, 50129, 38573, 59053, 54941, 54958, 54701,
+        55981, 38637, 38569, 38509, 22189, 39597, 42669, 42665, 38505, 39593, 22185,
+        38585, 38568, 26281, 23209, 43689, 42601, 39529, 22121, 27241, 43625, 27305,
+        26217, 23145, 43621, 42661, 39589, 38501, 39525, 26213, 42597, 27301, 22182,
+        22181, 38566, 43686, 23141, 26278, 23206, 27238, 42598, 43669, 26282, 42646,
+        27286, 39574, 27221, 43606, 39510,
+    ],
+    ('toystore', 'bayesian-ei', 11): [
+        3496, 18312, 65234, 28103, 9982, 61549, 11719, 28107, 24007, 27847, 2472,
+        3752, 1448, 2456, 18856, 2473, 6568, 2476, 18857, 22952, 6569, 22953, 22948,
+        18853, 22949, 22697, 22889, 22969, 23017, 21929, 21925, 21865, 22885, 21861,
+        38313, 22890, 21866, 38309, 22886, 38249, 21862, 38245, 21926, 38246, 39273,
+        39269, 21930, 38250, 39334, 39338, 39270, 38310, 39274, 38314, 39593, 23206,
+        39321, 39589, 39337, 26021,
+    ],
     ('mixed', 'bayesian-ei', 3): [
         16, 1, 20, 2, 10, 12, 8, 14, 6, 21, 15, 7, 17, 13, 5, 11, 23, 22, 0, 9, 3, 19,
         4, 18,
