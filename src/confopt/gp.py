@@ -63,42 +63,12 @@ _JITTER_ESCALATIONS = 3
 _ROWS_PER_GEMM = 8
 
 
-def _row_norms(points: np.ndarray) -> np.ndarray:
-    return np.sum(points * points, axis=1)
-
-
-def _kernel(
-    a: np.ndarray,
-    b: np.ndarray,
-    b_norms: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``K(a, b) = σ² exp(−max(|a|² + |b|² − 2a·b, 0) / 2ℓ²)``, computed in
-    ``out`` (a new array when None) by in-place ufuncs in the order the
-    expression reads. ``b_norms`` are ``b``'s cached squared row norms."""
-    if b_norms is None:
-        b_norms = _row_norms(b)
-    if out is None:
-        out = np.empty((len(a), len(b)))
-    # b·aᵀ into out's transpose holds a·bᵀ's values; numpy hands it to
-    # BLAS as one call on uncopied operands, where a @ b.T into out ran
-    # about twice as slow.
-    np.matmul(b, a.T, out=out.T)
-    out *= 2.0
-    # |a|² + |b|² one line at a time, along the longer axis, so no second
-    # matrix is made and each pair is still summed before subtracting.
-    lines, norms, other = (out, _row_norms(a), b_norms)
-    if len(a) > len(b):
-        lines, norms, other = (out.T, b_norms, _row_norms(a))
-    scratch = np.empty_like(other)
-    for line, norm in zip(lines, norms):
-        np.add(norm, other, out=scratch)
-        np.subtract(scratch, line, out=line)
-    np.maximum(out, 0.0, out=out)
-    out /= -2.0 * DEFAULT_LENGTH_SCALE**2
-    np.exp(out, out=out)
-    out *= DEFAULT_SIGNAL_VARIANCE
-    return out
+def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``K(a, b) = σ² exp(−max(|a|² + |b|² − 2a·b, 0) / 2ℓ²)``."""
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return DEFAULT_SIGNAL_VARIANCE * np.exp(
+        -np.maximum(sq, 0.0) / (2.0 * DEFAULT_LENGTH_SCALE**2)
+    )
 
 
 def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -123,13 +123,15 @@ def score_result(
 class Evaluator:
     """The one place a configuration of ``space`` becomes an observation.
 
-    A measuring backend is called with the rendered configuration and its
-    result is scored against ``slo`` with ``utility_fn``; ``cost_space``
-    supplies allocation-cost bounds when they differ from ``space`` (runs
-    inside reduced bounds). A :class:`ReplayBackend` is not measured: the
-    stored row is returned, matched to ``space`` by parameter name, so the
-    scoring arguments are optional and a dataset whose parameters differ
-    from the space's is rejected here.
+    A measuring backend gets the rendered configurations as a lazy stream
+    through its ``evaluate_many`` (``Backend.evaluate_many`` for an object
+    that only defines ``evaluate``); each result is scored against ``slo``
+    with ``utility_fn`` as it arrives. ``cost_space`` supplies
+    allocation-cost bounds when they differ from ``space`` (runs inside
+    reduced bounds). A :class:`ReplayBackend` is not measured: the stored
+    row is returned, matched to ``space`` by parameter name, so the scoring
+    arguments are optional and a dataset whose parameters differ from the
+    space's is rejected here.
     """
 
     def __init__(
@@ -164,14 +166,16 @@ class Evaluator:
                 raise ValueError(
                     "utility_fn, slo and workload are required unless replaying a dataset"
                 )
+            self._evaluate_many = getattr(
+                backend, "evaluate_many", functools.partial(Backend.evaluate_many, backend)
+            )
             self._observe = self._measure
 
     def evaluate(
         self, configs: Iterable[Configuration], eval_index: int = 1
     ) -> Iterator[Observation]:
         """Observations of ``configs`` in order, numbered from ``eval_index``."""
-        for index, config in enumerate(configs, eval_index):
-            yield self._observe(config, index)
+        return self._observe(configs, eval_index)
 
     def screening_value(self, obs: Observation) -> float:
         """The screened SLI of an observation; failures (and observations
@@ -181,17 +185,24 @@ class Evaluator:
             return 10.0 * self.slo.threshold
         return float(obs.slis[self.slo.metric])
 
-    def _measure(self, config: Configuration, eval_index: int) -> Observation:
-        result = self.backend.evaluate(self.space.render(config), self.workload)
-        return score_result(
-            config, result, self.utility_fn, self.slo, self.cost_space, self.weights, eval_index
-        )
+    def _measure(
+        self, configs: Iterable[Configuration], eval_index: int
+    ) -> Iterator[Observation]:
+        configs, to_render = itertools.tee(configs)
+        results = self._evaluate_many(map(self.space.render, to_render), self.workload)
+        for index, (config, result) in enumerate(zip(configs, results, strict=True), eval_index):
+            yield score_result(
+                config, result, self.utility_fn, self.slo, self.cost_space, self.weights, index
+            )
 
-    def _replay(self, config: Configuration, eval_index: int) -> Observation:
-        stored = self.backend.lookup(tuple([config.settings[i] for i in self._stored_order]))
-        return Observation(
-            config, stored.slis, stored.utility, stored.feasible, eval_index, stored.failed
-        )
+    def _replay(
+        self, configs: Iterable[Configuration], eval_index: int
+    ) -> Iterator[Observation]:
+        for index, config in enumerate(configs, eval_index):
+            stored = self.backend.lookup(tuple([config.settings[i] for i in self._stored_order]))
+            yield Observation(
+                config, stored.slis, stored.utility, stored.feasible, index, stored.failed
+            )
 
 
 def sli_objective(

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import stat
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
+from confopt import backends, harness
 from confopt.backends import (
     ExternalBackend,
     ReplayBackend,
@@ -244,6 +249,98 @@ class TestSyntheticBackend:
         assert other_seed.evaluate(params, WORKLOAD).slis["p99_latency_ms"] != first
 
 
+NOISY_MODEL = ServiceModelSpec(
+    services=(ServiceSpec("web", 50.0, 500.0, 600.0), ServiceSpec("db", 20.0, 100.0, 0.0)),
+    chain=("web", "db"),
+    p99_factor=3.0,
+    mem_penalty=1.5,
+    noise_sigma=0.2,
+)
+
+
+def reference_result(backend, params, workload):
+    """A result with the noise drawn as before seeds were batched: one
+    ``default_rng`` per configuration, seeded from its token's hash."""
+    noiseless = SyntheticBackend(dataclasses.replace(backend.model, noise_sigma=0.0))
+    result = noiseless.evaluate(params, workload)
+    if result.failed:
+        return result
+    text = ",".join(f"{k}={v}" for k, v in params.items())
+    token = f"{backend.seed}|{workload.tenants}|{workload.rate_per_tenant}|{text}"
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    noise = float(rng.lognormal(mean=0.0, sigma=backend.model.noise_sigma))
+    return SliResult(
+        slis={
+            "p99_latency_ms": result.slis["p99_latency_ms"] * noise,
+            "throughput_rps": result.slis["throughput_rps"],
+        }
+    )
+
+
+def noisy_rows(count):
+    """``count`` distinct configurations of NOISY_MODEL; every fourth runs
+    web out of memory."""
+    return [
+        {
+            "webCpu": f"{600 + i}m",
+            "webMemory": "200Mi" if i % 4 == 3 else f"{300 + i % 7 * 100}Mi",
+            "dbCpu": "500m",
+            "dbMemory": "256Mi",
+        }
+        for i in range(count)
+    ]
+
+
+class TestNoiseSeeds:
+    def assert_seed_states(self, entropies):
+        states = backends._seed_states(np.array(entropies, dtype=np.uint64))
+        assert states.shape == (len(entropies), 4) and states.dtype == np.uint64
+        for entropy, state in zip(entropies, states):
+            expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            assert np.array_equal(state, expected), entropy
+
+    def test_seed_states_match_seed_sequence_at_the_word_edges(self):
+        self.assert_seed_states([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=20))
+    def test_seed_states_match_seed_sequence(self, entropies):
+        self.assert_seed_states(entropies)
+
+    def test_chunk_is_the_dataset_readers(self):
+        assert backends._NOISE_CHUNK == harness._READ_CHUNK
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, 6, backends._NOISE_CHUNK + 5], ids=["empty", "single", "batch", "chunks"]
+    )
+    def test_evaluate_many_matches_per_row_default_rng(self, count):
+        backend = SyntheticBackend(NOISY_MODEL, seed=7)
+        workload = WorkloadSpec(tenants=2, rate_per_tenant=1.5)
+        rows = noisy_rows(count)
+        results = list(backend.evaluate_many(iter(rows), workload))
+        assert results == [reference_result(backend, params, workload) for params in rows]
+        if count > 3:
+            assert results[3].failure_reason == "web out of memory"
+
+    def test_evaluate_alone_matches_per_row_default_rng(self):
+        backend = SyntheticBackend(NOISY_MODEL, seed=3)
+        for params in noisy_rows(8):
+            assert backend.evaluate(params, WORKLOAD) == reference_result(
+                backend, params, WORKLOAD
+            )
+
+    def test_evaluate_many_yields_rows_before_an_error(self):
+        rows = noisy_rows(5)
+        rows[2] = rows[2] | {"dbCpu": "0m"}
+        results = SyntheticBackend(NOISY_MODEL).evaluate_many(rows, WORKLOAD)
+        assert [next(results) for _ in range(2)] == [
+            reference_result(SyntheticBackend(NOISY_MODEL), params, WORKLOAD)
+            for params in rows[:2]
+        ]
+        with pytest.raises(ValueError, match="cpu must be positive"):
+            next(results)
+
+
 class TestReplayBackend:
     @pytest.fixture
     def space(self):
@@ -315,6 +412,36 @@ class TestExternalBackend:
         result = backend.evaluate({"webCpu": "750m"}, WorkloadSpec(tenants=4))
         assert not result.failed
         assert result.slis == {"p99_latency_ms": 850.0, "throughput_rps": 40.0}
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            '{"p99_latency_ms": NaN, "throughput_rps": 40}',
+            '{"p99_latency_ms": 850, "throughput_rps": Infinity}',
+            '{"p99_latency_ms": -Infinity}',
+            '{"p99_latency_ms": 1e400}',
+            '{"p99_latency_ms": 1' + "0" * 400 + "}",
+        ],
+        ids=["nan", "infinity", "minus-infinity", "overflowing-float", "overflowing-int"],
+    )
+    def test_non_finite_metrics_are_malformed(self, tmp_path, reply):
+        """A reply whose metric is not a finite number is retried, then fails."""
+        counter = tmp_path / "attempts"
+        stub = write_stub(
+            tmp_path,
+            f"""
+            import pathlib
+            path = pathlib.Path({str(counter)!r})
+            path.write_text(path.read_text() + "x")
+            print({reply!r})
+            """,
+        )
+        counter.write_text("")
+        backend = ExternalBackend(["python3", str(stub)], timeout_s=30, retries=1)
+        result = backend.evaluate({"webCpu": "750m"}, WorkloadSpec(tenants=4))
+        assert result.failed
+        assert result.failure_reason == "malformed output"
+        assert counter.read_text() == "xx"
 
     def test_fractional_timeout_forwarded(self, tmp_path):
         stub = write_stub(

@@ -99,10 +99,7 @@ def test_kernel_in_place_equals_the_expression_bit_for_bit(rows):
     expected = gp.DEFAULT_SIGNAL_VARIANCE * np.exp(
         -np.maximum(sq, 0.0) / (2.0 * gp.DEFAULT_LENGTH_SCALE**2)
     )
-    out = np.empty((rows[0] + 2, rows[1]))[1:-1]
     assert np.array_equal(gp._kernel(a, b), expected)
-    assert gp._kernel(a, b, gp._row_norms(b), out=out) is out
-    assert np.array_equal(out, expected)
 
 
 class TestExpectedImprovement:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confopt import harness
-from confopt.backends import Backend, SliResult
+from confopt.backends import Backend, ServiceModelSpec, ServiceSpec, SliResult, SyntheticBackend
 from confopt.harness import (
     Dataset,
     Evaluator,
@@ -430,6 +430,73 @@ class TestCollectExhaustive:
         assert len(dataset.rows) == space.size
         reloaded = load_dataset(out, slo=SLO)
         assert [o.utility for o in reloaded.rows] == [o.utility for o in dataset.rows]
+
+    def test_error_partway_through_a_noise_chunk_keeps_earlier_rows(self, tmp_path):
+        """Rows measured before a row that raises reach the partial file even
+        though their chunk's noise seeds were derived together; a resume
+        completes the file byte for byte."""
+        model = ServiceModelSpec(
+            services=(ServiceSpec("web", 50.0, 500.0, 600.0), ServiceSpec("db", 20.0, 100.0, 0.0)),
+            chain=("web", "db"),
+            p99_factor=3.0,
+            mem_penalty=1.5,
+            noise_sigma=0.2,
+        )
+        space = SearchSpace(
+            (
+                ParameterSpec("webCpu", 750, 1250, 250, "m"),
+                ParameterSpec("webMemory", 200, 600, 200, "Mi"),
+                ParameterSpec("dbCpu", 250, 500, 250, "m"),
+                ParameterSpec("dbMemory", 256, 512, 256, "Mi"),
+            )
+        )
+        broken_row = 20
+        bad = space.render(list(space.iter_configurations())[broken_row])
+
+        class BrokenRow(SyntheticBackend):
+            def evaluate(self, params, workload, **kwargs):
+                if params == bad:
+                    raise ValueError("parameter 'dbCpu': cpu must be positive")
+                return super().evaluate(params, workload, **kwargs)
+
+        reference = tmp_path / "reference.csv"
+        collect_exhaustive(space, SyntheticBackend(model), UTILITY, SLO, WORKLOAD, out_path=reference)
+        expected = reference.read_bytes()
+        out = tmp_path / "dataset.csv"
+        with pytest.raises(ValueError, match="cpu must be positive"):
+            collect_exhaustive(space, BrokenRow(model), UTILITY, SLO, WORKLOAD, out_path=out)
+        partial = out.with_name("dataset.csv.partial").read_bytes()
+        assert partial.splitlines() == expected.splitlines()[: 1 + broken_row]
+        collect_exhaustive(space, SyntheticBackend(model), UTILITY, SLO, WORKLOAD, out_path=out)
+        assert out.read_bytes() == expected
+
+    def test_duck_typed_backend_collects(self):
+        """A backend that defines only ``evaluate``, without subclassing
+        ``Backend``, is measured one configuration at a time."""
+        space = make_space([3, 3])
+
+        class Duck:
+            def __init__(self):
+                self.inner = SurfaceBackend(space)
+
+            def evaluate(self, params, workload):
+                return self.inner.evaluate(params, workload)
+
+        duck = Duck()
+        dataset = collect_exhaustive(space, duck, UTILITY, SLO, WORKLOAD)
+        reference, _ = surface_dataset()
+        assert duck.inner.calls == space.size
+        assert dataset.rows == reference.rows
+
+    def test_short_evaluate_many_is_an_error(self):
+        space = make_space([3, 3])
+
+        class Short(SurfaceBackend):
+            def evaluate_many(self, params_seq, workload):
+                return iter([self.evaluate(next(iter(params_seq)), workload)])
+
+        with pytest.raises(ValueError, match="zip"):
+            collect_exhaustive(space, Short(space), UTILITY, SLO, WORKLOAD)
 
     def test_resume_discards_torn_final_line(self, tmp_path):
         space = make_space([3, 3])
