@@ -448,8 +448,9 @@ class ExternalBackend(Backend):
     flat metric map such as ``{"p99_latency_ms": 850, "throughput_rps": 40}``.
 
     A nonzero exit status, malformed output (including a metric that is not
-    a finite number) or a timeout counts as a failed attempt; after ``retries`` re-attempts the evaluation is reported as
-    failed. A missing executable raises instead, since no retry can fix it.
+    a finite number) or a timeout counts as a failed attempt; after
+    ``retries`` re-attempts the evaluation is reported as failed. A missing
+    executable raises instead, since no retry can fix it.
     """
 
     def __init__(

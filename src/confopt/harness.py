@@ -334,17 +334,26 @@ class _Columns(NamedTuple):
         return zip(*zip(*self.settings), *self[1:4], *flags)
 
 
-def _row_format(dimension: int) -> str:
-    """``%`` format of a dataset CSV record, writing what csv.writer would
-    at half its cost: no cell needs quoting, and csv.writer too writes
-    ``str`` of a setting or flag and ``repr`` of a float, the text ``_fmt``
-    gives. The record's metrics must be Python floats."""
-    return ",".join(["%s"] * dimension + ["%r"] * 3 + ["%s"] * 2) + "\n"
+def _row_format(cells: str) -> str:
+    """``%`` format of a CSV record, one conversion per cell, writing what
+    csv.writer would at half its cost; no cell may need quoting. ``s`` takes
+    an int or text, ``r`` a Python float, whose ``repr`` (and ``str``) is the
+    text csv.writer and ``_fmt`` write; numpy 2's ``repr`` of an
+    ``np.float64`` is not, so pass ``tolist()`` values."""
+    return ",".join("%" + cell for cell in cells) + "\n"
 
 
-def _write_dataset(handle: TextIO, space: SearchSpace, columns: _Columns) -> None:
-    csv.writer(handle, lineterminator="\n").writerow(_dataset_header(space))
-    handle.writelines(map(_row_format(space.dimension).__mod__, columns.records()))
+def _dataset_columns(space: SearchSpace) -> tuple[list[str], str]:
+    """A dataset CSV's header, and the ``_row_format`` cells of a record as
+    ``_Columns`` gives it."""
+    return [*space.names, *_METRIC_COLUMNS], "s" * space.dimension + "rrrss"
+
+
+def _write_csv(handle: TextIO, header: Sequence[str], cells: str, records: Iterable[tuple]) -> None:
+    """The one CSV writer: the header through csv.writer, since a parameter
+    name may need quoting, then each record through ``_row_format(cells)``."""
+    csv.writer(handle, lineterminator="\n").writerow(header)
+    handle.writelines(map(_row_format(cells).__mod__, records))
 
 
 class Dataset:
@@ -366,9 +375,8 @@ class Dataset:
         columns = _Columns.empty()
         for obs in rows:
             columns.append(obs)
+        _check_order(space, columns.settings)
         self._fill(space, columns, slo)
-        if len(set(columns.settings)) != len(rows):
-            raise ValueError("dataset contains duplicate configurations")
         self.rows = rows
         self.optimum = rows[int(np.argmin(self.utility))]
 
@@ -430,37 +438,26 @@ class Dataset:
     def replay_backend(self) -> ReplayBackend:
         return self._replay
 
-    def _columns(self) -> _Columns:
-        """The columns as lists of Python values."""
-        return _Columns(
-            self.settings,
-            *(column.tolist() for column in (self.p99, self.throughput, self.utility)),
-            *(column.tolist() for column in (self.feasible, self.failed)),
+
+def _check_order(space: SearchSpace, settings: list[tuple[int, ...]], where: str = "") -> None:
+    """Raise ValueError unless ``settings`` are the first configurations of
+    ``space`` in enumeration order, which also rules out duplicates."""
+    if len(settings) > space.size:
+        raise ValueError(f"{where}{len(settings)} rows for a space of {space.size} configurations")
+    expected = list(itertools.islice(space.iter_settings(), len(settings)))
+    if settings != expected:
+        number, got, want = next(
+            (n, a, b) for n, (a, b) in enumerate(zip(settings, expected), 1) if a != b
         )
-
-
-def _dataset_header(space: SearchSpace) -> list[str]:
-    return list(space.names) + list(_METRIC_COLUMNS)
-
-
-def _dataset_row(obs: Observation) -> list[str]:
-    p99 = obs.slis.get("p99_latency_ms", math.nan)
-    throughput = obs.slis.get("throughput_rps", math.nan)
-    return (
-        [str(v) for v in obs.config.settings]
-        + [_fmt(p99), _fmt(throughput), _fmt(obs.utility)]
-        + [_bool(obs.feasible), _bool(obs.failed)]
-    )
-
-
-def _parse_record(record: Sequence[str], converters: Sequence[Callable]) -> list | None:
-    """One record's values, or None when it is malformed."""
-    if len(record) != len(converters):
-        return None
-    try:
-        return [convert(cell) for convert, cell in zip(converters, record)]
-    except (ValueError, KeyError):
-        return None
+        first = settings.index(got) + 1
+        if first < number:
+            raise ValueError(
+                f"{where}data row {number} has settings {got}, a duplicate of data row {first}"
+            )
+        raise ValueError(
+            f"{where}data row {number} has settings {got}, expected {want}; "
+            f"rows must follow enumeration order"
+        )
 
 
 def _line_number(path: Path, index: int) -> int:
@@ -501,29 +498,31 @@ def _read_dataset(path: Path, space: SearchSpace | None = None) -> tuple[SearchS
                 f"{path}: parameter columns {names} do not match the "
                 f"configured space {list(space.names)}"
             )
-        converters = (int,) * k + (float,) * 3 + (_FLAGS.__getitem__,) * 2
+        metric_converters = (float,) * 3 + (_FLAGS.__getitem__,) * 2
 
-        def parse(records: list[list[str]]) -> list[list]:
+        def parse(records: list[list[str]]) -> list[list] | None:
+            """The records' values column by column; None if one is malformed."""
             if records and set(map(len, records)) != {len(header)}:
-                raise ValueError
+                return None
             columns = list(zip(*records))
-            settings = [
-                # A settings column repeats a few cells: parse each one once.
-                list(map({cell: int(cell) for cell in set(column)}.__getitem__, column))
-                for column in columns[:k]
-            ]
-            return settings + [list(map(f, c)) for f, c in zip(converters[k:], columns[k:])]
+            try:
+                return [
+                    # A settings column repeats a few cells: parse each one once.
+                    list(map({cell: int(cell) for cell in set(column)}.__getitem__, column))
+                    for column in columns[:k]
+                ] + [list(map(f, c)) for f, c in zip(metric_converters, columns[k:])]
+            except (ValueError, KeyError):
+                return None
 
-        parsed: list[list] = [[] for _ in converters]
+        parsed: list[list] = [[] for _ in header]
         # Chunks bound the text held at once; rows are parsed column-wise.
         for chunk in iter(lambda: list(itertools.islice(reader, _READ_CHUNK)), []):
-            try:
-                values = parse(chunk)
-            except (ValueError, KeyError):
-                bad = next(i for i, r in enumerate(chunk) if _parse_record(r, converters) is None)
+            values = parse(chunk)
+            if values is None:
+                bad = next(i for i, record in enumerate(chunk) if parse([record]) is None)
                 if bad < len(chunk) - 1 or next(reader, None) is not None:
                     line = _line_number(path, len(parsed[0]) + bad)
-                    raise ValueError(f"{path}: line {line}: malformed dataset row") from None
+                    raise ValueError(f"{path}: line {line}: malformed dataset row")
                 values = parse(chunk[:-1])  # a torn final line
             for column, chunk_values in zip(parsed, values):
                 column.extend(chunk_values)
@@ -553,19 +552,9 @@ def _read_dataset(path: Path, space: SearchSpace | None = None) -> tuple[SearchS
                 )
             )
         space = SearchSpace(tuple(specs))
-    if count > space.size:
-        raise ValueError(f"{path}: {count} rows for a space of {space.size} configurations")
-    expected = list(itertools.islice(space.iter_settings(), count))
     settings = list(zip(*parsed[:k]))
-    if settings != expected:
-        number, got, want = next(
-            (n, a, b) for n, (a, b) in enumerate(zip(settings, expected), 1) if a != b
-        )
-        raise ValueError(
-            f"{path}: data row {number} has settings {got}, expected {want}; "
-            f"rows must follow enumeration order"
-        )
-    return space, _Columns(expected, p99, throughput, utility, feasible, failed)
+    _check_order(space, settings, f"{path}: ")
+    return space, _Columns(settings, p99, throughput, utility, feasible, failed)
 
 
 def collect_exhaustive(
@@ -607,9 +596,10 @@ def collect_exhaustive(
         )
     done = len(columns.settings)
     todo = map(Configuration, itertools.islice(space.iter_settings(), done, None))
-    row_format = _row_format(space.dimension)
+    header, cells = _dataset_columns(space)
+    row_format = _row_format(cells)
     with open(partial_path, "w", encoding="utf-8", newline="") as handle:
-        _write_dataset(handle, space, columns)
+        _write_csv(handle, header, cells, columns.records())
         handle.flush()
         for index, obs in enumerate(evaluator.evaluate(todo, done + 1), done + 1):
             handle.write(row_format % columns.append(obs))
@@ -923,15 +913,11 @@ def screening_vs_standalone(
 # -- emission ----------------------------------------------------------------
 
 
-def _write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerows(rows)
-
-
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+    arrays = (dataset.p99, dataset.throughput, dataset.utility, dataset.feasible, dataset.failed)
+    columns = _Columns(dataset.settings, *(array.tolist() for array in arrays))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_dataset(handle, dataset.space, dataset._columns())
+        _write_csv(handle, *_dataset_columns(dataset.space), columns.records())
 
 
 def write_slo_cdf_csv(dataset: Dataset, path: str | Path) -> None:
@@ -941,69 +927,67 @@ def write_slo_cdf_csv(dataset: Dataset, path: str | Path) -> None:
     latencies = np.sort(measured, kind="stable")
     fractions = np.arange(1, len(latencies) + 1) / len(latencies)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("p99_latency_ms,cumulative_fraction\n")
-        # Python floats, whose repr is the text _fmt gives.
-        handle.writelines(map("%r,%r\n".__mod__, zip(latencies.tolist(), fractions.tolist())))
+        header = ("p99_latency_ms", "cumulative_fraction")
+        _write_csv(handle, header, "rr", zip(latencies.tolist(), fractions.tolist()))
 
 
 def write_trace_csv(trace: RunTrace, space: SearchSpace, path: str | Path) -> None:
-    rows: list[Sequence] = [["eval_index"] + _dataset_header(space) + ["best_so_far"]]
-    for obs, best in zip(trace.observations, trace.best_utilities):
-        rows.append([str(obs.eval_index)] + _dataset_row(obs) + [_fmt(best)])
-    _write_csv(path, rows)
+    columns = _Columns.empty()
+    records = (
+        (obs.eval_index, *columns.append(obs), best)
+        for obs, best in zip(trace.observations, trace.best_utilities.tolist())
+    )
+    header, cells = _dataset_columns(space)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        _write_csv(handle, ["eval_index", *header, "best_so_far"], f"s{cells}r", records)
 
 
 def write_comparison_csvs(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
-    out_dir = Path(out_dir)
     paths = []
     for name, result in report.optimizers.items():
-        path = out_dir / f"compare_{name}.csv"
-        rows: list[Sequence] = [["n", "fraction_found_optimal", "distance_q99"]]
-        for n in range(1, report.budget + 1):
-            rows.append(
-                [
-                    str(n),
-                    _fmt(result.fraction_found_optimal[n - 1]),
-                    _fmt(result.distance_q99[n - 1]),
-                ]
-            )
-        _write_csv(path, rows)
+        path = Path(out_dir) / f"compare_{name}.csv"
+        records = zip(
+            range(1, report.budget + 1),
+            result.fraction_found_optimal.tolist(),
+            result.distance_q99.tolist(),
+        )
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            _write_csv(handle, ("n", "fraction_found_optimal", "distance_q99"), "srr", records)
         paths.append(path)
     return paths
 
 
+#: ``screen_vs_bo.csv``'s columns, each the ``SvbRepetition`` attribute it holds.
+_SVB_COLUMNS = (
+    "repetition",
+    "seed",
+    "screening_evals",
+    "reduced_size",
+    "reduced_optimum_utility",
+    "combined_best_utility",
+    "combined_in_reduced_bounds",
+    "combined_found_reduced_optimum",
+    "standalone_best_utility",
+    "standalone_in_reduced_bounds",
+    "standalone_found_global_optimum",
+)
+
+
+def _svb_cell(value: object) -> object:
+    """A study cell for ``%s``: a flag's text (told apart by type, since the
+    integer 1 equals True), empty when unknown, else the number."""
+    if isinstance(value, bool):
+        return _bool(value)
+    return "" if value is None else value
+
+
 def write_svb_csv(report: SvbReport, path: str | Path) -> None:
-    header = [
-        "repetition",
-        "seed",
-        "screening_evals",
-        "reduced_size",
-        "reduced_optimum_utility",
-        "combined_best_utility",
-        "combined_in_reduced_bounds",
-        "combined_found_reduced_optimum",
-        "standalone_best_utility",
-        "standalone_in_reduced_bounds",
-        "standalone_found_global_optimum",
-    ]
-    rows: list[Sequence] = [header]
-    for rep in report.repetitions:
-        rows.append(
-            [
-                str(rep.repetition),
-                str(rep.seed),
-                str(rep.screening_evals),
-                str(rep.reduced_size),
-                "" if rep.reduced_optimum_utility is None else _fmt(rep.reduced_optimum_utility),
-                _fmt(rep.combined_best_utility),
-                _bool(rep.combined_in_reduced_bounds),
-                "" if rep.combined_found_reduced_optimum is None else _bool(rep.combined_found_reduced_optimum),
-                _fmt(rep.standalone_best_utility),
-                _bool(rep.standalone_in_reduced_bounds),
-                "" if rep.standalone_found_global_optimum is None else _bool(rep.standalone_found_global_optimum),
-            ]
-        )
-    _write_csv(path, rows)
+    records = (
+        tuple(_svb_cell(getattr(rep, name)) for name in _SVB_COLUMNS)
+        for rep in report.repetitions
+    )
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        _write_csv(handle, _SVB_COLUMNS, "s" * len(_SVB_COLUMNS), records)
 
 
 def dataset_summary(dataset: Dataset) -> str:
@@ -1059,18 +1043,10 @@ def svb_summary(report: SvbReport) -> str:
         f"trajectories: {report.r}",
         f"repetitions: {len(reps)}",
     ]
-    combined_known = [r for r in reps if r.combined_found_reduced_optimum is not None]
-    if combined_known:
-        hits = sum(1 for r in combined_known if r.combined_found_reduced_optimum)
-        lines.append(
-            f"combined_found_reduced_optimum: {hits}/{len(combined_known)}"
-        )
-    standalone_known = [r for r in reps if r.standalone_found_global_optimum is not None]
-    if standalone_known:
-        hits = sum(1 for r in standalone_known if r.standalone_found_global_optimum)
-        lines.append(
-            f"standalone_found_global_optimum: {hits}/{len(standalone_known)}"
-        )
+    for name in ("combined_found_reduced_optimum", "standalone_found_global_optimum"):
+        known = [getattr(r, name) for r in reps if getattr(r, name) is not None]
+        if known:
+            lines.append(f"{name}: {sum(known)}/{len(known)}")
     feasible = sum(1 for r in reps if r.standalone_best_utility < 1.0)
     lines.append(f"standalone_best_within_slo: {feasible}/{len(reps)}")
     for rep in reps:

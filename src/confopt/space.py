@@ -322,7 +322,10 @@ class SearchSpace:
     def normalized_grid(self) -> np.ndarray:
         """Normalized coordinates of every configuration, in enumeration order.
 
-        Only sensible for small spaces; guarded by the caller.
+        Nothing in the package calls it any more: BO builds a
+        ``gp.ProductGrid`` from ``normalized_levels()``. It stays only because
+        perfbench's tracing patches it, until the benchmark change in ROADMAP
+        direction 1 deletes it.
         """
         mesh = np.meshgrid(*self.normalized_levels(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)

@@ -317,6 +317,22 @@ class TestExhaustiveAndReport:
         ).read_bytes()
 
 
+def oom_toystore_config(tmp_path, **overrides):
+    """A noisy toystore config at 3 levels per parameter whose ``rec``
+    service runs out of memory at its lowest memory level."""
+    model = yaml.safe_load(bundled_path("toystore-model.yaml").read_text())
+    model["services"]["rec"]["mem_working_set_mi"] = 640.0
+    model["noise_sigma"] = 0.1
+    write_yaml(tmp_path / "model.yaml", model)
+    document = yaml.safe_load(bundled_path("toystore.yaml").read_text())
+    for parameter in document["slas"][0]["parameters"]:
+        box = parameter["searchspace"]
+        box["granularity"] = (box["max"] - box["min"]) // 2
+    document["backend"]["model"] = "model.yaml"
+    document.update(overrides)
+    return str(write_yaml(tmp_path / "config.yaml", document))
+
+
 class TestPinnedDatasetBytes:
     """sha256 of every file ``exhaustive`` and ``report`` write for a noisy
     toystore grid (3 levels per parameter) where a third of the
@@ -332,16 +348,7 @@ class TestPinnedDatasetBytes:
     }
 
     def test_exhaustive_report_and_resume(self, tmp_path, monkeypatch):
-        model = yaml.safe_load(bundled_path("toystore-model.yaml").read_text())
-        model["services"]["rec"]["mem_working_set_mi"] = 640.0
-        model["noise_sigma"] = 0.1
-        write_yaml(tmp_path / "model.yaml", model)
-        document = yaml.safe_load(bundled_path("toystore.yaml").read_text())
-        for parameter in document["slas"][0]["parameters"]:
-            box = parameter["searchspace"]
-            box["granularity"] = (box["max"] - box["min"]) // 2
-        document["backend"]["model"] = "model.yaml"
-        config = str(write_yaml(tmp_path / "config.yaml", document))
+        config = oom_toystore_config(tmp_path)
         fresh, report, resume = tmp_path / "fresh", tmp_path / "report", tmp_path / "resume"
         assert run(monkeypatch, fresh, ["exhaustive", "--config", config]) == 0
         assert run(monkeypatch, report, ["report", "--in", str(fresh / "dataset.csv")]) == 0
@@ -359,6 +366,53 @@ class TestPinnedDatasetBytes:
         assert run(monkeypatch, resume, ["exhaustive", "--config", config]) == 0
         assert (resume / "dataset.csv").read_bytes() == (fresh / "dataset.csv").read_bytes()
         assert not (resume / "dataset.csv.partial").exists()
+
+
+class TestPinnedArtifactBytes:
+    """sha256 of the other CSVs and summaries the CLI writes, on the grid of
+    :class:`TestPinnedDatasetBytes`: an ``optimize`` trace with failed rows
+    (``nan`` metric cells), ``compare`` curves, and a ``screen-vs-bo`` table
+    with no known optimum (both flag values and empty cells). The digests
+    come from a known-good run; regenerating them would defeat the test."""
+
+    DIGESTS = {
+        "optimize/trace.csv": "5fd5fb3ba13c5c7195d0ffc7bc6f1e348fb21ab19f29a4f8c88f93909b8bedf6",
+        "optimize/summary.txt": "017decd26ec65a9a1fe9c969d685066d3bd2deea35e6c676ce03be497d01d47c",
+        "compare/compare_random.csv": "32253213332a24709a8c1c344db89d66da2d882919a2cf6ef6cd250ad9203753",
+        "compare/compare_bestconfig.csv": "42b0f30c60091fa37de62bda4b14f2e8c367182be0a4a05f089812ad658b5c20",
+        "compare/summary.txt": "832db395461c5cfe75605473c408b1e56be46e49822495f920736384a2d59a1a",
+        "svb/screen_vs_bo.csv": "e35622b3f397ae4496f93e0a24be914935490d4ce0a7e409d1908beb111dbd32",
+        "svb/summary.txt": "d48b5e18a2c07f537f38cbb2f6ce3737ca3e2d77dbff5d6f10fb17e13c29fd3a",
+    }
+
+    def test_optimize_compare_and_screen_vs_bo(self, tmp_path, monkeypatch):
+        config = oom_toystore_config(tmp_path, nbOfIterations=3, screening={"r": 2, "p": 4})
+        assert run(monkeypatch, tmp_path / "optimize", ["optimize", "--config", config]) == 0
+        assert run(monkeypatch, tmp_path / "data", ["exhaustive", "--config", config]) == 0
+        compare = [
+            "compare",
+            "--dataset",
+            str(tmp_path / "data" / "dataset.csv"),
+            "--optimizers",
+            "random,bestconfig",
+            "--runs",
+            "5",
+            "--budget",
+            "12",
+        ]
+        assert run(monkeypatch, tmp_path / "compare", compare) == 0
+        svb = ["screen-vs-bo", "--config", config, "--budget", "45", "--repetitions", "2"]
+        assert run(monkeypatch, tmp_path / "svb", svb) == 0
+
+        trace = (tmp_path / "optimize" / "trace.csv").read_text()
+        assert ",nan,nan," in trace and ",false,true," in trace
+        table = (tmp_path / "svb" / "screen_vs_bo.csv").read_text()
+        assert ",true," in table and ",false," in table and table.endswith(",\n")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS
 
 
 class TestCompare:

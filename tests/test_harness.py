@@ -325,6 +325,35 @@ class TestDataset:
         with pytest.raises(ValueError, match="duplicate"):
             Dataset(space=space, rows=rows)
 
+    def test_rows_out_of_enumeration_order_rejected(self):
+        """A dataset built from reordered rows would write a file its own
+        reader rejects."""
+        space = make_space([2, 2])
+        rows = tuple(
+            Observation(config=c, slis={}, utility=0.5, feasible=True, eval_index=i + 1)
+            for i, c in enumerate(space.iter_configurations())
+        )
+        with pytest.raises(
+            ValueError, match=re.escape("data row 1 has settings (625, 625), expected (500, 500)")
+        ):
+            Dataset(space=space, rows=rows[::-1])
+
+    def test_rows_off_the_grid_rejected(self):
+        """Rows off the space's grid would write a file that loads silently as
+        another space."""
+        space = make_space([2, 2])
+        rows = tuple(
+            Observation(
+                config=Configuration((9, 9 + i)), slis={}, utility=0.5, feasible=True,
+                eval_index=i + 1,
+            )
+            for i in range(4)
+        )
+        with pytest.raises(
+            ValueError, match=re.escape("data row 1 has settings (9, 9), expected (500, 500)")
+        ):
+            Dataset(space=space, rows=rows)
+
     def test_optimum_is_first_row_at_minimum(self):
         space = make_space([2, 2])
         utilities = [0.9, 0.2, 0.2, 0.5]
@@ -585,6 +614,34 @@ class TestDatasetCsv:
             fh.write("500.0,not-a-number\n")
         # a torn trailing line does not poison an otherwise complete file
         assert len(load_dataset(path).rows) == dataset.space.size
+
+    def test_malformed_row_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_READ_CHUNK", 4)
+        dataset, _ = surface_dataset()
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[6] = lines[6].replace(",true,", ",maybe,")  # data row 6, in the second chunk
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 7: malformed dataset row")):
+            load_dataset(path)
+
+    def test_torn_final_line_alone_in_its_chunk_is_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_READ_CHUNK", 4)
+        dataset, _ = surface_dataset()
+        out = tmp_path / "dataset.csv"
+        write_dataset_csv(dataset, out)
+        finished = out.read_bytes()
+        lines = finished.splitlines(keepends=True)
+        # The header, two full chunks of 4 rows, then half of row 9.
+        torn = b"".join(lines[:9]) + lines[9][: len(lines[9]) // 2]
+        out.unlink()
+        out.with_name("dataset.csv.partial").write_bytes(torn)
+        backend = SurfaceBackend(dataset.space)
+        resumed = collect_exhaustive(dataset.space, backend, UTILITY, SLO, WORKLOAD, out_path=out)
+        assert backend.calls == 1  # 8 rows kept
+        assert out.read_bytes() == finished
+        assert resumed.settings == dataset.settings
 
     def test_corrupt_inner_row_names_file_and_line(self, tmp_path):
         space = SearchSpace(
