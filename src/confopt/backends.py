@@ -1,6 +1,6 @@
 """Experiment backends: how a configuration gets measured.
 
-Measuring backends implement one contract: take a rendered parameter map
+Measuring backends implement one contract: take a block of configurations
 and a workload, return service-level indicators. Two are provided:
 
 * synthetic, a closed-form queueing approximation of a small service chain,
@@ -8,14 +8,19 @@ and a workload, return service-level indicators. Two are provided:
 * external, a child process speaking a one-line JSON protocol, for wiring
   in real load generators.
 
-``Backend.evaluate_many`` measures a stream of configurations and yields
-one result per configuration as it is measured. The synthetic backend
-overrides it to seed a batch of rows' noise at once; the external one
-keeps the default, one run of the child process per configuration.
+A :class:`Block` holds configurations as columns: a level-index matrix and
+each parameter's rendered level texts, as the search space supplies them.
+``Backend.evaluate_many`` measures a block and yields :class:`Measured`
+runs of consecutive rows: one float column per metric, where NaN marks an
+absent metric, and one failure reason per row. The synthetic backend
+measures a whole block with numpy, from per-service latency tables over
+the block's distinct (cpu, memory) level texts; the external one keeps the
+default, one run of the child process per row, yielded as a one-row run
+so that a caller can checkpoint every row.
 
 Replay is not a measuring backend: :class:`ReplayBackend` looks up stored,
 already scored rows of a collected dataset, and ``harness.Evaluator``
-returns those rows instead of rendering and scoring anything.
+returns those rows instead of measuring and scoring anything.
 
 Backends are safe to call concurrently. The synthetic one seeds each
 configuration's noise from a hash of the configuration itself, so results
@@ -25,14 +30,14 @@ do not depend on call order or on how the rows were batched.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import math
+import operator
 import re
 import subprocess
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 import yaml
@@ -45,6 +50,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SliResult",
+    "Block",
+    "Measured",
     "Backend",
     "ServiceSpec",
     "ServiceModelSpec",
@@ -69,6 +76,54 @@ class SliResult:
     failure_reason: str | None = None
 
 
+class Block(NamedTuple):
+    """Configurations held as columns: row ``i`` sets parameter
+    ``names[j]`` to the text ``texts[j][levels[i, j]]``."""
+
+    names: tuple[str, ...]
+    levels: np.ndarray
+    texts: tuple[Sequence[str], ...]
+
+    @classmethod
+    def of(cls, params: Mapping[str, str]) -> "Block":
+        """One rendered configuration as a one-row block."""
+        return cls(
+            tuple(params),
+            np.zeros((1, len(params)), dtype=np.intp),
+            tuple((text,) for text in params.values()),
+        )
+
+    def render(self, row: int) -> dict[str, str]:
+        """Row ``row`` as a rendered parameter map."""
+        return dict(zip(self.names, map(operator.getitem, self.texts, self.levels[row].tolist())))
+
+
+class Measured(NamedTuple):
+    """Indicators of consecutive rows of a block: one float column per
+    metric, where NaN marks a metric a row lacks, and per row the reason it
+    failed, or None when it did not."""
+
+    metrics: dict[str, np.ndarray]
+    reasons: list[str | None]
+
+    @classmethod
+    def of(cls, result: SliResult) -> "Measured":
+        """One row's result; a failure without a reason gets an empty one."""
+        reason = (result.failure_reason or "") if result.failed else None
+        metrics = {name: np.array([value], dtype=float) for name, value in result.slis.items()}
+        return cls(metrics, [reason])
+
+    def slis(self, row: int) -> dict[str, float]:
+        """Row ``row``'s metrics, without the ones it lacks."""
+        values = [(name, column[row].item()) for name, column in self.metrics.items()]
+        return {name: value for name, value in values if not math.isnan(value)}
+
+    def result(self, row: int) -> SliResult:
+        """Row ``row`` as an :class:`SliResult`."""
+        reason = self.reasons[row]
+        return SliResult(self.slis(row), reason is not None, reason)
+
+
 class Backend(Protocol):
     """A measuring backend; see :class:`ReplayBackend` for stored rows.
 
@@ -81,14 +136,13 @@ class Backend(Protocol):
         """Measure one rendered configuration under the given workload."""
         ...
 
-    def evaluate_many(
-        self, params_seq: Iterable[Mapping[str, str]], workload: WorkloadSpec
-    ) -> Iterator[SliResult]:
-        """Measure each rendered configuration in turn, lazily: a result is
-        yielded as soon as it is measured, so a caller can keep the rows
-        measured before a later one raises."""
-        for params in params_seq:
-            yield self.evaluate(params, workload)
+    def evaluate_many(self, block: Block, workload: WorkloadSpec) -> Iterator[Measured]:
+        """Measure a block's rows in order, yielding runs of consecutive
+        rows that together cover the block, so that a caller keeps the rows
+        measured before one that raises. This default measures one row at a
+        time through ``evaluate`` and yields it as a one-row run."""
+        for row in range(len(block.levels)):
+            yield Measured.of(self.evaluate(block.render(row), workload))
 
 
 _INT_PREFIX = re.compile(r"^[+-]?\d+")
@@ -229,12 +283,9 @@ def load_service_model(path: str) -> ServiceModelSpec:
 # Each configuration's noise is drawn from ``default_rng(entropy)``, whose
 # seeding builds a ``SeedSequence``: O'Neill's seed_seq_fe hash of the
 # entropy's 32-bit words, about 17 µs a row. ``_seed_states`` computes that
-# hash for a whole batch of entropies in uint32 arrays, word for word as
+# hash for a whole block of entropies in uint32 arrays, word for word as
 # numpy does, and ``_SeedState`` hands one row's result to ``PCG64``.
 
-#: Configurations whose noise seeds are derived in one pass; the dataset
-#: reader's chunk in ``harness``.
-_NOISE_CHUNK = 4096
 _POOL_SIZE = 4
 #: 64-bit words ``PCG64`` asks its seed sequence for.
 _STATE_WORDS = 4
@@ -317,43 +368,95 @@ class SyntheticBackend(Backend):
             (name, model.service(name), f"{name}Cpu", f"{name}Memory") for name in model.chain
         )
         self._saturation_ms = model.saturation_latency_ms
+        # Indexed by the chain position where a row stops; None: measured.
+        self._reasons = np.array(
+            [f"{name} out of memory" for name in model.chain] + [None], dtype=object
+        )
         # (service, rendered cpu, rendered memory, tenants) -> the service's
         # latency in ms, or None when it runs out of memory. A grid repeats
         # each service's few settings across many configurations.
         self._latencies: dict[tuple[str, str, str, int], float | None] = {}
 
-    def evaluate(
-        self,
-        params: Mapping[str, str],
-        workload: WorkloadSpec,
-        *,
-        noise_seed: np.ndarray | None = None,
-    ) -> SliResult:
-        """Measure one configuration. ``noise_seed`` is the configuration's
-        row of :meth:`_noise_seeds`, derived here when not given."""
-        model = self.model
-        total_ms = 0.0
-        for service in self._chain:
-            name, _, cpu_key, mem_key = service
+    def evaluate(self, params: Mapping[str, str], workload: WorkloadSpec) -> SliResult:
+        """Measure one configuration, as a one-row block."""
+        (measured,) = self.evaluate_many(Block.of(params), workload)
+        return measured.result(0)
+
+    def evaluate_many(self, block: Block, workload: WorkloadSpec) -> Iterator[Measured]:
+        """Measure a block in one run of rows. Each row walks the chain in
+        order and stops at the first service that runs out of memory (a
+        failure) or whose settings raise; the rows before the first row
+        that raises are yielded before the error is raised."""
+        rows, services = len(block.levels), len(self._chain)
+        errors = []
+        for position in range(services):
+            pairs, latency, end, raised = self._latency_table(position, block, workload.tenants)
+            errors.append((pairs, raised))
+            if position:
+                # Summed in chain order, as a row's services are walked.
+                total_ms, ends = total_ms + latency[pairs], np.minimum(ends, end[pairs])
+            else:
+                total_ms, ends = latency[pairs], end[pairs]
+        stop, raises = np.divmod(ends, 2)
+        first = int(np.argmax(raises)) if np.count_nonzero(raises) else rows
+        if first:
+            stop, total_ms = stop[:first], total_ms[:first]
+            p99 = self.model.p99_factor * total_ms
+            ok = np.flatnonzero(stop == services)
+            if self.model.noise_sigma > 0 and len(ok):
+                p99[ok] *= self._noise(block, ok, workload)
+            throughput = workload.tenants * 1000.0 / total_ms
+            yield Measured(
+                {"p99_latency_ms": p99, "throughput_rps": throughput},
+                self._reasons[stop].tolist(),
+            )
+        if first < rows:
+            pairs, raised = errors[ends[first] // 2]
+            raise raised[int(pairs[first])]
+
+    def _latency_table(
+        self, position: int, block: Block, tenants: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ValueError]]:
+        """The latency of the chain's ``position``-th service over a block:
+        each row's (cpu, memory) pair code, and per code the service's
+        latency (NaN unless measured), the end code of a row that reaches
+        the service and, for a pair that raises, the error. A row's end code
+        is the lowest over its services: 2 * position + 1 where it raises,
+        2 * position where it runs out of memory, and 2 * (chain length)
+        where it is measured. ``_latency`` runs once per distinct pair the
+        cache lacks."""
+        service = self._chain[position]
+        name, _, cpu_key, mem_key = service
+        measured, out_of_memory, raises = 2 * len(self._chain), 2 * position, 2 * position + 1
+        try:
+            cpu, mem = block.names.index(cpu_key), block.names.index(mem_key)
+        except ValueError:
+            key = cpu_key if cpu_key not in block.names else mem_key
+            error = ValueError(f"configuration is missing parameter {key!r}")
+            pairs = np.zeros(len(block.levels), dtype=np.intp)
+            return pairs, np.array([math.nan]), np.array([raises]), {0: error}
+        cpu_texts, mem_texts = block.texts[cpu], block.texts[mem]
+        pairs = block.levels[:, cpu] * len(mem_texts) + block.levels[:, mem]
+        latency = np.empty(len(cpu_texts) * len(mem_texts))
+        end = np.empty(len(latency), dtype=np.intp)
+        raised = {}
+        for code in set(pairs.tolist()):
+            cpu_index, mem_index = divmod(code, len(mem_texts))
+            key = (name, cpu_texts[cpu_index], mem_texts[mem_index], tenants)
             try:
-                key = (name, params[cpu_key], params[mem_key], workload.tenants)
-            except KeyError as exc:
-                raise ValueError(f"configuration is missing parameter {exc.args[0]!r}") from None
-            try:
-                latency = self._latencies[key]
+                value = self._latencies[key]
             except KeyError:
-                latency = self._latencies[key] = self._latency(service, *key[1:])
-            if latency is None:
-                return SliResult(failed=True, failure_reason=f"{name} out of memory")
-            total_ms += latency
-        p99 = model.p99_factor * total_ms
-        if model.noise_sigma > 0:
-            if noise_seed is None:
-                (noise_seed,) = self._noise_seeds([params], workload)
-            rng = np.random.Generator(np.random.PCG64(_SeedState(noise_seed)))
-            p99 *= float(rng.lognormal(mean=0.0, sigma=model.noise_sigma))
-        throughput = workload.tenants * 1000.0 / total_ms
-        return SliResult(slis={"p99_latency_ms": p99, "throughput_rps": throughput})
+                try:
+                    value = self._latencies[key] = self._latency(service, *key[1:])
+                except ValueError as exc:
+                    raised[code] = exc
+                    latency[code], end[code] = math.nan, raises
+                    continue
+            if value is None:
+                latency[code], end[code] = math.nan, out_of_memory
+            else:
+                latency[code], end[code] = value, measured
+        return pairs, latency, end, raised
 
     def _latency(
         self, service: tuple, cpu_text: str, mem_text: str, tenants: int
@@ -376,37 +479,29 @@ class SyntheticBackend(Backend):
             latency *= 1.0 + self.model.mem_penalty * (spec.mem_working_set_mi / mem - 1.0)
         return latency
 
-    def evaluate_many(
-        self, params_seq: Iterable[Mapping[str, str]], workload: WorkloadSpec
-    ) -> Iterator[SliResult]:
-        """Measure each configuration in turn, deriving the noise seeds of
-        up to ``_NOISE_CHUNK`` configurations at once. Seeding needs only
-        the configurations' text, so a row that raises does so after every
-        row before it has been yielded. Without noise nothing is batched
-        and no configuration is read ahead."""
-        if self.model.noise_sigma == 0:
-            yield from super().evaluate_many(params_seq, workload)
-            return
-        rows = iter(params_seq)
-        for chunk in iter(lambda: list(itertools.islice(rows, _NOISE_CHUNK)), []):
-            for params, seed in zip(chunk, self._noise_seeds(chunk, workload)):
-                yield self.evaluate(params, workload, noise_seed=seed)
-
-    def _noise_seeds(
-        self, params_seq: Sequence[Mapping[str, str]], workload: WorkloadSpec
-    ) -> np.ndarray:
-        """Noise seed words, one row per configuration. A configuration's
-        entropy is a hash of the backend seed, the workload and the
-        configuration's text, never of the call, so results are independent
-        of evaluation order and safe under concurrency."""
+    def _noise(self, block: Block, rows: np.ndarray, workload: WorkloadSpec) -> np.ndarray:
+        """Lognormal noise factors of the given rows of a block. A row's
+        entropy is a hash of the backend seed, the workload and the row's
+        text, never of the call, so results are independent of evaluation
+        order and of batching, and safe under concurrency."""
         prefix = f"{self.seed}|{workload.tenants}|{workload.rate_per_tenant}|"
+        columns = [
+            np.array([f"{name}={text}" for text in texts], dtype=object)[block.levels[rows, j]]
+            for j, (name, texts) in enumerate(zip(block.names, block.texts))
+        ]
         digests = b"".join(
-            hashlib.sha256(
-                (prefix + ",".join(map("=".join, params.items()))).encode("utf-8")
-            ).digest()[:8]
-            for params in params_seq
+            hashlib.sha256((prefix + ",".join(parts)).encode("utf-8")).digest()[:8]
+            for parts in zip(*columns)
         )
-        return _seed_states(np.frombuffer(digests, dtype=">u8"))
+        sigma = self.model.noise_sigma
+        return np.fromiter(
+            (
+                np.random.Generator(np.random.PCG64(_SeedState(state))).lognormal(0.0, sigma)
+                for state in _seed_states(np.frombuffer(digests, dtype=">u8"))
+            ),
+            dtype=float,
+            count=len(rows),
+        )
 
 
 # -- replay ------------------------------------------------------------------

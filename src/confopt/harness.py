@@ -14,6 +14,7 @@ import functools
 import itertools
 import logging
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 
 import numpy as np
 
-from .backends import Backend, ReplayBackend, SliResult
+from .backends import Backend, Block, Measured, ReplayBackend
 from .optim import Observation, SpaceExhausted, best_observation, create_optimizer
 from .screening import reduce_bounds, run_screening
 from .space import Configuration, ParameterSpec, SearchSpace
@@ -79,53 +80,53 @@ def failure_utility(slo: SloSpec) -> float:
 
 
 def score_result(
-    config: Configuration,
-    result: SliResult,
+    settings: np.ndarray,
+    measured: Measured,
     utility_fn: UtilityFn,
     slo: SloSpec,
     cost_space: SearchSpace,
     weights: CostWeights | None,
     eval_index: int,
-) -> Observation:
-    """Turn a backend result into a scored observation.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score a run of measured rows, numbered from ``eval_index``, whose
+    settings matrix is ``settings``: their utility, feasible and failed
+    columns.
 
-    Failures, and results whose SLO metric is missing or not finite, score
-    the fixed failure utility and are never feasible.
+    Failures, and rows whose SLO metric is missing or not finite, score the
+    fixed failure utility and are never feasible. Allocation costs come
+    from one ``allocation_cost`` call over the measured rows, and
+    ``utility_fn`` runs once per measured row.
     """
-    sli = float(result.slis.get(slo.metric, math.nan))
-    if result.failed or not math.isfinite(sli):
-        if not result.failed:
-            logger.warning(
-                "evaluation %d returned %s=%s; scoring as failed",
-                eval_index,
-                slo.metric,
-                result.slis.get(slo.metric, "nothing"),
-            )
-        return Observation(
-            config=config,
-            slis=dict(result.slis),
-            utility=failure_utility(slo),
-            feasible=False,
-            eval_index=eval_index,
-            failed=True,
+    failed = np.array([reason is not None for reason in measured.reasons], dtype=bool)
+    sli = measured.metrics.get(slo.metric)
+    if sli is None:
+        sli = np.full(len(failed), math.nan)
+    unusable = ~(failed | np.isfinite(sli))
+    for row in np.flatnonzero(unusable).tolist():
+        logger.warning(
+            "evaluation %d returned %s=%s; scoring as failed",
+            eval_index + row,
+            slo.metric,
+            sli[row],
         )
-    cost = allocation_cost(config, cost_space, weights)
-    utility = float(utility_fn(sli, slo.threshold, cost))
-    return Observation(
-        config=config,
-        slis=dict(result.slis),
-        utility=utility,
-        feasible=utility < 1.0,
-        eval_index=eval_index,
-    )
+    failed |= unusable
+    utility = np.full(len(failed), failure_utility(slo))
+    ok = ~failed
+    costs = allocation_cost(settings[ok], cost_space, weights)
+    utility[ok] = [
+        utility_fn(value, slo.threshold, cost)
+        for value, cost in zip(sli[ok].tolist(), costs.tolist())
+    ]
+    return utility, ~failed & (utility < 1.0), failed
 
 
 class Evaluator:
     """The one place a configuration of ``space`` becomes an observation.
 
-    A measuring backend gets the rendered configurations as a lazy stream
-    through its ``evaluate_many`` (``Backend.evaluate_many`` for an object
-    that only defines ``evaluate``); each result is scored against ``slo``
+    A measuring backend gets configurations as blocks (:class:`Block`) of
+    up to ``_READ_CHUNK`` rows through its ``evaluate_many``
+    (``Backend.evaluate_many`` for an object that only defines
+    ``evaluate``); each run of rows it yields is scored against ``slo``
     with ``utility_fn`` as it arrives. ``cost_space`` supplies
     allocation-cost bounds when they differ from ``space`` (runs inside
     reduced bounds). A :class:`ReplayBackend` is not measured: the stored
@@ -160,7 +161,7 @@ class Evaluator:
                     f"only in the space {sorted(set(space.names) - set(stored))}"
                 )
             self._stored_order = tuple(space.names.index(name) for name in stored)
-            self._observe = self._replay
+            self._observe, self._columns = self._replay, self._replayed_columns
         else:
             if utility_fn is None or slo is None or workload is None:
                 raise ValueError(
@@ -169,7 +170,7 @@ class Evaluator:
             self._evaluate_many = getattr(
                 backend, "evaluate_many", functools.partial(Backend.evaluate_many, backend)
             )
-            self._observe = self._measure
+            self._observe, self._columns = self._measure, self._measured_columns
 
     def evaluate(
         self, configs: Iterable[Configuration], eval_index: int = 1
@@ -185,15 +186,70 @@ class Evaluator:
             return 10.0 * self.slo.threshold
         return float(obs.slis[self.slo.metric])
 
+    def _scored(
+        self, settings: Iterable[tuple[int, ...]], eval_index: int
+    ) -> Iterator[tuple[list[tuple[int, ...]], Measured, tuple[np.ndarray, ...]]]:
+        """Measure and score ``settings``, numbered from ``eval_index``, in
+        blocks of up to ``_READ_CHUNK`` rows: per run of rows the backend
+        yields, the run's settings, its measurement and its scores."""
+        settings = iter(settings)
+        for chunk in iter(lambda: list(itertools.islice(settings, _READ_CHUNK)), []):
+            matrix = np.array(chunk)
+            levels = self.space.level_indices(matrix)
+            block = Block(self.space.names, levels, self.space.rendered_levels)
+            done = 0
+            for measured in self._evaluate_many(block, self.workload):
+                rows = slice(done, done + len(measured.reasons))
+                done = rows.stop
+                if done > len(chunk):
+                    break
+                yield chunk[rows], measured, score_result(
+                    matrix[rows],
+                    measured,
+                    self.utility_fn,
+                    self.slo,
+                    self.cost_space,
+                    self.weights,
+                    eval_index + rows.start,
+                )
+            if done != len(chunk):
+                raise ValueError(f"the backend measured {done} rows of a block of {len(chunk)}")
+            eval_index += len(chunk)
+
+    def _settings(self, config: Configuration) -> tuple[int, ...]:
+        if len(config.settings) != self.space.dimension:
+            self.space.validate(config)
+        return config.settings
+
     def _measure(
         self, configs: Iterable[Configuration], eval_index: int
     ) -> Iterator[Observation]:
-        configs, to_render = itertools.tee(configs)
-        results = self._evaluate_many(map(self.space.render, to_render), self.workload)
-        for index, (config, result) in enumerate(zip(configs, results, strict=True), eval_index):
-            yield score_result(
-                config, result, self.utility_fn, self.slo, self.cost_space, self.weights, index
-            )
+        for chunk, measured, scores in self._scored(map(self._settings, configs), eval_index):
+            rows = zip(chunk, *map(np.ndarray.tolist, scores))
+            for row, (settings, utility, feasible, failed) in enumerate(rows):
+                slis = measured.slis(row)
+                yield Observation(Configuration(settings), slis, utility, feasible, eval_index, failed)
+                eval_index += 1
+
+    def _measured_columns(
+        self, settings: Iterable[tuple[int, ...]], eval_index: int = 1
+    ) -> Iterator["_Columns"]:
+        """Dataset columns of ``settings`` in order, numbered from
+        ``eval_index``, one block per run of rows the backend yields; a
+        replaying evaluator's ``_columns`` is ``_replayed_columns``, one
+        block per row."""
+        for chunk, measured, scores in self._scored(settings, eval_index):
+            absent = np.full(len(chunk), math.nan)
+            metrics = (measured.metrics.get(name, absent) for name in _METRIC_COLUMNS[:2])
+            yield _Columns(chunk, *(c.tolist() for c in (*metrics, *scores)))
+
+    def _replayed_columns(
+        self, settings: Iterable[tuple[int, ...]], eval_index: int = 1
+    ) -> Iterator["_Columns"]:
+        for obs in self._replay(map(Configuration, settings), eval_index):
+            block = _Columns.empty()
+            block.append(obs)
+            yield block
 
     def _replay(
         self, configs: Iterable[Configuration], eval_index: int
@@ -328,6 +384,10 @@ class _Columns(NamedTuple):
         self.failed.append(failed)
         return (*settings, p99, throughput, utility, _bool(feasible), _bool(failed))
 
+    def extend(self, block: "_Columns") -> None:
+        for column, values in zip(self, block):
+            column.extend(values)
+
     def records(self) -> Iterator[tuple]:
         """Every row's dataset CSV record."""
         flags = map(_bool, self.feasible), map(_bool, self.failed)
@@ -376,6 +436,9 @@ class Dataset:
         for obs in rows:
             columns.append(obs)
         _check_order(space, columns.settings)
+        bad = _bad_row(columns)
+        if bad is not None:
+            raise ValueError(f"data row {bad[0] + 1}: {bad[1]}")
         self._fill(space, columns, slo)
         self.rows = rows
         self.optimum = rows[int(np.argmin(self.utility))]
@@ -460,6 +523,22 @@ def _check_order(space: SearchSpace, settings: list[tuple[int, ...]], where: str
         )
 
 
+def _bad_row(columns: _Columns) -> tuple[int, str] | None:
+    """The index of the first row the dataset reader rejects for its
+    values, and why: a utility that is not finite, then a failed row marked
+    feasible. None when every row passes."""
+    for problem, bad in (
+        ("utility is not finite", ~np.isfinite(np.array(columns.utility, dtype=float))),
+        (
+            "a failed row is marked feasible",
+            np.array(columns.failed, bool) & np.array(columns.feasible, bool),
+        ),
+    ):
+        if bad.any():
+            return int(np.argmax(bad)), problem
+    return None
+
+
 def _line_number(path: Path, index: int) -> int:
     """The line on which data record ``index`` of a CSV file ends."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -527,14 +606,10 @@ def _read_dataset(path: Path, space: SearchSpace | None = None) -> tuple[SearchS
             for column, chunk_values in zip(parsed, values):
                 column.extend(chunk_values)
     count = len(parsed[0])
-    p99, throughput, utility, feasible, failed = parsed[k:]
-    for problem, bad in (
-        ("utility is not finite", ~np.isfinite(np.array(utility, dtype=float))),
-        ("a failed row is marked feasible", np.array(failed, bool) & np.array(feasible, bool)),
-    ):
-        if bad.any():
-            line = _line_number(path, int(np.argmax(bad)))
-            raise ValueError(f"{path}: line {line}: {problem}")
+    columns = _Columns(None, *parsed[k:])
+    bad = _bad_row(columns)
+    if bad is not None:
+        raise ValueError(f"{path}: line {_line_number(path, bad[0])}: {bad[1]}")
     if space is None:
         if not count:
             raise ValueError(f"{path}: no data rows")
@@ -554,7 +629,7 @@ def _read_dataset(path: Path, space: SearchSpace | None = None) -> tuple[SearchS
         space = SearchSpace(tuple(specs))
     settings = list(zip(*parsed[:k]))
     _check_order(space, settings, f"{path}: ")
-    return space, _Columns(settings, p99, throughput, utility, feasible, failed)
+    return space, columns._replace(settings=settings)
 
 
 def collect_exhaustive(
@@ -584,8 +659,8 @@ def collect_exhaustive(
     evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
     columns = _Columns.empty()
     if out_path is None:
-        for obs in evaluator.evaluate(space.iter_configurations()):
-            columns.append(obs)
+        for block in evaluator._columns(space.iter_settings()):
+            columns.extend(block)
         return Dataset._from_columns(space, columns, slo)
     out_path = Path(out_path)
     partial_path = out_path.with_name(out_path.name + ".partial")
@@ -595,16 +670,18 @@ def collect_exhaustive(
             "resuming exhaustive collection: %d rows already measured", len(columns.settings)
         )
     done = len(columns.settings)
-    todo = map(Configuration, itertools.islice(space.iter_settings(), done, None))
+    todo = itertools.islice(space.iter_settings(), done, None)
     header, cells = _dataset_columns(space)
     row_format = _row_format(cells)
     with open(partial_path, "w", encoding="utf-8", newline="") as handle:
         _write_csv(handle, header, cells, columns.records())
         handle.flush()
-        for index, obs in enumerate(evaluator.evaluate(todo, done + 1), done + 1):
-            handle.write(row_format % columns.append(obs))
-            if index % _FLUSH_EVERY == 0:
+        for block in evaluator._columns(todo, done + 1):
+            handle.writelines(map(row_format.__mod__, block.records()))
+            if (done + len(block.settings)) // _FLUSH_EVERY > done // _FLUSH_EVERY:
                 handle.flush()
+            columns.extend(block)
+            done += len(block.settings)
     os.replace(partial_path, out_path)
     return Dataset._from_columns(space, columns, slo)
 
@@ -859,16 +936,17 @@ def screening_vs_standalone(
             combined.extend(bo_trace.observations)
         combined_best = best_observation(combined)
 
+        # The reduced space's first row at the minimum utility, as (utility,
+        # settings); one block of rows is held at a time.
         reduced_optimum = None
         combined_found = None
         if reduced.size <= EXHAUSTIVE_CAP:
             reduced_evaluator = Evaluator(reduced, backend, **scoring)
-            reduced_optimum = best_observation(
-                reduced_evaluator.evaluate(reduced.iter_configurations())
-            )
-            combined_found = any(
-                o.config.settings == reduced_optimum.config.settings for o in combined
-            )
+            for block in reduced_evaluator._columns(reduced.iter_settings()):
+                best = min(zip(block.utility, block.settings), key=operator.itemgetter(0))
+                if reduced_optimum is None or best[0] < reduced_optimum[0]:
+                    reduced_optimum = best
+            combined_found = any(o.config.settings == reduced_optimum[1] for o in combined)
 
         standalone_trace = run_optimization(
             space,
@@ -899,7 +977,7 @@ def screening_vs_standalone(
                 combined_in_reduced_bounds=reduced.contains(combined_best.config),
                 combined_found_reduced_optimum=combined_found,
                 reduced_optimum_utility=(
-                    reduced_optimum.utility if reduced_optimum is not None else None
+                    reduced_optimum[0] if reduced_optimum is not None else None
                 ),
                 standalone_best_config=standalone_best.config,
                 standalone_best_utility=standalone_best.utility,

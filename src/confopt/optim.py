@@ -418,8 +418,7 @@ class BayesianEISession(OptimizerSession):
         positions = dict(zip(ranks, range(len(ranks))))
         kept = [(rank, i) for rank, i in positions.items() if rank not in self._asked]
         rows = levels[[i for _, i in kept]]
-        # index / (count - 1) is to_normalized's value; a pinned axis reads 0.0.
-        return [rank for rank, _ in kept], rows / np.maximum(counts - 1, 1)
+        return [rank for rank, _ in kept], self.space.level_coordinates(rows)
 
 
 def _top(scores: np.ndarray, n: int) -> np.ndarray:

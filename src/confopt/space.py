@@ -194,14 +194,17 @@ class SearchSpace:
         return tuple(digits)
 
     @functools.cached_property
-    def _coordinate_tables(self) -> tuple[dict[int, float], ...]:
-        """Per parameter, each grid setting's normalized coordinate."""
-        return tuple({v: p.normalized(v) for v in p.levels()} for p in self.parameters)
-
-    @functools.cached_property
     def _render_tables(self) -> tuple[dict[int, str], ...]:
         """Per parameter, each grid setting's rendered string."""
         return tuple({v: p.render(v) for v in p.levels()} for p in self.parameters)
+
+    @functools.cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per parameter: minimum, granularity and level count."""
+        return tuple(
+            np.array([getattr(p, name) for p in self.parameters], dtype=np.int64)
+            for name in ("minimum", "granularity", "level_count")
+        )
 
     def _reject(self, config: Configuration) -> NoReturn:
         """Raise for a configuration the level tables miss: :meth:`validate`'s
@@ -262,14 +265,33 @@ class SearchSpace:
 
     def to_normalized(self, config: Configuration) -> np.ndarray:
         """Normalized coordinates of a grid configuration, shape ``(dimension,)``."""
-        settings = config.settings
-        if len(settings) == len(self.parameters):
-            try:
-                coordinates = map(dict.__getitem__, self._coordinate_tables, settings)
-                return np.fromiter(coordinates, float, len(settings))
-            except KeyError:
-                pass
-        self._reject(config)
+        return self.level_coordinates(self.level_indices(np.array([config.settings])))[0]
+
+    def level_indices(self, settings: np.ndarray) -> np.ndarray:
+        """Level-index matrix of a settings matrix with one row per
+        configuration; the first off-grid row raises :meth:`validate`'s
+        error."""
+        minimum, granularity, count = self._grid
+        if settings.shape[1:] == (self.dimension,):
+            indices, remainder = np.divmod(settings - minimum, granularity)
+            off = remainder != 0, indices < 0, indices >= count
+            if not any(map(np.count_nonzero, off)):
+                return indices.astype(np.int64, copy=False)
+            settings = settings[np.logical_or.reduce(off).any(axis=1)]
+        self._reject(Configuration(tuple(settings[0].tolist())))
+
+    def level_coordinates(self, indices: np.ndarray) -> np.ndarray:
+        """Normalized coordinates of a level-index matrix, one row per
+        configuration: index / (count - 1) is the correctly rounded value of
+        the same quotient as :meth:`ParameterSpec.normalized`'s
+        (value - minimum) / (maximum - minimum), and a pinned parameter
+        reads 0 / 1."""
+        return indices / np.maximum(self._grid[2] - 1, 1)
+
+    @functools.cached_property
+    def rendered_levels(self) -> tuple[tuple[str, ...], ...]:
+        """Each parameter's rendered level texts, ascending."""
+        return tuple(tuple(table.values()) for table in self._render_tables)
 
     def from_normalized(self, coordinates: Sequence[float]) -> Configuration:
         """Snap unit-cube coordinates to the nearest grid configuration.

@@ -99,17 +99,27 @@ class CostWeights:
 
 
 def allocation_cost(
-    config: Configuration,
+    config: Configuration | np.ndarray,
     space: SearchSpace,
     weights: CostWeights | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Weighted mean of per-parameter normalized settings, in ``[0, 1]``.
 
-    ``space`` supplies the normalization bounds. Pass the original,
-    pre-reduction space when scoring runs inside reduced bounds so costs
-    stay comparable before and after screening. Pinned parameters
-    contribute zero.
+    ``config`` is one configuration, or a settings matrix with one row per
+    configuration, which gives one cost per row. ``space`` supplies the
+    normalization bounds. Pass the original, pre-reduction space when
+    scoring runs inside reduced bounds so costs stay comparable before and
+    after screening. Pinned parameters contribute zero.
+
+    A configuration is costed as a one-row matrix. Rows are summed with
+    ``np.vecdot``, which gives each row what ``np.dot`` of its coordinates
+    alone gives, however many rows there are. Only ``np.vecdot`` or a
+    per-row ``np.dot`` will do: on the bundled toystore grid a BLAS gemv
+    (``coords @ w``) differs in the last bit on about 40% of the rows, and
+    a sequential numpy sum on about 18%.
     """
+    if isinstance(config, Configuration):
+        return float(allocation_cost(np.array([config.settings]), space, weights)[0])
     if weights is None:
         weights = CostWeights.uniform(space.dimension)
     w = weights.normalized()
@@ -117,8 +127,7 @@ def allocation_cost(
         raise ValueError(
             f"expected {space.dimension} weights, got {w.shape[0]}"
         )
-    coords = space.to_normalized(config)
-    return float(np.dot(w, coords))
+    return np.vecdot(space.level_coordinates(space.level_indices(config)), w)
 
 
 def slo_cost_utility(

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from confopt import backends, harness
 from confopt.backends import (
+    Block,
     ExternalBackend,
+    Measured,
     ReplayBackend,
     ServiceModelSpec,
     ServiceSpec,
@@ -307,17 +309,14 @@ class TestNoiseSeeds:
     def test_seed_states_match_seed_sequence(self, entropies):
         self.assert_seed_states(entropies)
 
-    def test_chunk_is_the_dataset_readers(self):
-        assert backends._NOISE_CHUNK == harness._READ_CHUNK
-
     @pytest.mark.parametrize(
-        "count", [0, 1, 6, backends._NOISE_CHUNK + 5], ids=["empty", "single", "batch", "chunks"]
+        "count", [0, 1, 6, harness._READ_CHUNK + 5], ids=["empty", "single", "batch", "chunks"]
     )
     def test_evaluate_many_matches_per_row_default_rng(self, count):
         backend = SyntheticBackend(NOISY_MODEL, seed=7)
         workload = WorkloadSpec(tenants=2, rate_per_tenant=1.5)
         rows = noisy_rows(count)
-        results = list(backend.evaluate_many(iter(rows), workload))
+        results = measured_results(backend.evaluate_many(block_of(rows), workload))
         assert results == [reference_result(backend, params, workload) for params in rows]
         if count > 3:
             assert results[3].failure_reason == "web out of memory"
@@ -332,13 +331,83 @@ class TestNoiseSeeds:
     def test_evaluate_many_yields_rows_before_an_error(self):
         rows = noisy_rows(5)
         rows[2] = rows[2] | {"dbCpu": "0m"}
-        results = SyntheticBackend(NOISY_MODEL).evaluate_many(rows, WORKLOAD)
-        assert [next(results) for _ in range(2)] == [
+        results = SyntheticBackend(NOISY_MODEL).evaluate_many(block_of(rows), WORKLOAD)
+        assert measured_results([next(results)]) == [
             reference_result(SyntheticBackend(NOISY_MODEL), params, WORKLOAD)
             for params in rows[:2]
         ]
         with pytest.raises(ValueError, match="cpu must be positive"):
             next(results)
+
+    def test_a_row_that_fails_first_does_not_raise(self):
+        """A row stops at the first service in the chain that runs out of
+        memory or raises, as a row measured alone does: web out of memory
+        hides db's invalid cpu, and row 0's error is raised before any row
+        is yielded."""
+        rows = noisy_rows(4)
+        rows[3] = rows[3] | {"dbCpu": "0m"}
+        backend = SyntheticBackend(NOISY_MODEL)
+        results = measured_results(backend.evaluate_many(block_of(rows), WORKLOAD))
+        assert [r.failure_reason for r in results] == [None, None, None, "web out of memory"]
+        rows[0] = rows[0] | {"dbCpu": "0m"}
+        with pytest.raises(ValueError, match="cpu must be positive"):
+            next(SyntheticBackend(NOISY_MODEL).evaluate_many(block_of(rows), WORKLOAD))
+
+    def test_missing_parameter_raises_at_the_first_row_reaching_its_service(self):
+        rows = [{k: v for k, v in params.items() if k != "dbMemory"} for params in noisy_rows(6)]
+        results = SyntheticBackend(NOISY_MODEL).evaluate_many(block_of(rows[3:]), WORKLOAD)
+        # Row 3 runs web out of memory before db is reached.
+        assert measured_results([next(results)])[0].failure_reason == "web out of memory"
+        with pytest.raises(ValueError, match="configuration is missing parameter 'dbMemory'"):
+            next(results)
+
+    def test_noise_is_drawn_only_for_measured_rows(self, monkeypatch):
+        hashed = []
+        original = backends._seed_states
+
+        def recording(entropy):
+            hashed.append(len(entropy))
+            return original(entropy)
+
+        monkeypatch.setattr(backends, "_seed_states", recording)
+        rows = noisy_rows(8)
+        list(SyntheticBackend(NOISY_MODEL).evaluate_many(block_of(rows), WORKLOAD))
+        assert hashed == [6]
+
+
+def block_of(rows):
+    """Rendered configurations, all with the same parameters, as a block."""
+    names = tuple(rows[0]) if rows else ("webCpu",)
+    texts = tuple(tuple(dict.fromkeys(params[name] for params in rows)) for name in names)
+    levels = np.array(
+        [[texts[j].index(params[name]) for j, name in enumerate(names)] for params in rows],
+        dtype=np.intp,
+    ).reshape(len(rows), len(names))
+    return Block(names, levels, texts)
+
+
+def measured_results(runs):
+    """Every row of the runs ``evaluate_many`` yields, as an SliResult."""
+    return [measured.result(row) for measured in runs for row in range(len(measured.reasons))]
+
+
+class TestBlock:
+    def test_render_and_one_row_block(self):
+        block = block_of(noisy_rows(3))
+        assert [block.render(row) for row in range(3)] == noisy_rows(3)
+        params = noisy_rows(1)[0]
+        assert Block.of(params).render(0) == params
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            SliResult({"p99_latency_ms": 12.5, "throughput_rps": 3.0}),
+            SliResult({"error_rate": 0.25}),
+            SliResult(failed=True, failure_reason="timeout"),
+        ],
+    )
+    def test_measured_round_trips_a_result(self, result):
+        assert Measured.of(result).result(0) == result
 
 
 class TestReplayBackend:

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confopt import harness
-from confopt.backends import Backend, ServiceModelSpec, ServiceSpec, SliResult, SyntheticBackend
+from confopt.backends import (
+    Backend,
+    Measured,
+    ServiceModelSpec,
+    ServiceSpec,
+    SliResult,
+    SyntheticBackend,
+)
 from confopt.harness import (
     Dataset,
     Evaluator,
@@ -76,44 +83,60 @@ def surface_dataset(level_counts=(3, 3), fail_settings=None):
     return collect_exhaustive(space, backend, UTILITY, SLO, WORKLOAD), backend
 
 
+def score_one(config, result, space, eval_index=1):
+    """``score_result`` of a one-row block: its utility, feasible and
+    failed values."""
+    scores = score_result(
+        np.array([config.settings]), Measured.of(result), UTILITY, SLO, space, None, eval_index
+    )
+    return tuple(column.item() for column in scores)
+
+
 class TestScoring:
     def test_failed_result_scores_failure_utility(self):
         space = make_space([3, 3])
         result = SliResult(slis={}, failed=True, failure_reason="oom")
-        obs = score_result(
-            Configuration((500, 500)), result, UTILITY, SLO, space, None, 7
-        )
-        assert obs.failed and not obs.feasible
-        assert obs.utility == failure_utility(SLO) == 1.0 + 10.0 * 1000.0
-        assert obs.eval_index == 7
+        utility, feasible, failed = score_one(Configuration((500, 500)), result, space, 7)
+        assert failed and not feasible
+        assert utility == failure_utility(SLO) == 1.0 + 10.0 * 1000.0
 
     def test_missing_metric_counts_as_failed(self):
         space = make_space([3, 3])
         result = SliResult(slis={"throughput_rps": 10.0})
-        obs = score_result(
-            Configuration((500, 500)), result, UTILITY, SLO, space, None, 1
-        )
-        assert obs.failed
-        assert obs.utility == failure_utility(SLO)
+        utility, _, failed = score_one(Configuration((500, 500)), result, space)
+        assert failed
+        assert utility == failure_utility(SLO)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_metric_counts_as_failed(self, value, caplog):
         space = make_space([3, 3])
         result = SliResult(slis={"p99_latency_ms": value})
-        obs = score_result(
-            Configuration((500, 500)), result, UTILITY, SLO, space, None, 4
-        )
-        assert obs.failed and not obs.feasible
-        assert obs.utility == failure_utility(SLO)
+        utility, feasible, failed = score_one(Configuration((500, 500)), result, space, 4)
+        assert failed and not feasible
+        assert utility == failure_utility(SLO)
         assert f"evaluation 4 returned p99_latency_ms={value}" in caplog.text
 
     def test_satisfied_scores_allocation_cost(self):
         space = make_space([3, 3])
         result = SliResult(slis={"p99_latency_ms": 900.0})
-        obs = score_result(
-            Configuration((500, 500)), result, UTILITY, SLO, space, None, 1
+        utility, feasible, _ = score_one(Configuration((500, 500)), result, space)
+        assert utility == 0.0 and feasible
+
+    def test_block_rows_are_scored_in_order_and_numbered(self, caplog):
+        """One call scores a mixed run of rows: a row's warning carries its
+        own evaluation number."""
+        space = make_space([3, 3])
+        settings = np.array([(500, 500), (625, 750), (750, 750), (500, 625)])
+        measured = Measured(
+            {"p99_latency_ms": np.array([900.0, 1100.0, np.nan, np.inf])},
+            [None, None, "oom", None],
         )
-        assert obs.utility == 0.0 and obs.feasible
+        utility, feasible, failed = score_result(settings, measured, UTILITY, SLO, space, None, 10)
+        assert utility.tolist() == [0.0, 101.0, failure_utility(SLO), failure_utility(SLO)]
+        assert feasible.tolist() == [True, False, False, False]
+        assert failed.tolist() == [False, False, True, True]
+        assert "evaluation 13 returned p99_latency_ms=inf" in caplog.text
+        assert "evaluation 12" not in caplog.text
 
     def test_sli_objective_maps_failure_to_penalty(self):
         space = make_space([2, 2])
@@ -148,21 +171,10 @@ class TestRunOptimization:
         # cheapest configuration that still satisfies the latency bound
         assert trace.best.config.settings == (625, 750)
         expected = min(
-            (
-                score_result(
-                    c,
-                    SurfaceBackend(space).evaluate(space.render(c), WORKLOAD),
-                    UTILITY,
-                    SLO,
-                    space,
-                    None,
-                    1,
-                )
-                for c in space.iter_configurations()
-            ),
-            key=lambda o: o.utility,
+            score_one(c, SurfaceBackend(space).evaluate(space.render(c), WORKLOAD), space)[0]
+            for c in space.iter_configurations()
         )
-        assert trace.best.utility == expected.utility
+        assert trace.best.utility == expected
 
     def test_best_curve_non_increasing_and_indexed(self):
         space = make_space([3, 3])
@@ -354,6 +366,34 @@ class TestDataset:
         ):
             Dataset(space=space, rows=rows)
 
+    @pytest.mark.parametrize("utility", [math.nan, math.inf, -math.inf])
+    def test_non_finite_utility_rejected(self, utility):
+        """A NaN utility in row 3 of a 2x2 space once became the optimum,
+        and the file written from it failed to load."""
+        space = make_space([2, 2])
+        rows = tuple(
+            Observation(
+                config=c, slis={}, utility=utility if i == 2 else 0.5, feasible=i != 2,
+                eval_index=i + 1,
+            )
+            for i, c in enumerate(space.iter_configurations())
+        )
+        with pytest.raises(ValueError, match=re.escape("data row 3: utility is not finite")):
+            Dataset(space=space, rows=rows)
+
+    def test_failed_row_marked_feasible_rejected(self):
+        space = make_space([2, 2])
+        rows = tuple(
+            Observation(
+                config=c, slis={}, utility=0.5, feasible=True, eval_index=i + 1, failed=i == 1
+            )
+            for i, c in enumerate(space.iter_configurations())
+        )
+        with pytest.raises(
+            ValueError, match=re.escape("data row 2: a failed row is marked feasible")
+        ):
+            Dataset(space=space, rows=rows)
+
     def test_optimum_is_first_row_at_minimum(self):
         space = make_space([2, 2])
         utilities = [0.9, 0.2, 0.2, 0.5]
@@ -461,9 +501,9 @@ class TestCollectExhaustive:
         assert [o.utility for o in reloaded.rows] == [o.utility for o in dataset.rows]
 
     def test_error_partway_through_a_noise_chunk_keeps_earlier_rows(self, tmp_path):
-        """Rows measured before a row that raises reach the partial file even
-        though their chunk's noise seeds were derived together; a resume
-        completes the file byte for byte."""
+        """Rows measured before a row that raises reach the partial file
+        even though their whole block was measured, and its noise seeded,
+        together; a resume completes the file byte for byte."""
         model = ServiceModelSpec(
             services=(ServiceSpec("web", 50.0, 500.0, 600.0), ServiceSpec("db", 20.0, 100.0, 0.0)),
             chain=("web", "db"),
@@ -480,13 +520,17 @@ class TestCollectExhaustive:
             )
         )
         broken_row = 20
-        bad = space.render(list(space.iter_configurations())[broken_row])
 
         class BrokenRow(SyntheticBackend):
-            def evaluate(self, params, workload, **kwargs):
-                if params == bad:
-                    raise ValueError("parameter 'dbCpu': cpu must be positive")
-                return super().evaluate(params, workload, **kwargs)
+            """Row 20 of every block sets dbCpu to an extra level, "0m"."""
+
+            def evaluate_many(self, block, workload):
+                db_cpu = block.names.index("dbCpu")
+                texts = list(block.texts)
+                texts[db_cpu] = (*texts[db_cpu], "0m")
+                levels = block.levels.copy()
+                levels[broken_row, db_cpu] = len(texts[db_cpu]) - 1
+                return super().evaluate_many(block._replace(levels=levels, texts=tuple(texts)), workload)
 
         reference = tmp_path / "reference.csv"
         collect_exhaustive(space, SyntheticBackend(model), UTILITY, SLO, WORKLOAD, out_path=reference)
@@ -498,6 +542,40 @@ class TestCollectExhaustive:
         assert partial.splitlines() == expected.splitlines()[: 1 + broken_row]
         collect_exhaustive(space, SyntheticBackend(model), UTILITY, SLO, WORKLOAD, out_path=out)
         assert out.read_bytes() == expected
+
+    def test_blocks_hold_at_most_the_readers_chunk(self, monkeypatch):
+        """Collection hands a block backend blocks of ``_READ_CHUNK`` rows,
+        the last one shorter, whose rows follow enumeration order."""
+        monkeypatch.setattr(harness, "_READ_CHUNK", 4)
+        space = make_space([3, 3])
+        sizes = []
+
+        class Recording(SurfaceBackend):
+            def evaluate_many(self, block, workload):
+                sizes.append(len(block.levels))
+                return super().evaluate_many(block, workload)
+
+        dataset = collect_exhaustive(space, Recording(space), UTILITY, SLO, WORKLOAD)
+        reference, _ = surface_dataset()
+        assert sizes == [4, 4, 1]
+        assert dataset.rows == reference.rows
+
+    def test_per_row_backend_checkpoints_every_row(self, tmp_path, monkeypatch):
+        """A backend measuring one row at a time has each row written as it
+        is measured, and the file flushed every ``_FLUSH_EVERY`` rows."""
+        monkeypatch.setattr(harness, "_FLUSH_EVERY", 3)
+        space = make_space([3, 4])
+        out = tmp_path / "dataset.csv"
+        partial = out.with_name("dataset.csv.partial")
+        on_disk = []
+
+        class Watching(SurfaceBackend):
+            def evaluate(self, params, workload):
+                on_disk.append(len(partial.read_bytes().splitlines()) - 1)
+                return super().evaluate(params, workload)
+
+        collect_exhaustive(space, Watching(space), UTILITY, SLO, WORKLOAD, out_path=out)
+        assert on_disk == [row - row % 3 for row in range(space.size)]
 
     def test_duck_typed_backend_collects(self):
         """A backend that defines only ``evaluate``, without subclassing
@@ -521,10 +599,10 @@ class TestCollectExhaustive:
         space = make_space([3, 3])
 
         class Short(SurfaceBackend):
-            def evaluate_many(self, params_seq, workload):
-                return iter([self.evaluate(next(iter(params_seq)), workload)])
+            def evaluate_many(self, block, workload):
+                return iter([Measured.of(self.evaluate(block.render(0), workload))])
 
-        with pytest.raises(ValueError, match="zip"):
+        with pytest.raises(ValueError, match="measured 1 rows of a block of 9"):
             collect_exhaustive(space, Short(space), UTILITY, SLO, WORKLOAD)
 
     def test_resume_discards_torn_final_line(self, tmp_path):

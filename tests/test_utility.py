@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confopt import bundled_path
+from confopt.config import parse_config
 from confopt.space import Configuration, ParameterSpec, SearchSpace
 from confopt.utility import (
     CostWeights,
@@ -99,6 +102,40 @@ class TestAllocationCost:
         full_cost = allocation_cost(config, space)
         assert full_cost < allocation_cost(config, reduced)
         assert full_cost == pytest.approx((0.4 + 0.4 + 0.2 + 0.2) / 4)
+
+
+class TestBlockCosts:
+    @pytest.mark.parametrize(
+        "configs, costs",
+        [
+            ("toystore.yaml", "toystore.yaml"),
+            ("toystore-reduced.yaml", "toystore-reduced.yaml"),
+            ("toystore-reduced.yaml", "toystore.yaml"),
+        ],
+        ids=["full-grid", "reduced-bounds", "reduced-in-full-bounds"],
+    )
+    def test_block_costs_equal_per_row_costs_bit_for_bit(self, configs, costs):
+        """Every row of a settings matrix costs what the configuration
+        costs alone, and what ``np.dot`` of its ``ParameterSpec.normalized``
+        coordinates gave before costs were computed a block at a time; the
+        reduced bounds pin a parameter to one level."""
+        space = parse_config(str(bundled_path(configs))).space
+        cost_config = parse_config(str(bundled_path(costs)))
+        cost_space, weights = cost_config.space, cost_config.cost_weights
+        settings = list(space.iter_settings())
+        block = allocation_cost(np.array(settings), cost_space, weights)
+        per_row = np.array([allocation_cost(Configuration(s), cost_space, weights) for s in settings])
+        w = weights.normalized()
+        params = cost_space.parameters
+        dot = np.array([np.dot(w, [p.normalized(v) for p, v in zip(params, s)]) for s in settings])
+        assert block.shape == (space.size,)
+        assert np.array_equal(block.view(np.uint64), per_row.view(np.uint64))
+        assert np.array_equal(block.view(np.uint64), dot.view(np.uint64))
+
+    def test_off_grid_row_raises_the_configurations_error(self, space):
+        settings = np.array([(500, 512, 500, 512), (500, 513, 500, 512)])
+        with pytest.raises(ValueError, match="'aMemory': 513 is not on the grid"):
+            allocation_cost(settings, space)
 
 
 class TestUtility:
