@@ -376,6 +376,9 @@ class SyntheticBackend(Backend):
         # latency in ms, or None when it runs out of memory. A grid repeats
         # each service's few settings across many configurations.
         self._latencies: dict[tuple[str, str, str, int], float | None] = {}
+        # The (names, texts) of the last block whose noise was drawn, and
+        # per parameter its "name=text" tokens, hashed into each row's seed.
+        self._tokens: tuple[tuple, list[np.ndarray]] = ((), [])
 
     def evaluate(self, params: Mapping[str, str], workload: WorkloadSpec) -> SliResult:
         """Measure one configuration, as a one-row block."""
@@ -485,10 +488,13 @@ class SyntheticBackend(Backend):
         text, never of the call, so results are independent of evaluation
         order and of batching, and safe under concurrency."""
         prefix = f"{self.seed}|{workload.tenants}|{workload.rate_per_tenant}|"
-        columns = [
-            np.array([f"{name}={text}" for text in texts], dtype=object)[block.levels[rows, j]]
-            for j, (name, texts) in enumerate(zip(block.names, block.texts))
-        ]
+        layout = block.names, block.texts
+        if self._tokens[0] != layout:
+            self._tokens = layout, [
+                np.array([f"{name}={text}" for text in texts], dtype=object)
+                for name, texts in zip(*layout)
+            ]
+        columns = [tokens[block.levels[rows, j]] for j, tokens in enumerate(self._tokens[1])]
         digests = b"".join(
             hashlib.sha256((prefix + ",".join(parts)).encode("utf-8")).digest()[:8]
             for parts in zip(*columns)

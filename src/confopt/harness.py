@@ -8,13 +8,12 @@ emitted file is a pure function of its inputs (no timestamps).
 
 from __future__ import annotations
 
-import collections
+import bisect
 import csv
 import functools
 import itertools
 import logging
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -58,11 +57,10 @@ logger = logging.getLogger(__name__)
 EXHAUSTIVE_CAP = 100_000
 #: ``collect_exhaustive`` flushes its checkpoint file every this many rows.
 _FLUSH_EVERY = 100
-#: Dataset rows parsed at a time.
+#: Configurations measured per evaluation block.
 _READ_CHUNK = 4096
 
 _METRIC_COLUMNS = ("p99_latency_ms", "throughput_rps", "utility", "feasible", "failed")
-_FLAGS = {"true": True, "false": False}
 
 
 def _fmt(value: float) -> str:
@@ -187,34 +185,29 @@ class Evaluator:
         return float(obs.slis[self.slo.metric])
 
     def _scored(
-        self, settings: Iterable[tuple[int, ...]], eval_index: int
-    ) -> Iterator[tuple[list[tuple[int, ...]], Measured, tuple[np.ndarray, ...]]]:
-        """Measure and score ``settings``, numbered from ``eval_index``, in
-        blocks of up to ``_READ_CHUNK`` rows: per run of rows the backend
-        yields, the run's settings, its measurement and its scores."""
-        settings = iter(settings)
-        for chunk in iter(lambda: list(itertools.islice(settings, _READ_CHUNK)), []):
-            matrix = np.array(chunk)
-            levels = self.space.level_indices(matrix)
-            block = Block(self.space.names, levels, self.space.rendered_levels)
-            done = 0
-            for measured in self._evaluate_many(block, self.workload):
-                rows = slice(done, done + len(measured.reasons))
-                done = rows.stop
-                if done > len(chunk):
-                    break
-                yield chunk[rows], measured, score_result(
-                    matrix[rows],
-                    measured,
-                    self.utility_fn,
-                    self.slo,
-                    self.cost_space,
-                    self.weights,
-                    eval_index + rows.start,
-                )
-            if done != len(chunk):
-                raise ValueError(f"the backend measured {done} rows of a block of {len(chunk)}")
-            eval_index += len(chunk)
+        self, settings: np.ndarray, eval_index: int
+    ) -> Iterator[tuple[slice, Measured, tuple[np.ndarray, ...]]]:
+        """Measure and score a block of settings numbered from ``eval_index``:
+        per run of rows the backend yields, its rows, measurement and scores."""
+        levels = self.space.level_indices(settings)
+        block = Block(self.space.names, levels, self.space.rendered_levels)
+        done = 0
+        for measured in self._evaluate_many(block, self.workload):
+            rows = slice(done, done + len(measured.reasons))
+            done = rows.stop
+            if done > len(settings):
+                break
+            yield rows, measured, score_result(
+                settings[rows],
+                measured,
+                self.utility_fn,
+                self.slo,
+                self.cost_space,
+                self.weights,
+                eval_index + rows.start,
+            )
+        if done != len(settings):
+            raise ValueError(f"the backend measured {done} rows of a block of {len(settings)}")
 
     def _settings(self, config: Configuration) -> tuple[int, ...]:
         if len(config.settings) != self.space.dimension:
@@ -224,32 +217,33 @@ class Evaluator:
     def _measure(
         self, configs: Iterable[Configuration], eval_index: int
     ) -> Iterator[Observation]:
-        for chunk, measured, scores in self._scored(map(self._settings, configs), eval_index):
-            rows = zip(chunk, *map(np.ndarray.tolist, scores))
-            for row, (settings, utility, feasible, failed) in enumerate(rows):
-                slis = measured.slis(row)
-                yield Observation(Configuration(settings), slis, utility, feasible, eval_index, failed)
-                eval_index += 1
+        pending = map(self._settings, configs)
+        for chunk in iter(lambda: list(itertools.islice(pending, _READ_CHUNK)), []):
+            for rows, measured, scores in self._scored(np.array(chunk), eval_index):
+                records = zip(chunk[rows], *map(np.ndarray.tolist, scores))
+                for row, (settings, utility, feasible, failed) in enumerate(records):
+                    slis = measured.slis(row)
+                    yield Observation(
+                        Configuration(settings), slis, utility, feasible, eval_index, failed
+                    )
+                    eval_index += 1
 
-    def _measured_columns(
-        self, settings: Iterable[tuple[int, ...]], eval_index: int = 1
-    ) -> Iterator["_Columns"]:
-        """Dataset columns of ``settings`` in order, numbered from
-        ``eval_index``, one block per run of rows the backend yields; a
-        replaying evaluator's ``_columns`` is ``_replayed_columns``, one
-        block per row."""
-        for chunk, measured, scores in self._scored(settings, eval_index):
-            absent = np.full(len(chunk), math.nan)
-            metrics = (measured.metrics.get(name, absent) for name in _METRIC_COLUMNS[:2])
-            yield _Columns(chunk, *(c.tolist() for c in (*metrics, *scores)))
+    def _measured_columns(self, start: int = 0) -> Iterator["_Columns"]:
+        """Dataset columns of the configurations from rank ``start`` on, one
+        block per run of rows the backend yields; a replaying evaluator's
+        ``_columns`` is ``_replayed_columns``, one block per row."""
+        size = self.space.size
+        for first in range(start, size, _READ_CHUNK):
+            settings = self.space.settings_block(first, min(first + _READ_CHUNK, size))
+            for rows, measured, scores in self._scored(settings, first + 1):
+                absent = np.full(rows.stop - rows.start, math.nan)
+                metrics = (measured.metrics.get(name, absent) for name in _METRIC_COLUMNS[:2])
+                yield _Columns(settings[rows], *metrics, *scores)
 
-    def _replayed_columns(
-        self, settings: Iterable[tuple[int, ...]], eval_index: int = 1
-    ) -> Iterator["_Columns"]:
-        for obs in self._replay(map(Configuration, settings), eval_index):
-            block = _Columns.empty()
-            block.append(obs)
-            yield block
+    def _replayed_columns(self, start: int = 0) -> Iterator["_Columns"]:
+        configs = map(self.space.config_at, range(start, self.space.size))
+        for obs in self._replay(configs, start + 1):
+            yield _Columns.of([obs], self.space.dimension)
 
     def _replay(
         self, configs: Iterable[Configuration], eval_index: int
@@ -356,42 +350,37 @@ def run_optimization(
 
 
 class _Columns(NamedTuple):
-    """Dataset columns as lists, one entry per row in enumeration order."""
+    """Dataset columns, one entry per row in enumeration order: the
+    settings matrix, the float metric and utility columns, where NaN marks
+    an absent metric, and the boolean flag columns."""
 
-    settings: list[tuple[int, ...]]
-    p99: list[float]
-    throughput: list[float]
-    utility: list[float]
-    feasible: list[bool]
-    failed: list[bool]
+    settings: np.ndarray
+    p99: np.ndarray
+    throughput: np.ndarray
+    utility: np.ndarray
+    feasible: np.ndarray
+    failed: np.ndarray
 
     @classmethod
-    def empty(cls) -> "_Columns":
-        return cls([], [], [], [], [], [])
+    def of(cls, observations: Sequence[Observation], dimension: int) -> "_Columns":
+        """The columns of observations of a space of ``dimension`` parameters."""
+        settings = np.array([obs.config.settings for obs in observations], np.int64)
+        values = [
+            [obs.slis.get(name, math.nan) for name in _METRIC_COLUMNS[:2]]
+            + [obs.utility, obs.feasible, obs.failed]
+            for obs in observations
+        ]
+        values = np.array(values, float).reshape(-1, 5).T
+        return cls(settings.reshape(-1, dimension), *values[:3], *values[3:].astype(bool))
 
-    def append(self, obs: Observation) -> tuple:
-        """Add one observation; return its dataset CSV record."""
-        settings = obs.config.settings
-        p99 = float(obs.slis.get("p99_latency_ms", math.nan))
-        throughput = float(obs.slis.get("throughput_rps", math.nan))
-        utility = float(obs.utility)
-        feasible, failed = bool(obs.feasible), bool(obs.failed)
-        self.settings.append(settings)
-        self.p99.append(p99)
-        self.throughput.append(throughput)
-        self.utility.append(utility)
-        self.feasible.append(feasible)
-        self.failed.append(failed)
-        return (*settings, p99, throughput, utility, _bool(feasible), _bool(failed))
-
-    def extend(self, block: "_Columns") -> None:
-        for column, values in zip(self, block):
-            column.extend(values)
+    @classmethod
+    def concat(cls, blocks: Sequence["_Columns"]) -> "_Columns":
+        return cls(*map(np.concatenate, zip(*blocks)))
 
     def records(self) -> Iterator[tuple]:
         """Every row's dataset CSV record."""
-        flags = map(_bool, self.feasible), map(_bool, self.failed)
-        return zip(*zip(*self.settings), *self[1:4], *flags)
+        flags = (map(_bool, column.tolist()) for column in self[4:])
+        return zip(*self.settings.T.tolist(), *(column.tolist() for column in self[1:4]), *flags)
 
 
 def _row_format(cells: str) -> str:
@@ -420,22 +409,20 @@ class Dataset:
     """An exhaustively measured space: one row per configuration, in
     enumeration order, held as columns.
 
-    ``settings`` lists each row's settings tuple; ``p99``, ``throughput``
+    ``settings_matrix`` holds each row's settings; ``p99``, ``throughput``
     and ``utility`` are float arrays, where NaN marks an absent metric;
     ``feasible`` and ``failed`` are boolean arrays. The optimum is the
-    first row attaining the minimum utility. ``rows``, one
-    :class:`Observation` per row numbered from 1, and the replay index are
-    built on first use.
+    first row attaining the minimum utility. ``settings``, each row's
+    settings tuple, ``rows``, one :class:`Observation` per row numbered
+    from 1, and the replay index are built on first use.
     """
 
     def __init__(
         self, space: SearchSpace, rows: Sequence[Observation], slo: SloSpec | None = None
     ):
         rows = tuple(rows)
-        columns = _Columns.empty()
-        for obs in rows:
-            columns.append(obs)
-        _check_order(space, columns.settings)
+        _check_order(space, [obs.config.settings for obs in rows])
+        columns = _Columns.of(rows, space.dimension)
         bad = _bad_row(columns)
         if bad is not None:
             raise ValueError(f"data row {bad[0] + 1}: {bad[1]}")
@@ -454,27 +441,24 @@ class Dataset:
         return dataset
 
     def _fill(self, space: SearchSpace, columns: _Columns, slo: SloSpec | None) -> None:
-        if len(columns.settings) != space.size:
+        if len(columns.utility) != space.size:
             raise ValueError(
-                f"dataset has {len(columns.settings)} rows for a space of "
+                f"dataset has {len(columns.utility)} rows for a space of "
                 f"{space.size} configurations"
             )
         self.space = space
         self.slo = slo
-        self.settings = columns.settings
-        self.p99, self.throughput, self.utility = (
-            np.array(column, dtype=float) for column in columns[1:4]
-        )
-        self.feasible, self.failed = (np.array(column, dtype=bool) for column in columns[4:])
+        self.settings_matrix, self.p99, self.throughput = columns[:3]
+        self.utility, self.feasible, self.failed = columns[3:]
 
-    def _row(self, index: int) -> Observation:
+    def _row(self, index: int, settings: tuple[int, ...]) -> Observation:
         slis = {}
         for name, column in (("p99_latency_ms", self.p99), ("throughput_rps", self.throughput)):
             value = column[index].item()
             if not math.isnan(value):
                 slis[name] = value
         return Observation(
-            Configuration(self.settings[index]),
+            Configuration(settings),
             slis,
             self.utility[index].item(),
             bool(self.feasible[index]),
@@ -483,16 +467,21 @@ class Dataset:
         )
 
     @functools.cached_property
+    def settings(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.settings_matrix.tolist()))
+
+    @functools.cached_property
     def rows(self) -> tuple[Observation, ...]:
-        return tuple(map(self._row, range(len(self.settings))))
+        return tuple(map(self._row, itertools.count(), self.settings))
 
     @functools.cached_property
     def optimum(self) -> Observation:
-        return self._row(int(np.argmin(self.utility)))
+        index = int(np.argmin(self.utility))
+        return self._row(index, tuple(self.settings_matrix[index].tolist()))
 
     @property
     def feasible_fraction(self) -> float:
-        return np.count_nonzero(self.feasible) / len(self.settings)
+        return np.count_nonzero(self.feasible) / len(self.feasible)
 
     @functools.cached_property
     def _replay(self) -> ReplayBackend:
@@ -528,43 +517,52 @@ def _bad_row(columns: _Columns) -> tuple[int, str] | None:
     values, and why: a utility that is not finite, then a failed row marked
     feasible. None when every row passes."""
     for problem, bad in (
-        ("utility is not finite", ~np.isfinite(np.array(columns.utility, dtype=float))),
-        (
-            "a failed row is marked feasible",
-            np.array(columns.failed, bool) & np.array(columns.feasible, bool),
-        ),
+        ("utility is not finite", ~np.isfinite(columns.utility)),
+        ("a failed row is marked feasible", columns.failed & columns.feasible),
     ):
         if bad.any():
             return int(np.argmax(bad)), problem
     return None
 
 
-def _line_number(path: Path, index: int) -> int:
-    """The line on which data record ``index`` of a CSV file ends."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        collections.deque(itertools.islice(reader, index + 2), maxlen=0)
-        return reader.line_num
+def _parse_lines(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """The records of dataset lines, one per line, by numpy's C text
+    reader, or None when a line is malformed: settings cells must be
+    integers, metric cells floats and flag cells ``true`` or ``false``, any
+    of them quoted. ``np.loadtxt`` would skip a blank line and read a quoted
+    cell across lines, so both are refused, and so is a NUL, which a text
+    field drops from its end."""
+    if "" in lines or "\r" in lines or "\0" in "".join(lines):
+        return None
+    try:
+        records = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except ValueError:
+        return None
+    if len(records) != len(lines) or not np.isin(records["flags"], ("true", "false")).all():
+        return None
+    return records
 
 
-def _read_dataset(path: Path, space: SearchSpace | None = None) -> tuple[SearchSpace, _Columns]:
-    """Parse a dataset or ``.partial`` file into columns.
+def _read_dataset(
+    path: Path, space: SearchSpace | None = None
+) -> tuple[SearchSpace, _Columns, int]:
+    """Parse a dataset or ``.partial`` file into columns, and count the
+    bytes of the torn final line it dropped (0 when none).
 
-    Only a torn final line (an interrupted write) is dropped; any other
-    malformed row, a non-finite utility or a failed row marked feasible is
-    an error naming its line. With ``space`` the parameter columns must
-    match its names; without it the space is inferred: per parameter the
-    grid levels are the distinct values seen and the granularity is their
-    greatest common step. Either way the rows must follow the space's
-    enumeration order, at most one per configuration. A NaN metric cell
-    means the metric is absent.
+    The header goes through csv.reader, the data lines, one record each,
+    through ``_parse_lines``. Only a malformed final line (an interrupted
+    write) is dropped; any other, a non-finite utility or a failed row
+    marked feasible is an error naming its line. With ``space`` the
+    parameter columns must match its names; without it the space is
+    inferred: per parameter the levels seen, on the greatest common step.
+    The rows must follow the space's enumeration order, at most one per
+    configuration. A NaN metric cell means the metric is absent.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty dataset") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty dataset")
         k = len(header) - len(_METRIC_COLUMNS)
         if k < 1 or tuple(header[k:]) != _METRIC_COLUMNS:
             raise ValueError(
@@ -577,59 +575,38 @@ def _read_dataset(path: Path, space: SearchSpace | None = None) -> tuple[SearchS
                 f"{path}: parameter columns {names} do not match the "
                 f"configured space {list(space.names)}"
             )
-        metric_converters = (float,) * 3 + (_FLAGS.__getitem__,) * 2
-
-        def parse(records: list[list[str]]) -> list[list] | None:
-            """The records' values column by column; None if one is malformed."""
-            if records and set(map(len, records)) != {len(header)}:
-                return None
-            columns = list(zip(*records))
-            try:
-                return [
-                    # A settings column repeats a few cells: parse each one once.
-                    list(map({cell: int(cell) for cell in set(column)}.__getitem__, column))
-                    for column in columns[:k]
-                ] + [list(map(f, c)) for f, c in zip(metric_converters, columns[k:])]
-            except (ValueError, KeyError):
-                return None
-
-        parsed: list[list] = [[] for _ in header]
-        # Chunks bound the text held at once; rows are parsed column-wise.
-        for chunk in iter(lambda: list(itertools.islice(reader, _READ_CHUNK)), []):
-            values = parse(chunk)
-            if values is None:
-                bad = next(i for i, record in enumerate(chunk) if parse([record]) is None)
-                if bad < len(chunk) - 1 or next(reader, None) is not None:
-                    line = _line_number(path, len(parsed[0]) + bad)
-                    raise ValueError(f"{path}: line {line}: malformed dataset row")
-                values = parse(chunk[:-1])  # a torn final line
-            for column, chunk_values in zip(parsed, values):
-                column.extend(chunk_values)
-    count = len(parsed[0])
-    columns = _Columns(None, *parsed[k:])
+        first_line = reader.line_num + 1
+        body = handle.read()
+    dtype = np.dtype([("settings", "i8", (k,)), ("metrics", "f8", (3,)), ("flags", "U6", (2,))])
+    *lines, final = body.removesuffix("\n").split("\n")
+    records = _parse_lines(lines, dtype) if lines else np.empty(0, dtype)
+    if records is None:  # name the first line that ends a rejected prefix
+        bad = bisect.bisect_left(
+            range(len(lines)), True, key=lambda n: _parse_lines(lines[: n + 1], dtype) is None
+        )
+        raise ValueError(f"{path}: line {first_line + bad}: malformed dataset row")
+    tail = _parse_lines([final], dtype)  # None when the final line is torn
+    parts = [records] if tail is None else [records, tail]
+    settings, metrics, flags = (np.concatenate([p[name] for p in parts]) for name in dtype.names)
+    columns = _Columns(settings, *metrics.T.copy(), *(flags == "true").T.copy())
     bad = _bad_row(columns)
     if bad is not None:
-        raise ValueError(f"{path}: line {_line_number(path, bad[0])}: {bad[1]}")
+        raise ValueError(f"{path}: line {first_line + bad[0]}: {bad[1]}")
     if space is None:
-        if not count:
+        if not len(settings):
             raise ValueError(f"{path}: no data rows")
         specs = []
-        for name, column in zip(names, parsed[:k]):
-            levels = sorted(set(column))
-            steps = [b - a for a, b in zip(levels, levels[1:])]
-            specs.append(
-                ParameterSpec(
-                    name=name,
-                    minimum=levels[0],
-                    maximum=levels[-1],
-                    granularity=math.gcd(*steps) or 1,
-                    allow_single_level=True,
-                )
-            )
+        for name, column in zip(names, settings.T):
+            levels = np.unique(column).tolist()
+            step = math.gcd(*np.diff(levels).tolist()) or 1
+            specs.append(ParameterSpec(name, levels[0], levels[-1], step, allow_single_level=True))
         space = SearchSpace(tuple(specs))
-    settings = list(zip(*parsed[:k]))
-    _check_order(space, settings, f"{path}: ")
-    return space, columns._replace(settings=settings)
+    if len(settings) > space.size or not np.array_equal(
+        settings, space.settings_block(0, len(settings))
+    ):
+        _check_order(space, list(map(tuple, settings.tolist())), f"{path}: ")
+    torn = 0 if tail is not None else len(final.encode("utf-8")) + body.endswith("\n")
+    return space, columns, torn
 
 
 def collect_exhaustive(
@@ -648,8 +625,10 @@ def collect_exhaustive(
 
     With ``out_path`` the rows stream into ``<out_path>.partial``, flushed
     every ``_FLUSH_EVERY`` rows and renamed to ``out_path`` at the end. A
-    restart keeps the complete rows of an existing partial file, rewrites
-    them and measures only the rest.
+    restart validates an existing partial file as the reader does, cuts it
+    after its last complete row (ending that row's line if it lacks a
+    newline) and appends the rows it measures; the kept rows stay as they
+    are on disk.
     """
     if space.size > EXHAUSTIVE_CAP:
         raise ValueError(
@@ -657,33 +636,36 @@ def collect_exhaustive(
             f"{EXHAUSTIVE_CAP}; screen first to reduce the bounds"
         )
     evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
-    columns = _Columns.empty()
     if out_path is None:
-        for block in evaluator._columns(space.iter_settings()):
-            columns.extend(block)
-        return Dataset._from_columns(space, columns, slo)
+        return Dataset._from_columns(space, _Columns.concat(list(evaluator._columns())), slo)
     out_path = Path(out_path)
     partial_path = out_path.with_name(out_path.name + ".partial")
-    if partial_path.exists():
-        _, columns = _read_dataset(partial_path, space)
-        logger.info(
-            "resuming exhaustive collection: %d rows already measured", len(columns.settings)
-        )
-    done = len(columns.settings)
-    todo = itertools.islice(space.iter_settings(), done, None)
     header, cells = _dataset_columns(space)
+    blocks = []
+    if partial_path.exists():
+        _, kept, torn = _read_dataset(partial_path, space)
+        logger.info("resuming exhaustive collection: %d rows already measured", len(kept.utility))
+        with open(partial_path, "rb+") as handle:
+            end = handle.seek(-torn, os.SEEK_END)
+            handle.truncate()
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+        blocks.append(kept)
+    else:
+        with open(partial_path, "w", encoding="utf-8", newline="") as handle:
+            _write_csv(handle, header, cells, ())
+    done = len(blocks[0].utility) if blocks else 0
     row_format = _row_format(cells)
-    with open(partial_path, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(handle, header, cells, columns.records())
-        handle.flush()
-        for block in evaluator._columns(todo, done + 1):
+    with open(partial_path, "a", encoding="utf-8", newline="") as handle:
+        for block in evaluator._columns(done):
             handle.writelines(map(row_format.__mod__, block.records()))
-            if (done + len(block.settings)) // _FLUSH_EVERY > done // _FLUSH_EVERY:
+            if (done + len(block.utility)) // _FLUSH_EVERY > done // _FLUSH_EVERY:
                 handle.flush()
-            columns.extend(block)
-            done += len(block.settings)
+            blocks.append(block)
+            done += len(block.utility)
     os.replace(partial_path, out_path)
-    return Dataset._from_columns(space, columns, slo)
+    return Dataset._from_columns(space, _Columns.concat(blocks), slo)
 
 
 def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
@@ -692,7 +674,8 @@ def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
     The optimum is recomputed from the stored utilities, so a hand-edited
     file cannot smuggle in a stale one.
     """
-    return Dataset._from_columns(*_read_dataset(Path(path)), slo=slo)
+    space, columns, _ = _read_dataset(Path(path))
+    return Dataset._from_columns(space, columns, slo)
 
 
 # -- comparisons -------------------------------------------------------------
@@ -942,10 +925,10 @@ def screening_vs_standalone(
         combined_found = None
         if reduced.size <= EXHAUSTIVE_CAP:
             reduced_evaluator = Evaluator(reduced, backend, **scoring)
-            for block in reduced_evaluator._columns(reduced.iter_settings()):
-                best = min(zip(block.utility, block.settings), key=operator.itemgetter(0))
-                if reduced_optimum is None or best[0] < reduced_optimum[0]:
-                    reduced_optimum = best
+            for block in reduced_evaluator._columns():
+                row = int(np.argmin(block.utility))
+                if reduced_optimum is None or block.utility[row] < reduced_optimum[0]:
+                    reduced_optimum = block.utility[row].item(), tuple(block.settings[row].tolist())
             combined_found = any(o.config.settings == reduced_optimum[1] for o in combined)
 
         standalone_trace = run_optimization(
@@ -992,8 +975,8 @@ def screening_vs_standalone(
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    arrays = (dataset.p99, dataset.throughput, dataset.utility, dataset.feasible, dataset.failed)
-    columns = _Columns(dataset.settings, *(array.tolist() for array in arrays))
+    arrays = (getattr(dataset, name) for name in _Columns._fields[1:])
+    columns = _Columns(dataset.settings_matrix, *arrays)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         _write_csv(handle, *_dataset_columns(dataset.space), columns.records())
 
@@ -1010,10 +993,12 @@ def write_slo_cdf_csv(dataset: Dataset, path: str | Path) -> None:
 
 
 def write_trace_csv(trace: RunTrace, space: SearchSpace, path: str | Path) -> None:
-    columns = _Columns.empty()
+    columns = _Columns.of(trace.observations, space.dimension)
     records = (
-        (obs.eval_index, *columns.append(obs), best)
-        for obs, best in zip(trace.observations, trace.best_utilities.tolist())
+        (obs.eval_index, *record, best)
+        for obs, record, best in zip(
+            trace.observations, columns.records(), trace.best_utilities.tolist()
+        )
     )
     header, cells = _dataset_columns(space)
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -1069,7 +1054,7 @@ def write_svb_csv(report: SvbReport, path: str | Path) -> None:
 
 
 def dataset_summary(dataset: Dataset) -> str:
-    rows = len(dataset.settings)
+    rows = len(dataset.utility)
     feasible = int(np.count_nonzero(dataset.feasible))
     lines = [
         f"configurations: {rows}",

@@ -313,6 +313,14 @@ class SearchSpace:
         parameter fastest."""
         return itertools.product(*(p.levels() for p in self.parameters))
 
+    def settings_block(self, start: int, stop: int) -> np.ndarray:
+        """Settings matrix of the configurations at ranks ``start`` to
+        ``stop - 1`` of :meth:`iter_settings`, one row each. A stride past
+        ``stop`` leaves its level at 0, and is capped to fit in int64."""
+        minimum, granularity, count = self._grid
+        strides = [max(min(stride, stop), 1) for stride, _, _ in self._digits]
+        return minimum + granularity * (np.arange(start, stop)[:, None] // strides % count)
+
     def iter_configurations(self) -> Iterator[Configuration]:
         """Every configuration, in :meth:`iter_settings` order."""
         return map(Configuration, self.iter_settings())

@@ -321,6 +321,15 @@ class TestNoiseSeeds:
         if count > 3:
             assert results[3].failure_reason == "web out of memory"
 
+    def test_one_backend_alternating_between_block_layouts(self):
+        """The noise tokens built for one block layout are not reused for
+        another: blocks of different texts, and of the same texts again,
+        each match the per-row reference."""
+        backend = SyntheticBackend(NOISY_MODEL, seed=5)
+        for rows in (noisy_rows(6), noisy_rows(9)[3:], noisy_rows(6)):
+            results = measured_results(backend.evaluate_many(block_of(rows), WORKLOAD))
+            assert results == [reference_result(backend, params, WORKLOAD) for params in rows]
+
     def test_evaluate_alone_matches_per_row_default_rng(self):
         backend = SyntheticBackend(NOISY_MODEL, seed=3)
         for params in noisy_rows(8):

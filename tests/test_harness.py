@@ -416,7 +416,7 @@ class TestDataset:
         backend = SurfaceBackend(space, fail_settings=(625, 625))
         dataset = collect_exhaustive(space, backend, UTILITY, SLO, WORKLOAD)
         dataset_summary(dataset)
-        assert "rows" not in vars(dataset) and "_replay" not in vars(dataset)
+        assert not {"settings", "rows", "_replay"} & set(vars(dataset))
         evaluator = Evaluator(space, backend, UTILITY, SLO, WORKLOAD)
         assert dataset.rows == tuple(evaluator.evaluate(space.iter_configurations()))
         assert dataset.optimum == min(dataset.rows, key=lambda obs: obs.utility)
@@ -594,6 +594,21 @@ class TestCollectExhaustive:
         reference, _ = surface_dataset()
         assert duck.inner.calls == space.size
         assert dataset.rows == reference.rows
+
+    def test_replay_collection_resumes_to_the_same_file(self, tmp_path):
+        """Collecting a dataset through its own replay backend, one stored
+        row at a time, writes its file again, also from a torn partial."""
+        dataset, _ = surface_dataset(fail_settings=(625, 625))
+        expected = tmp_path / "expected.csv"
+        write_dataset_csv(dataset, expected)
+        lines = expected.read_bytes().splitlines(keepends=True)
+        out = tmp_path / "dataset.csv"
+        out.with_name("dataset.csv.partial").write_bytes(b"".join(lines[:4]) + lines[4][:5])
+        replayed = collect_exhaustive(
+            dataset.space, dataset.replay_backend(), UTILITY, SLO, WORKLOAD, out_path=out
+        )
+        assert out.read_bytes() == expected.read_bytes()
+        assert replayed.rows == dataset.rows
 
     def test_short_evaluate_many_is_an_error(self):
         space = make_space([3, 3])
@@ -815,6 +830,116 @@ class TestDatasetCsv:
         assert all(f2 >= f1 for f1, f2 in zip(fractions, fractions[1:]))
 
 
+class TestDatasetReaderRules:
+    """The cell and line syntax the dataset reader accepts, and what it
+    rejects or drops, on a 3x3 dataset whose data row ``i`` is line
+    ``i + 1``."""
+
+    @staticmethod
+    def written(tmp_path, space=None):
+        space = space or make_space([3, 3])
+        dataset = collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD)
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(dataset, path)
+        return dataset, path, path.read_text().splitlines(keepends=True)
+
+    @staticmethod
+    def resume(dataset, partial_text, tmp_path):
+        """Finish ``partial_text`` as a ``.partial`` file; the finished
+        file's bytes and the rows measured for it."""
+        out = tmp_path / "out.csv"
+        out.with_name("out.csv.partial").write_bytes(partial_text.encode("utf-8"))
+        backend = SurfaceBackend(dataset.space)
+        collect_exhaustive(dataset.space, backend, UTILITY, SLO, WORKLOAD, out_path=out)
+        return out.read_bytes(), backend.calls
+
+    def test_crlf_line_endings_load(self, tmp_path):
+        dataset, path, lines = self.written(tmp_path)
+        path.write_bytes("".join(lines).replace("\n", "\r\n").encode("utf-8"))
+        assert load_dataset(path).rows == dataset.rows
+
+    @pytest.mark.parametrize("blank", ["\n", "\r\n", "   \n"], ids=["empty", "crlf", "spaces"])
+    def test_inner_blank_line_is_malformed(self, tmp_path, blank):
+        _, path, lines = self.written(tmp_path)
+        lines.insert(4, blank)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: malformed dataset row")):
+            load_dataset(path)
+
+    def test_quoted_cells_load(self, tmp_path):
+        dataset, path, lines = self.written(tmp_path)
+        quoted = ('"' + line.rstrip("\n").replace(",", '","') + '"\n' for line in lines)
+        path.write_text("".join(quoted))
+        assert load_dataset(path).rows == dataset.rows
+
+    @pytest.mark.parametrize("flag", [" false", "false ", "False", "0", '"false" '])
+    def test_flag_cells_are_exactly_true_or_false(self, tmp_path, flag):
+        _, path, lines = self.written(tmp_path)
+        cells = lines[2].rstrip("\n").split(",")
+        cells[-1] = flag
+        lines[2] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: malformed dataset row")):
+            load_dataset(path)
+
+    def test_underscore_in_a_settings_cell_is_malformed(self, tmp_path):
+        _, path, lines = self.written(tmp_path, make_space([2, 2], granularity=500))
+        assert lines[2].startswith("500,1000,")
+        lines[2] = lines[2].replace("500,1000,", "500,1_000,", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: malformed dataset row")):
+            load_dataset(path)
+
+    def test_malformed_final_line_ending_in_a_newline_is_dropped(self, tmp_path):
+        dataset, path, lines = self.written(tmp_path)
+        finished = "".join(lines)
+        torn = "".join(lines[:-1]) + "750,750,oops\n"
+        path.write_text(torn)
+        with pytest.raises(ValueError, match="dataset has 8 rows for a space of 9"):
+            load_dataset(path)
+        assert self.resume(dataset, torn, tmp_path) == (finished.encode("utf-8"), 1)
+
+    def test_header_only_file(self, tmp_path):
+        dataset, path, lines = self.written(tmp_path)
+        path.write_text(lines[0])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no data rows")):
+            load_dataset(path)
+        finished = "".join(lines).encode("utf-8")
+        assert self.resume(dataset, lines[0], tmp_path) == (finished, dataset.space.size)
+
+    def test_header_without_a_newline_resumes(self, tmp_path):
+        dataset, _, lines = self.written(tmp_path)
+        finished = "".join(lines).encode("utf-8")
+        header = lines[0].rstrip("\n")
+        assert self.resume(dataset, header, tmp_path) == (finished, dataset.space.size)
+
+    def test_resume_keeps_crlf_rows_and_a_quoted_header_as_they_are(self, tmp_path):
+        dataset, _, lines = self.written(tmp_path)
+        header = '"' + lines[0].rstrip("\n").replace(",", '","') + '"\n'
+        kept = (header + "".join(lines[1:5])).replace("\n", "\r\n")
+        torn = lines[5][: len(lines[5]) // 2]
+        finished, calls = self.resume(dataset, kept + torn, tmp_path)
+        assert calls == dataset.space.size - 4
+        assert finished == (kept + "".join(lines[5:])).encode("utf-8")
+        assert load_dataset(tmp_path / "out.csv").rows == dataset.rows
+
+    def test_order_is_checked_in_an_inferred_space_past_int64(self, tmp_path):
+        """Ten rows whose 20 parameters each take ten values infer a space of
+        10**20 configurations; the order check still names the row."""
+        names = [f"p{i}" for i in range(20)]
+        rows = (",".join([str(r)] * 20) + ",1.0,1.0,0.5,true,false\n" for r in range(10))
+        path = tmp_path / "dataset.csv"
+        path.write_text(",".join(names + list(harness._METRIC_COLUMNS)) + "\n" + "".join(rows))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 2 has settings (1,")):
+            load_dataset(path)
+
+    def test_complete_final_line_without_a_newline_is_kept(self, tmp_path):
+        dataset, _, lines = self.written(tmp_path)
+        finished = "".join(lines)
+        partial = "".join(lines[:6]).removesuffix("\n")
+        assert self.resume(dataset, partial, tmp_path) == (finished.encode("utf-8"), 4)
+
+
 class TableBackend(Backend):
     """Replies with a fixed result per configuration, in enumeration order."""
 
@@ -864,7 +989,56 @@ def measured_spaces(draw):
     return space, draw(st.lists(result, min_size=space.size, max_size=space.size))
 
 
+#: Floats whose text is easy to get wrong: signed zeros, subnormals, the
+#: extreme doubles and the magnitudes where ``repr`` turns to exponents.
+EDGE_FLOATS = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e16, 1e15, 9999999999999998.0, 0.1,
+)
+
+
+@st.composite
+def float_datasets(draw):
+    """A dataset whose metric cells are any floats, NaN and infinities
+    included, and whose utilities are any finite floats."""
+    levels = st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=2)
+    space = make_space(draw(levels))
+    finite = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
+    )
+    metric = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf]))
+    rows = []
+    for index, config in enumerate(space.iter_configurations(), 1):
+        failed = draw(st.booleans())
+        feasible = not failed and draw(st.booleans())
+        slis = {"p99_latency_ms": draw(metric), "throughput_rps": draw(metric)}
+        rows.append(Observation(config, slis, draw(finite), feasible, index, failed))
+    return Dataset(space, rows)
+
+
 class TestDatasetCodecProperties:
+    @given(float_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_read_back_is_bit_equal_to_python_parsing(self, dataset):
+        """The reader's columns equal, bit for bit, what csv.reader with
+        ``int()``, ``float()`` and the flag texts makes of the written file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dataset.csv"
+            write_dataset_csv(dataset, path)
+            loaded = load_dataset(path)
+            with open(path, newline="", encoding="utf-8") as handle:
+                _, *records = csv.reader(handle)
+        k = dataset.space.dimension
+        columns = list(zip(*records))
+        settings = np.array([[int(cell) for cell in record[:k]] for record in records])
+        assert np.array_equal(loaded.settings_matrix, settings)
+        for name, cells in zip(("p99", "throughput", "utility"), columns[k : k + 3]):
+            oracle = np.array([float(cell) for cell in cells])
+            assert np.array_equal(getattr(loaded, name).view(np.uint64), oracle.view(np.uint64))
+        for name, cells in zip(("feasible", "failed"), columns[k + 3 :]):
+            flags = [{"true": True, "false": False}[cell] for cell in cells]
+            assert getattr(loaded, name).tolist() == flags
+
     @given(measured_spaces())
     @settings(max_examples=60, deadline=None)
     def test_write_load_write_is_identity(self, drawn):

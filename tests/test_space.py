@@ -192,6 +192,15 @@ class TestSearchSpace:
             with pytest.raises(IndexError):
                 space.config_at(rank)
 
+    @given(small_spaces(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_settings_block_is_a_slice_of_the_enumeration(self, space, data):
+        start = data.draw(st.integers(min_value=0, max_value=space.size))
+        stop = data.draw(st.integers(min_value=start, max_value=space.size))
+        block = space.settings_block(start, stop)
+        assert block.shape == (stop - start, space.dimension) and block.dtype == np.int64
+        assert list(map(tuple, block.tolist())) == list(space.iter_settings())[start:stop]
+
     @given(small_spaces(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_snapping_always_on_grid(self, space, rnd):
