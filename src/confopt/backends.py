@@ -29,6 +29,7 @@ do not depend on call order or on how the rows were batched.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -351,6 +352,139 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         return self._state
 
 
+def _lognormal_rows(states: np.ndarray, sigma: float) -> np.ndarray:
+    """``default_rng(e).lognormal(0, sigma)`` for each row of seed states,
+    one ``Generator`` per row: about 3-5 µs a row."""
+    return np.fromiter(
+        (
+            np.random.Generator(np.random.PCG64(_SeedState(state))).lognormal(0.0, sigma)
+            for state in states
+        ),
+        dtype=float,
+        count=len(states),
+    )
+
+
+# The same draw for a block of rows in uint64 arrays. A ``PCG64`` seeded
+# with state words (s0, s1, s2, s3) starts from state 0 with increment
+# inc = 2 * (s2 * 2**64 + s3) + 1, takes an LCG step (multiplier
+# ``_PCG_MULT``), adds initstate = s0 * 2**64 + s1 and takes another step;
+# its first output is one more step and the XSL-RR output function. The
+# 128-bit arithmetic runs on (hi, lo) uint64 limbs. numpy's normal sampler
+# is a 256-layer ziggurat (Marsaglia & Tsang 2000): the low 8 bits of the
+# word pick a layer, bit 8 the sign and the next 52 bits ``rabs``; when
+# ``rabs < ki[layer]`` the draw is ``±rabs * wi[layer]`` and uses no other
+# word, which covers about 98% of rows. The other rows, and layers whose
+# table entries are not known, take ``_lognormal_rows``.
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_MULT_LO_0, _MULT_LO_1 = _MULT_LO & _LOW32, _MULT_LO >> np.uint64(32)
+_ZIGGURAT_LAYERS = 256
+_RABS_MASK = np.uint64(2**52 - 1)
+#: Blocks of fewer rows take ``_lognormal_rows``: the array draw costs about
+#: 90 µs a call however few rows it gets.
+_KERNEL_MIN_ROWS = 32
+#: Entropies on which the array draw is checked against ``_lognormal_rows``
+#: before its first use.
+_CHECK_ENTROPIES = np.arange(64, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+
+
+def _pcg_step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step, state * ``_PCG_MULT`` + inc mod 2**128, on limbs. The
+    high word of ``lo * _MULT_LO`` comes from products of 32-bit halves."""
+    lo0, lo1 = lo & _LOW32, lo >> np.uint64(32)
+    cross_a, cross_b = lo0 * _MULT_LO_1, lo1 * _MULT_LO_0
+    mid = ((lo0 * _MULT_LO_0) >> np.uint64(32)) + (cross_a & _LOW32) + (cross_b & _LOW32)
+    carry = lo1 * _MULT_LO_1 + (cross_a >> np.uint64(32)) + (cross_b >> np.uint64(32))
+    hi = carry + (mid >> np.uint64(32)) + lo * _MULT_HI + hi * _MULT_LO
+    lo = lo * _MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _pcg64_first_words(states: np.ndarray) -> np.ndarray:
+    """The first 64-bit word of ``PCG64(_SeedState(s))`` for each row ``s``."""
+    s0, s1, s2, s3 = states.T
+    inc_hi = (s2 << np.uint64(1)) | (s3 >> np.uint64(63))
+    inc_lo = (s3 << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + s1
+    hi, lo = _pcg_step(inc_hi + s0 + (lo < inc_lo), lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    word, rotation = hi ^ lo, hi >> np.uint64(58)
+    return (word >> rotation) | (word << ((np.uint64(64) - rotation) & np.uint64(63)))
+
+
+def _ziggurat_draw(bitgen: np.random.PCG64, word: int) -> tuple[float, bool]:
+    """The standard normal numpy draws when ``bitgen``'s next word is
+    ``word``, and whether the draw used that word alone. From state 0 with
+    increment ``word``, a step reaches state ``word``, whose XSL-RR output
+    is ``word`` itself (its high half is 0); a second word would step on."""
+    state = {"state": 0, "inc": word}
+    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    value = np.random.Generator(bitgen).standard_normal()
+    return value, bitgen.state["state"]["state"] == word
+
+
+class _Ziggurat(NamedTuple):
+    """numpy's ziggurat layer widths ``wi`` and acceptance bounds ``ki``,
+    where a ``ki`` of 0 sends every draw of that layer to the per-row path.
+    numpy keeps these tables private, so they are read off its sampler."""
+
+    wi: np.ndarray
+    ki: np.ndarray
+
+    @classmethod
+    def read(cls) -> "_Ziggurat":
+        """``wi[i]`` is the draw whose word has layer ``i`` and ``rabs`` 1. For
+        ``i >= 3``, ``floor(2**52 * wi[i-1] / wi[i]) - 2`` lies at or below
+        numpy's ``ki[i]``, and is kept where a draw with ``rabs`` one below
+        it uses one word. A ``ki`` too low sends more rows to the per-row
+        path and changes no value."""
+        bitgen = np.random.PCG64()
+        wi = np.zeros(_ZIGGURAT_LAYERS)
+        ki = np.zeros(_ZIGGURAT_LAYERS, dtype=np.uint64)
+        known = [False] * _ZIGGURAT_LAYERS
+        for layer in range(_ZIGGURAT_LAYERS):
+            wi[layer], known[layer] = _ziggurat_draw(bitgen, 1 << 9 | layer)
+        for layer in range(3, _ZIGGURAT_LAYERS):
+            if known[layer - 1] and known[layer]:
+                bound = math.floor(2.0**52 * (wi[layer - 1] / wi[layer])) - 2
+                if 0 < bound <= 2**52 and _ziggurat_draw(bitgen, (bound - 1) << 9 | layer)[1]:
+                    ki[layer] = bound
+        return cls(wi, ki)
+
+    def lognormal(self, states: np.ndarray, sigma: float) -> np.ndarray:
+        """``_lognormal_rows(states, sigma)``, bit for bit: the layer's
+        draw where the first word is accepted, the per-row draw elsewhere.
+        ``exp`` is libm's through ``math.exp``, as numpy's sampler calls it."""
+        words = _pcg64_first_words(states)
+        layer = (words & np.uint64(0xFF)).astype(np.intp)
+        rabs = (words >> np.uint64(9)) & _RABS_MASK
+        normal = rabs.astype(float) * self.wi[layer]
+        np.negative(normal, out=normal, where=(words & np.uint64(0x100)).astype(bool))
+        # numpy draws exp(0.0 + sigma * x); adding 0.0 changes no exp.
+        noise = np.fromiter(map(math.exp, (sigma * normal).tolist()), float, len(normal))
+        rejected = np.flatnonzero(rabs >= self.ki[layer])
+        noise[rejected] = _lognormal_rows(states[rejected], sigma)
+        return noise
+
+
+@functools.cache
+def _ziggurat() -> _Ziggurat | None:
+    """The tables, read once per process on first use, or None when the
+    array draw differs from the per-row draw on ``_CHECK_ENTROPIES``."""
+    tables = _Ziggurat.read()
+    states = _seed_states(_CHECK_ENTROPIES)
+    if not np.array_equal(tables.lognormal(states, 1.0), _lognormal_rows(states, 1.0)):
+        logger.warning("array lognormal draw differs from numpy's; drawing noise per row")
+        return None
+    return tables
+
+
 class SyntheticBackend(Backend):
     """Closed-form latency model of a service chain.
 
@@ -486,7 +620,10 @@ class SyntheticBackend(Backend):
         """Lognormal noise factors of the given rows of a block. A row's
         entropy is a hash of the backend seed, the workload and the row's
         text, never of the call, so results are independent of evaluation
-        order and of batching, and safe under concurrency."""
+        order and of batching, and safe under concurrency. Every row gets
+        ``default_rng(entropy).lognormal(0, noise_sigma)``, bit for bit:
+        drawn in arrays from ``_KERNEL_MIN_ROWS`` rows on, one ``Generator``
+        per row below that or when the array draw failed its self-check."""
         prefix = f"{self.seed}|{workload.tenants}|{workload.rate_per_tenant}|"
         layout = block.names, block.texts
         if self._tokens[0] != layout:
@@ -499,15 +636,11 @@ class SyntheticBackend(Backend):
             hashlib.sha256((prefix + ",".join(parts)).encode("utf-8")).digest()[:8]
             for parts in zip(*columns)
         )
-        sigma = self.model.noise_sigma
-        return np.fromiter(
-            (
-                np.random.Generator(np.random.PCG64(_SeedState(state))).lognormal(0.0, sigma)
-                for state in _seed_states(np.frombuffer(digests, dtype=">u8"))
-            ),
-            dtype=float,
-            count=len(rows),
-        )
+        states = _seed_states(np.frombuffer(digests, dtype=">u8"))
+        tables = _ziggurat() if len(rows) >= _KERNEL_MIN_ROWS else None
+        if tables is None:
+            return _lognormal_rows(states, self.model.noise_sigma)
+        return tables.lognormal(states, self.model.noise_sigma)
 
 
 # -- replay ------------------------------------------------------------------

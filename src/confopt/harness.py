@@ -57,8 +57,9 @@ logger = logging.getLogger(__name__)
 EXHAUSTIVE_CAP = 100_000
 #: ``collect_exhaustive`` flushes its checkpoint file every this many rows.
 _FLUSH_EVERY = 100
-#: Configurations measured per evaluation block.
-_READ_CHUNK = 4096
+#: Configurations measured per evaluation block, and dataset rows rendered
+#: per block of lines.
+_BLOCK_ROWS = 4096
 
 _METRIC_COLUMNS = ("p99_latency_ms", "throughput_rps", "utility", "feasible", "failed")
 
@@ -122,7 +123,7 @@ class Evaluator:
     """The one place a configuration of ``space`` becomes an observation.
 
     A measuring backend gets configurations as blocks (:class:`Block`) of
-    up to ``_READ_CHUNK`` rows through its ``evaluate_many``
+    up to ``_BLOCK_ROWS`` rows through its ``evaluate_many``
     (``Backend.evaluate_many`` for an object that only defines
     ``evaluate``); each run of rows it yields is scored against ``slo``
     with ``utility_fn`` as it arrives. ``cost_space`` supplies
@@ -218,7 +219,7 @@ class Evaluator:
         self, configs: Iterable[Configuration], eval_index: int
     ) -> Iterator[Observation]:
         pending = map(self._settings, configs)
-        for chunk in iter(lambda: list(itertools.islice(pending, _READ_CHUNK)), []):
+        for chunk in iter(lambda: list(itertools.islice(pending, _BLOCK_ROWS)), []):
             for rows, measured, scores in self._scored(np.array(chunk), eval_index):
                 records = zip(chunk[rows], *map(np.ndarray.tolist, scores))
                 for row, (settings, utility, feasible, failed) in enumerate(records):
@@ -231,19 +232,32 @@ class Evaluator:
     def _measured_columns(self, start: int = 0) -> Iterator["_Columns"]:
         """Dataset columns of the configurations from rank ``start`` on, one
         block per run of rows the backend yields; a replaying evaluator's
-        ``_columns`` is ``_replayed_columns``, one block per row."""
+        ``_columns`` is ``_replayed_columns``."""
         size = self.space.size
-        for first in range(start, size, _READ_CHUNK):
-            settings = self.space.settings_block(first, min(first + _READ_CHUNK, size))
+        for first in range(start, size, _BLOCK_ROWS):
+            settings = self.space.settings_block(first, min(first + _BLOCK_ROWS, size))
             for rows, measured, scores in self._scored(settings, first + 1):
                 absent = np.full(rows.stop - rows.start, math.nan)
                 metrics = (measured.metrics.get(name, absent) for name in _METRIC_COLUMNS[:2])
                 yield _Columns(settings[rows], *metrics, *scores)
 
     def _replayed_columns(self, start: int = 0) -> Iterator["_Columns"]:
+        """Blocks of up to ``_BLOCK_ROWS`` stored rows; the rows before a
+        lookup that raises are yielded before its error is raised."""
         configs = map(self.space.config_at, range(start, self.space.size))
-        for obs in self._replay(configs, start + 1):
-            yield _Columns.of([obs], self.space.dimension)
+        block = []
+        try:
+            for obs in self._replay(configs, start + 1):
+                block.append(obs)
+                if len(block) == _BLOCK_ROWS:
+                    yield _Columns.of(block, self.space.dimension)
+                    block = []
+        except Exception:
+            if block:
+                yield _Columns.of(block, self.space.dimension)
+            raise
+        if block:
+            yield _Columns.of(block, self.space.dimension)
 
     def _replay(
         self, configs: Iterable[Configuration], eval_index: int
@@ -381,6 +395,41 @@ class _Columns(NamedTuple):
         """Every row's dataset CSV record."""
         flags = (map(_bool, column.tolist()) for column in self[4:])
         return zip(*self.settings.T.tolist(), *(column.tolist() for column in self[1:4]), *flags)
+
+    def lines(self) -> Iterator[str]:
+        """Every row's dataset CSV line, the text ``_row_format`` writes for
+        its record: the settings cells from texts built once per distinct
+        half-row, the flag cells from ``_FLAG_TEXTS``, and ``%r`` only for
+        the three float cells."""
+        half = (self.settings.shape[1] + 1) // 2
+        parts = [part for part in np.hsplit(self.settings, [half]) if part.shape[1]]
+        cells = (column.tolist() for column in self[1:4])
+        flags = _FLAG_TEXTS[2 * self.feasible + self.failed].tolist()
+        row_format = "%s" * len(parts) + "%r,%r,%r,%s\n"
+        return map(row_format.__mod__, zip(*map(_cell_texts, parts), *cells, flags))
+
+    def slice(self, start: int, stop: int) -> "_Columns":
+        return _Columns(*(column[start:stop] for column in self))
+
+
+#: A row's two flag cells, indexed by ``2 * feasible + failed``.
+_FLAG_TEXTS = np.array(["false,false", "false,true", "true,false", "true,true"], dtype=object)
+
+
+def _cell_texts(settings: np.ndarray) -> list[str]:
+    """Per row of a settings matrix, the text ``"a,b,"`` of its cells, built
+    once per distinct row: rows sorted together share the text of the
+    first of them."""
+    order = np.lexsort(settings.T)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for column in settings.T:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    texts = ["".join(f"{value}," for value in row) for row in settings[order[first]].tolist()]
+    distinct = np.empty(len(order), dtype=np.intp)
+    distinct[order] = np.cumsum(first) - 1
+    return np.array(texts, dtype=object)[distinct].tolist()
 
 
 def _row_format(cells: str) -> str:
@@ -656,10 +705,9 @@ def collect_exhaustive(
         with open(partial_path, "w", encoding="utf-8", newline="") as handle:
             _write_csv(handle, header, cells, ())
     done = len(blocks[0].utility) if blocks else 0
-    row_format = _row_format(cells)
     with open(partial_path, "a", encoding="utf-8", newline="") as handle:
         for block in evaluator._columns(done):
-            handle.writelines(map(row_format.__mod__, block.records()))
+            handle.writelines(block.lines())
             if (done + len(block.utility)) // _FLUSH_EVERY > done // _FLUSH_EVERY:
                 handle.flush()
             blocks.append(block)
@@ -975,10 +1023,13 @@ def screening_vs_standalone(
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+    """The dataset's CSV, its lines rendered ``_BLOCK_ROWS`` rows at a time."""
     arrays = (getattr(dataset, name) for name in _Columns._fields[1:])
     columns = _Columns(dataset.settings_matrix, *arrays)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(handle, *_dataset_columns(dataset.space), columns.records())
+        _write_csv(handle, *_dataset_columns(dataset.space), ())
+        for start in range(0, len(columns.utility), _BLOCK_ROWS):
+            handle.writelines(columns.slice(start, start + _BLOCK_ROWS).lines())
 
 
 def write_slo_cdf_csv(dataset: Dataset, path: str | Path) -> None:

@@ -310,7 +310,7 @@ class TestNoiseSeeds:
         self.assert_seed_states(entropies)
 
     @pytest.mark.parametrize(
-        "count", [0, 1, 6, harness._READ_CHUNK + 5], ids=["empty", "single", "batch", "chunks"]
+        "count", [0, 1, 6, harness._BLOCK_ROWS + 5], ids=["empty", "single", "batch", "chunks"]
     )
     def test_evaluate_many_matches_per_row_default_rng(self, count):
         backend = SyntheticBackend(NOISY_MODEL, seed=7)
@@ -382,6 +382,102 @@ class TestNoiseSeeds:
         rows = noisy_rows(8)
         list(SyntheticBackend(NOISY_MODEL).evaluate_many(block_of(rows), WORKLOAD))
         assert hashed == [6]
+
+
+def per_row_lognormal(states, sigma):
+    """The noise as numpy draws it: one seeded Generator per row."""
+    return np.array(
+        [
+            np.random.Generator(np.random.PCG64(backends._SeedState(state))).lognormal(0.0, sigma)
+            for state in states
+        ]
+    )
+
+
+@pytest.fixture
+def fresh_ziggurat():
+    """The array draw's tables and self-check run again, before and after."""
+    backends._ziggurat.cache_clear()
+    yield
+    backends._ziggurat.cache_clear()
+
+
+class TestNoiseKernel:
+    def test_first_words_match_pcg64_at_the_word_edges(self):
+        top = 2**64 - 1
+        states = np.array(
+            [[0, 0, 0, 0], [top] * 4, [top, 0, top, 0], [0, top, 0, top], [1, 2**63, 3, 2**63 - 1]],
+            dtype=np.uint64,
+        )
+        expected = [np.random.PCG64(backends._SeedState(s)).random_raw() for s in states]
+        assert backends._pcg64_first_words(states).tolist() == expected
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.2, 1.0])
+    def test_array_draw_is_bit_equal_to_numpy(self, sigma):
+        """200,000 random entropies per sigma; some rows take the per-row
+        draw, both for a rejected first word and for a layer without
+        tables."""
+        entropies = np.random.default_rng(int(sigma * 10)).integers(
+            0, 2**64, size=200_000, dtype=np.uint64
+        )
+        states = backends._seed_states(entropies)
+        tables = backends._ziggurat()
+        assert tables is not None
+        drawn = tables.lognormal(states, sigma).view(np.uint64)
+        assert np.array_equal(drawn, per_row_lognormal(states, sigma).view(np.uint64))
+        words = backends._pcg64_first_words(states)
+        layer = (words & np.uint64(0xFF)).astype(np.intp)
+        rejected = ((words >> np.uint64(9)) & backends._RABS_MASK) >= tables.ki[layer]
+        assert 0 < np.count_nonzero(rejected & (layer >= 3)) < 0.05 * len(states)
+        assert np.count_nonzero(layer < 3) > 0 and rejected[layer < 3].all()
+
+    def test_tables_bound_numpy_acceptance_tightly(self):
+        """Every layer from 3 on has a bound, at most 3 below numpy's: a
+        draw one below it uses one word, a draw 3 above it does not."""
+        tables = backends._ziggurat()
+        assert tables.ki[:3].tolist() == [0, 0, 0] and (tables.ki[3:] > 0).all()
+        bitgen = np.random.PCG64()
+        for layer, bound in enumerate(tables.ki.tolist()[3:], start=3):
+            value, one_word = backends._ziggurat_draw(bitgen, (bound - 1) << 9 | layer)
+            assert one_word and value == (bound - 1) * tables.wi[layer]
+            assert not backends._ziggurat_draw(bitgen, (bound + 3) << 9 | layer)[1]
+
+    def test_small_blocks_draw_per_row(self, monkeypatch):
+        """Blocks of fewer than 32 measured rows never use the tables."""
+        used = []
+        original = backends._ziggurat
+        monkeypatch.setattr(backends, "_ziggurat", lambda: used.append(1) or original())
+        backend = SyntheticBackend(NOISY_MODEL, seed=11)
+        for count, measured in ((41, 31), (42, 32)):
+            rows = noisy_rows(count)
+            results = measured_results(backend.evaluate_many(block_of(rows), WORKLOAD))
+            assert sum(not r.failed for r in results) == measured
+            assert results == [reference_result(backend, params, WORKLOAD) for params in rows]
+        assert used == [1]
+
+    def test_failed_self_check_draws_every_row_per_row(self, monkeypatch, caplog, fresh_ziggurat):
+        """A wrong table entry that the self-check meets turns the array
+        draw off for the process; every value stays numpy's."""
+        read = backends._Ziggurat.read
+
+        def wrong_entry():
+            tables = read()
+            words = backends._pcg64_first_words(backends._seed_states(backends._CHECK_ENTROPIES))
+            layers = (words & np.uint64(0xFF)).astype(np.intp).tolist()
+            rabs = ((words >> np.uint64(9)) & backends._RABS_MASK).tolist()
+            # The layer of the first check row the array draw accepts.
+            layer = next(layer for layer, r in zip(layers, rabs) if r < tables.ki[layer])
+            tables.wi[layer] *= 1.0 + 2.0**-40
+            return tables
+
+        monkeypatch.setattr(backends._Ziggurat, "read", staticmethod(wrong_entry))
+        backend = SyntheticBackend(NOISY_MODEL, seed=4)
+        rows = noisy_rows(200)
+        with caplog.at_level("WARNING", logger="confopt.backends"):
+            results = measured_results(backend.evaluate_many(block_of(rows), WORKLOAD))
+        assert results == [reference_result(backend, params, WORKLOAD) for params in rows]
+        assert backends._ziggurat() is None
+        assert "drawing noise per row" in caplog.text
 
 
 def block_of(rows):

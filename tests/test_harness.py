@@ -544,9 +544,9 @@ class TestCollectExhaustive:
         assert out.read_bytes() == expected
 
     def test_blocks_hold_at_most_the_readers_chunk(self, monkeypatch):
-        """Collection hands a block backend blocks of ``_READ_CHUNK`` rows,
+        """Collection hands a block backend blocks of ``_BLOCK_ROWS`` rows,
         the last one shorter, whose rows follow enumeration order."""
-        monkeypatch.setattr(harness, "_READ_CHUNK", 4)
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
         space = make_space([3, 3])
         sizes = []
 
@@ -609,6 +609,23 @@ class TestCollectExhaustive:
         )
         assert out.read_bytes() == expected.read_bytes()
         assert replayed.rows == dataset.rows
+
+    def test_replay_miss_keeps_the_rows_before_it(self, tmp_path, monkeypatch):
+        """Replayed rows are written in blocks; the rows before a lookup
+        miss reach the partial file before the miss is raised (here as the
+        grid error of a configuration outside the stored space)."""
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
+        dataset, _ = surface_dataset((3, 3), fail_settings=(625, 625))
+        expected = tmp_path / "expected.csv"
+        write_dataset_csv(dataset, expected)
+        wider = make_space([4, 3])  # its last three configurations are not stored
+        out = tmp_path / "dataset.csv"
+        with pytest.raises(ValueError, match="875 is not on the grid"):
+            collect_exhaustive(
+                wider, dataset.replay_backend(), UTILITY, SLO, WORKLOAD, out_path=out
+            )
+        partial = out.with_name("dataset.csv.partial")
+        assert partial.read_bytes() == expected.read_bytes()
 
     def test_short_evaluate_many_is_an_error(self):
         space = make_space([3, 3])
@@ -709,7 +726,7 @@ class TestDatasetCsv:
         assert len(load_dataset(path).rows) == dataset.space.size
 
     def test_malformed_row_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_READ_CHUNK", 4)
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
         dataset, _ = surface_dataset()
         path = tmp_path / "dataset.csv"
         write_dataset_csv(dataset, path)
@@ -720,7 +737,7 @@ class TestDatasetCsv:
             load_dataset(path)
 
     def test_torn_final_line_alone_in_its_chunk_is_dropped(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_READ_CHUNK", 4)
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
         dataset, _ = surface_dataset()
         out = tmp_path / "dataset.csv"
         write_dataset_csv(dataset, out)
@@ -1073,6 +1090,84 @@ class TestDatasetCodecProperties:
         row_ends = [i for i in range(header_end, len(finished)) if finished[i : i + 1] == b"\n"]
         kept = sum(1 for end in row_ends if end <= cut)
         assert backend.calls == space.size - kept
+
+
+def record_lines(columns):
+    """The reference rendering: each record through ``_row_format``."""
+    row_format = harness._row_format("s" * columns.settings.shape[1] + "rrrss")
+    return [row_format % record for record in columns.records()]
+
+
+#: Float cells whose text is easy to get wrong, NaN (an absent metric) first.
+EDGE_CELLS = (math.nan, -0.0, 0.0, 1e16, 9999999999999998.0, 1e-05, 5e-324, 0.1 + 0.2)
+#: Settings cells: negative, zero and multi-digit values.
+EDGE_SETTINGS = (-1250, -1, 0, 7, 10, 125, 999_999, 2**40)
+
+
+def edge_columns(rows, dimension):
+    """Columns cycling through the edge cells and all four flag pairs, with
+    settings that repeat within each half of a row."""
+    index = np.arange(rows)
+    codes = index[:, None] // 3 + index[:, None] * np.arange(dimension)
+    settings = np.array(EDGE_SETTINGS)[codes % len(EDGE_SETTINGS)]
+    cells = np.array(EDGE_CELLS)
+    return harness._Columns(
+        settings,
+        cells[index % 8],
+        cells[(index + 3) % 8],
+        cells[(index + 5) % 8],
+        index % 4 >= 2,
+        index % 2 == 1,
+    )
+
+
+class TestDatasetLines:
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 6])
+    def test_lines_match_the_record_format_on_edge_values(self, dimension):
+        columns = edge_columns(48, dimension)
+        lines = list(columns.lines())
+        assert lines == record_lines(columns)
+        flags ={tuple(line.rstrip("\n").split(",")[-2:]) for line in lines}
+        assert flags == {("false", "false"), ("false", "true"), ("true", "false"), ("true", "true")}
+        assert "nan" in lines[0] and "5e-324" in "".join(lines)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_small_blocks(self, rows):
+        columns = edge_columns(9, 4).slice(7 - rows, 7)
+        assert list(columns.lines()) == record_lines(columns)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lines_match_the_record_format(self, data):
+        """Any int64 settings, drawn often from a few values so that rows
+        repeat, any floats and any flags."""
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        rows = data.draw(st.integers(min_value=0, max_value=40))
+        cell = st.one_of(st.sampled_from(EDGE_SETTINGS), st.integers(-(2**63), 2**63 - 1))
+        settings_ = data.draw(st.lists(cell, min_size=rows * k, max_size=rows * k))
+        floats = data.draw(st.lists(st.floats(), min_size=rows * 3, max_size=rows * 3))
+        flags = data.draw(st.lists(st.booleans(), min_size=rows * 2, max_size=rows * 2))
+        columns = harness._Columns(
+            np.array(settings_, dtype=np.int64).reshape(rows, k),
+            *np.array(floats, dtype=float).reshape(3, rows),
+            *np.array(flags, dtype=bool).reshape(2, rows),
+        )
+        assert list(columns.lines()) == record_lines(columns)
+
+    def test_written_blocks_join_to_one_rendering(self, tmp_path, monkeypatch):
+        dataset, _ = surface_dataset((3, 5), fail_settings=(625, 750))
+        whole = tmp_path / "whole.csv"
+        write_dataset_csv(dataset, whole)
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
+        blocks = tmp_path / "blocks.csv"
+        write_dataset_csv(dataset, blocks)
+        assert blocks.read_bytes() == whole.read_bytes()
+        columns = harness._Columns(
+            dataset.settings_matrix, dataset.p99, dataset.throughput, dataset.utility,
+            dataset.feasible, dataset.failed,
+        )
+        header = ",".join([*dataset.space.names, *harness._METRIC_COLUMNS]) + "\n"
+        assert whole.read_text() == header + "".join(record_lines(columns))
 
 
 class TestCompare:
