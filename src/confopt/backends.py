@@ -652,8 +652,8 @@ class ReplayBackend:
     Built from a collected dataset; see ``Dataset.replay_backend``. Rows are
     keyed by settings in the dataset's own parameter order;
     ``harness.Evaluator`` maps a search space onto that order by parameter
-    name. A lookup miss is a hard error carrying the canonical configuration
-    text, never a silent re-measurement.
+    name. A lookup miss, on the grid or off it, is a ``KeyError`` carrying
+    the configuration's ``name=value`` text, never a silent re-measurement.
     """
 
     def __init__(self, space: "SearchSpace", rows: Mapping[tuple[int, ...], "Observation"]):
@@ -664,9 +664,7 @@ class ReplayBackend:
         try:
             return self._rows[settings]
         except KeyError:
-            from .space import Configuration
-
-            text = self.space.config_text(Configuration(settings))
+            text = ",".join(f"{name}={value}" for name, value in zip(self.space.names, settings))
             raise KeyError(f"configuration not in dataset: {text}") from None
 
 

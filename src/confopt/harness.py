@@ -14,6 +14,7 @@ import functools
 import itertools
 import logging
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,8 +56,6 @@ logger = logging.getLogger(__name__)
 
 #: Largest space ``collect_exhaustive`` will walk.
 EXHAUSTIVE_CAP = 100_000
-#: ``collect_exhaustive`` flushes its checkpoint file every this many rows.
-_FLUSH_EVERY = 100
 #: Configurations measured per evaluation block, and dataset rows rendered
 #: per block of lines.
 _BLOCK_ROWS = 4096
@@ -331,32 +330,20 @@ def run_optimization(
     """
     evaluator = Evaluator(space, backend, utility_fn, slo, workload, weights, cost_space)
     session = create_optimizer(optimizer, space, budget, batch_size, seed, **(options or {}))
-    observations: list[Observation] = []
-    best_curve: list[float] = []
-    found_at: int | None = None
     while session.told < budget:
         try:
             batch = session.ask()
         except SpaceExhausted:
             break
-        scored = list(evaluator.evaluate(batch, len(observations) + 1))
-        session.tell(scored)
-        for obs in scored:
-            observations.append(obs)
-            best = obs.utility if not best_curve else min(best_curve[-1], obs.utility)
-            best_curve.append(best)
-            if (
-                found_at is None
-                and optimum_settings is not None
-                and obs.config.settings == optimum_settings
-            ):
-                found_at = obs.eval_index
+        session.tell(list(evaluator.evaluate(batch, session.told + 1)))
+    observations = tuple(session.history)
+    hits = (obs.eval_index for obs in observations if obs.config.settings == optimum_settings)
     return RunTrace(
         optimizer=session.name,
         seed=seed,
-        observations=tuple(observations),
-        best_utilities=np.array(best_curve),
-        found_optimal_at=found_at,
+        observations=observations,
+        best_utilities=np.minimum.accumulate([obs.utility for obs in observations]),
+        found_optimal_at=next(hits, None),
     )
 
 
@@ -673,11 +660,11 @@ def collect_exhaustive(
     optionally checkpointing to disk.
 
     With ``out_path`` the rows stream into ``<out_path>.partial``, flushed
-    every ``_FLUSH_EVERY`` rows and renamed to ``out_path`` at the end. A
-    restart validates an existing partial file as the reader does, cuts it
-    after its last complete row (ending that row's line if it lacks a
-    newline) and appends the rows it measures; the kept rows stay as they
-    are on disk.
+    after each run of rows the backend yields and renamed to ``out_path``
+    at the end. A restart validates an existing partial file as the reader
+    does, cuts it after its last complete row (ending that row's line if it
+    lacks a newline) and appends the rows it measures; the kept rows stay
+    as they are on disk.
     """
     if space.size > EXHAUSTIVE_CAP:
         raise ValueError(
@@ -708,10 +695,8 @@ def collect_exhaustive(
     with open(partial_path, "a", encoding="utf-8", newline="") as handle:
         for block in evaluator._columns(done):
             handle.writelines(block.lines())
-            if (done + len(block.utility)) // _FLUSH_EVERY > done // _FLUSH_EVERY:
-                handle.flush()
+            handle.flush()
             blocks.append(block)
-            done += len(block.utility)
     os.replace(partial_path, out_path)
     return Dataset._from_columns(space, _Columns.concat(blocks), slo)
 
@@ -764,7 +749,7 @@ def _compare_chunk(
     the state a pool worker's initializer stored."""
     optimizer, start, stop = task
     dataset, budget, batch_size, base_seed = args or _WORKER_STATE["args"]
-    found = []
+    found = []  # per run, the sample that first evaluated the optimum, or budget + 1
     curves = np.empty((stop - start, budget))
     for offset, run_index in enumerate(range(start, stop)):
         trace = run_optimization(
@@ -779,7 +764,7 @@ def _compare_chunk(
         n = len(trace.best_utilities)
         curves[offset, :n] = trace.best_utilities
         curves[offset, n:] = trace.best_utilities[-1]
-        found.append(trace.found_optimal_at)
+        found.append(trace.found_optimal_at or budget + 1)
     return optimizer, found, curves
 
 
@@ -825,21 +810,16 @@ def compare(
             max_workers=workers, initializer=_compare_init, initargs=args
         ) as pool:
             results = list(pool.map(_compare_chunk, tasks))
-    # Tasks are ordered by optimizer, then by first run, so concatenating
-    # each optimizer's chunks merges its runs in run-index order.
-    found_by: dict[str, list] = {name: [] for name in optimizer_names}
-    blocks_by: dict[str, list[np.ndarray]] = {name: [] for name in optimizer_names}
-    for name, found, curves in results:
-        found_by[name].extend(found)
-        blocks_by[name].append(curves)
-
     optimum_utility = dataset.optimum.utility
     samples = np.arange(1, budget + 1)
     q99_row = math.ceil(0.99 * runs) - 1  # nearest rank, counted from 1
     report: dict[str, OptimizerComparison] = {}
-    for name in optimizer_names:
-        found = np.array([f if f is not None else budget + 1 for f in found_by[name]])
-        distances = np.sort(np.abs(np.vstack(blocks_by[name]) - optimum_utility), axis=0)
+    # Tasks are ordered by optimizer, then by first run, so each optimizer's
+    # chunks are consecutive and concatenate in run-index order.
+    for name, chunks in itertools.groupby(results, operator.itemgetter(0)):
+        _, found, curves = zip(*chunks)
+        found = np.concatenate(found)
+        distances = np.sort(np.abs(np.vstack(curves) - optimum_utility), axis=0)
         report[name] = OptimizerComparison(
             fraction_found_optimal=np.count_nonzero(found[:, None] <= samples, axis=0) / runs,
             distance_q99=distances[q99_row],
@@ -968,15 +948,18 @@ def screening_vs_standalone(
         combined_best = best_observation(combined)
 
         # The reduced space's first row at the minimum utility, as (utility,
-        # settings); one block of rows is held at a time.
-        reduced_optimum = None
-        combined_found = None
+        # settings): the first of the blocks' first minima, one block held
+        # at a time.
+        reduced_optimum = combined_found = None
         if reduced.size <= EXHAUSTIVE_CAP:
-            reduced_evaluator = Evaluator(reduced, backend, **scoring)
-            for block in reduced_evaluator._columns():
-                row = int(np.argmin(block.utility))
-                if reduced_optimum is None or block.utility[row] < reduced_optimum[0]:
-                    reduced_optimum = block.utility[row].item(), tuple(block.settings[row].tolist())
+            reduced_optimum = min(
+                (
+                    (block.utility[row].item(), tuple(block.settings[row].tolist()))
+                    for block in Evaluator(reduced, backend, **scoring)._columns()
+                    for row in [int(np.argmin(block.utility))]
+                ),
+                key=operator.itemgetter(0),
+            )
             combined_found = any(o.config.settings == reduced_optimum[1] for o in combined)
 
         standalone_trace = run_optimization(

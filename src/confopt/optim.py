@@ -83,7 +83,7 @@ class SpaceExhausted(RuntimeError):
 
 
 class OptimizerSession(ABC):
-    """Shared ask/tell mechanics: budget, alternation, best tracking.
+    """Shared ask/tell mechanics: budget, alternation, told history.
 
     Subclasses propose *ranks* (see :meth:`SearchSpace.config_at`), which
     ``ask`` turns into configurations; one that must not repeat itself
@@ -91,8 +91,8 @@ class OptimizerSession(ABC):
 
     ``ask`` returns at most ``batch_size`` configurations (fewer near the
     end of the budget or of the space) and must be followed by a ``tell``
-    covering exactly the asked batch. The incumbent best is updated by
-    strict improvement, so earlier observations win ties.
+    covering exactly the asked batch. The incumbent best is the first told
+    observation at the minimum utility, so earlier observations win ties.
     """
 
     name = "base"
@@ -114,7 +114,6 @@ class OptimizerSession(ABC):
         # rank of each of its configurations.
         self._pending: list[int] = []
         self._rank_of: dict[tuple[int, ...], int] = {}
-        self._best: tuple[Configuration, float] | None = None
         self._counts = [p.level_count for p in space.parameters]
         # A level index's weight in the rank.
         self._strides = [math.prod(self._counts[d + 1 :]) for d in range(space.dimension)]
@@ -122,7 +121,10 @@ class OptimizerSession(ABC):
 
     @property
     def best_so_far(self) -> tuple[Configuration, float] | None:
-        return self._best
+        if not self.history:
+            return None
+        best = best_observation(self.history)
+        return best.config, best.utility
 
     @property
     def told(self) -> int:
@@ -160,10 +162,7 @@ class OptimizerSession(ABC):
             )
         self._pending = []
         self._told.extend(told)
-        for obs in observations:
-            self.history.append(obs)
-            if self._best is None or obs.utility < self._best[1]:
-                self._best = (obs.config, obs.utility)
+        self.history.extend(observations)
         self._after_tell(list(observations))
 
     def _after_tell(self, observations: list[Observation]) -> None:

@@ -546,6 +546,15 @@ class TestReplayBackend:
         with pytest.raises(KeyError, match="webCpu=625,webMemory=640"):
             backend.lookup((625, 640))
 
+    def test_off_grid_lookup_is_a_key_error(self, space):
+        """A miss off the stored grid raises the same ``KeyError`` as one on
+        it, not the grid's validation error."""
+        backend = ReplayBackend(space, self.rows_for(space))
+        with pytest.raises(
+            KeyError, match="configuration not in dataset: webCpu=750,webMemory=512"
+        ):
+            backend.lookup((750, 512))
+
     def test_replayed_failure(self, space):
         rows = self.rows_for(space)
         failed_config = Configuration((500, 512))

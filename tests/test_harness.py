@@ -210,6 +210,50 @@ class TestRunOptimization:
         )
         assert trace.found_optimal_at == space.size  # odometer ends at all-max
 
+    @pytest.mark.parametrize(
+        "optimizer, level_counts, budget, seed, off_grid",
+        [
+            # 15 evaluations visit 8 of 16 configurations, one of them 3 times
+            ("moat", (4, 4), 15, 1, None),
+            # the budget exceeds the space, so the run stops at exhaustion
+            ("exhaustive", (3, 3), 20, 0, (875, 500)),
+        ],
+    )
+    def test_trace_is_derived_from_the_observations(
+        self, optimizer, level_counts, budget, seed, off_grid
+    ):
+        """The best curve is the running minimum of the observed utilities,
+        and ``found_optimal_at`` is the evaluation number of the optimum's
+        first visit, None when it is never visited."""
+        space = make_space(level_counts)
+        found = {}
+        for target in [*space.iter_settings(), *([off_grid] if off_grid else [])]:
+            trace = run_optimization(
+                space,
+                optimizer,
+                SurfaceBackend(space),
+                budget,
+                4,
+                seed,
+                utility_fn=UTILITY,
+                slo=SLO,
+                workload=WORKLOAD,
+                optimum_settings=target,
+            )
+            visited = [obs.config.settings for obs in trace.observations]
+            running, best = [], math.inf
+            for obs in trace.observations:
+                best = min(best, obs.utility)
+                running.append(best)
+            assert trace.best_utilities.tolist() == running
+            first = [obs.eval_index for obs in trace.observations if obs.config.settings == target]
+            assert trace.found_optimal_at == (first[0] if first else None)
+            found[target] = trace.found_optimal_at
+        assert len(visited) == min(budget, space.size)
+        assert None in found.values()  # both runs leave a target unvisited
+        if optimizer == "moat":
+            assert len(set(visited)) == 8 and max(map(visited.count, visited)) == 3
+
     def test_failed_evaluation_recorded_not_fatal(self):
         space = make_space([3, 3])
         backend = SurfaceBackend(space, fail_settings=(500, 500))
@@ -560,10 +604,10 @@ class TestCollectExhaustive:
         assert sizes == [4, 4, 1]
         assert dataset.rows == reference.rows
 
-    def test_per_row_backend_checkpoints_every_row(self, tmp_path, monkeypatch):
-        """A backend measuring one row at a time has each row written as it
-        is measured, and the file flushed every ``_FLUSH_EVERY`` rows."""
-        monkeypatch.setattr(harness, "_FLUSH_EVERY", 3)
+    def test_per_row_backend_checkpoints_every_row(self, tmp_path):
+        """A backend measuring one row at a time has each row on disk before
+        it measures the next: the file is flushed after every run of rows
+        the backend yields."""
         space = make_space([3, 4])
         out = tmp_path / "dataset.csv"
         partial = out.with_name("dataset.csv.partial")
@@ -575,7 +619,7 @@ class TestCollectExhaustive:
                 return super().evaluate(params, workload)
 
         collect_exhaustive(space, Watching(space), UTILITY, SLO, WORKLOAD, out_path=out)
-        assert on_disk == [row - row % 3 for row in range(space.size)]
+        assert on_disk == list(range(space.size))
 
     def test_duck_typed_backend_collects(self):
         """A backend that defines only ``evaluate``, without subclassing
@@ -612,15 +656,17 @@ class TestCollectExhaustive:
 
     def test_replay_miss_keeps_the_rows_before_it(self, tmp_path, monkeypatch):
         """Replayed rows are written in blocks; the rows before a lookup
-        miss reach the partial file before the miss is raised (here as the
-        grid error of a configuration outside the stored space)."""
+        miss reach the partial file before the miss, the ``KeyError`` of a
+        configuration outside the stored space, is raised."""
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
         dataset, _ = surface_dataset((3, 3), fail_settings=(625, 625))
         expected = tmp_path / "expected.csv"
         write_dataset_csv(dataset, expected)
         wider = make_space([4, 3])  # its last three configurations are not stored
         out = tmp_path / "dataset.csv"
-        with pytest.raises(ValueError, match="875 is not on the grid"):
+        with pytest.raises(
+            KeyError, match="configuration not in dataset: svc0Cpu=875,svc1Cpu=500"
+        ):
             collect_exhaustive(
                 wider, dataset.replay_backend(), UTILITY, SLO, WORKLOAD, out_path=out
             )
