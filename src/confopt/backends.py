@@ -652,13 +652,26 @@ class ReplayBackend:
     Built from a collected dataset; see ``Dataset.replay_backend``. Rows are
     keyed by settings in the dataset's own parameter order;
     ``harness.Evaluator`` maps a search space onto that order by parameter
-    name. A lookup miss, on the grid or off it, is a ``KeyError`` carrying
-    the configuration's ``name=value`` text, never a silent re-measurement.
+    name (:meth:`stored_order`). A lookup miss, on the grid or off it, is a
+    ``KeyError`` carrying the configuration's ``name=value`` text, never a
+    silent re-measurement.
     """
 
     def __init__(self, space: "SearchSpace", rows: Mapping[tuple[int, ...], "Observation"]):
         self.space = space
         self._rows = rows
+
+    def stored_order(self, space: "SearchSpace") -> tuple[int, ...]:
+        """The position in ``space`` of each stored parameter, in stored order;
+        a ``ValueError`` naming the difference when their parameters differ."""
+        stored, names = self.space.names, space.names
+        if set(stored) != set(names):
+            raise ValueError(
+                "replay dataset parameters differ from the search space: "
+                f"only in the dataset {sorted(set(stored) - set(names))}, "
+                f"only in the space {sorted(set(names) - set(stored))}"
+            )
+        return tuple(map(names.index, stored))
 
     def lookup(self, settings: tuple[int, ...]) -> "Observation":
         try:

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .backends import Backend, ReplayBackend
 from .config import (
     ConfigError,
     RunConfig,
@@ -41,8 +42,25 @@ def _out_dir(default: str | Path) -> Path:
     return path
 
 
-def _resolve_seed(config: RunConfig, override: int | None) -> int:
-    return config.seed if override is None else override
+def _config_inputs(
+    args: argparse.Namespace,
+) -> tuple[RunConfig, int, Backend | ReplayBackend, Path]:
+    """A config command's inputs in the order they are decided: the config,
+    the seed (``--seed`` over the config's), the backend, the output directory."""
+    config = parse_config(args.config)
+    seed = config.seed if getattr(args, "seed", None) is None else args.seed
+    return config, seed, build_backend(config), _out_dir(config.output_dir)
+
+
+def _scoring(config: RunConfig) -> dict:
+    """The keyword arguments that score an evaluation under ``config``."""
+    return dict(
+        utility_fn=get_utility(config.util_func),
+        slo=config.slo,
+        workload=config.workload,
+        weights=config.cost_weights,
+        cost_space=config.cost_reference,
+    )
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -51,20 +69,15 @@ def _write_text(path: Path, text: str) -> None:
     logger.info("wrote %s", path)
 
 
+def _summarize(out: Path, summary: str) -> int:
+    _write_text(out / "summary.txt", summary)
+    print(summary, end="")
+    return 0
+
+
 def _cmd_screen(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    seed = _resolve_seed(config, args.seed)
-    backend = build_backend(config)
-    out = _out_dir(config.output_dir)
-    evaluator = harness.Evaluator(
-        config.space,
-        backend,
-        get_utility(config.util_func),
-        config.slo,
-        config.workload,
-        config.cost_weights,
-        config.cost_reference,
-    )
+    config, seed, backend, out = _config_inputs(args)
+    evaluator = harness.Evaluator(config.space, backend, **_scoring(config))
     # Called through harness, as screen-vs-bo does, so tracing sees both.
     outcome = harness.run_screening(
         config.space,
@@ -94,10 +107,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    seed = _resolve_seed(config, args.seed)
-    backend = build_backend(config)
-    out = _out_dir(config.output_dir)
+    config, seed, backend, out = _config_inputs(args)
     trace = harness.run_optimization(
         config.space,
         config.optimizer,
@@ -105,40 +115,21 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         config.budget,
         config.samples_per_iteration,
         seed,
-        utility_fn=get_utility(config.util_func),
-        slo=config.slo,
-        workload=config.workload,
-        weights=config.cost_weights,
-        cost_space=config.cost_reference,
         options={"p": config.screening.p} if config.optimizer == "moat" else None,
+        **_scoring(config),
     )
     harness.write_trace_csv(trace, config.space, out / "trace.csv")
     logger.info("wrote %s", out / "trace.csv")
-    summary = harness.trace_summary(trace, config.space)
-    _write_text(out / "summary.txt", summary)
-    print(summary, end="")
-    return 0
+    return _summarize(out, harness.trace_summary(trace, config.space))
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    backend = build_backend(config)
-    out = _out_dir(config.output_dir)
+    config, _, backend, out = _config_inputs(args)
     dataset = harness.collect_exhaustive(
-        config.space,
-        backend,
-        get_utility(config.util_func),
-        config.slo,
-        config.workload,
-        weights=config.cost_weights,
-        cost_space=config.cost_reference,
-        out_path=out / "dataset.csv",
+        config.space, backend, **_scoring(config), out_path=out / "dataset.csv"
     )
     logger.info("wrote %s", out / "dataset.csv")
-    summary = harness.dataset_summary(dataset)
-    _write_text(out / "summary.txt", summary)
-    print(summary, end="")
-    return 0
+    return _summarize(out, harness.dataset_summary(dataset))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -167,10 +158,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     for path in harness.write_comparison_csvs(report, out):
         logger.info("wrote %s", path)
-    summary = harness.comparison_summary(report)
-    _write_text(out / "summary.txt", summary)
-    print(summary, end="")
-    return 0
+    return _summarize(out, harness.comparison_summary(report))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -180,40 +168,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
     logger.info("wrote %s", out / "dataset.csv")
     harness.write_slo_cdf_csv(dataset, out / "slo_cdf.csv")
     logger.info("wrote %s", out / "slo_cdf.csv")
-    summary = harness.dataset_summary(dataset)
-    _write_text(out / "summary.txt", summary)
-    print(summary, end="")
-    return 0
+    return _summarize(out, harness.dataset_summary(dataset))
 
 
 def _cmd_screen_vs_bo(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    seed = _resolve_seed(config, args.seed)
-    backend = build_backend(config)
-    out = _out_dir(config.output_dir)
+    config, seed, backend, out = _config_inputs(args)
     report = harness.screening_vs_standalone(
         config.space,
         backend,
-        get_utility(config.util_func),
-        config.slo,
-        config.workload,
         total_budget=args.budget,
         r=config.screening.r,
         p=config.screening.p,
         batch_size=config.samples_per_iteration,
         repetitions=args.repetitions,
         base_seed=seed,
-        weights=config.cost_weights,
-        cost_space=config.cost_reference,
         relaxed_factor=config.screening.relaxed_factor,
         strict_factor=config.screening.strict_factor,
+        **_scoring(config),
     )
     harness.write_svb_csv(report, out / "screen_vs_bo.csv")
     logger.info("wrote %s", out / "screen_vs_bo.csv")
-    summary = harness.svb_summary(report)
-    _write_text(out / "summary.txt", summary)
-    print(summary, end="")
-    return 0
+    return _summarize(out, harness.svb_summary(report))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -412,19 +412,23 @@ def build_backend(config: RunConfig) -> Backend | ReplayBackend:
     if settings.kind == "synthetic":
         try:
             model = load_service_model(settings.model)
+        except OSError as exc:
+            raise ConfigError(f"backend.model: {settings.model}: {exc.strerror}") from None
         except ValueError as exc:  # its messages start with the file name
             raise ConfigError(str(exc)) from None
         return SyntheticBackend(model, seed=config.seed)
     if settings.kind == "replay":
         from .harness import load_dataset
 
-        dataset = load_dataset(settings.dataset, slo=config.slo)
-        if set(config.space.names) - set(dataset.space.names):
-            raise ConfigError(
-                "replay dataset is missing configured parameters: "
-                f"{sorted(set(config.space.names) - set(dataset.space.names))}"
-            )
-        return dataset.replay_backend()
+        try:
+            backend = load_dataset(settings.dataset, slo=config.slo).replay_backend()
+        except OSError as exc:
+            raise ConfigError(f"backend.dataset: {settings.dataset}: {exc.strerror}") from None
+        try:
+            backend.stored_order(config.space)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return backend
     return ExternalBackend(
         settings.command, timeout_s=settings.timeout_s, retries=settings.retries
     )
@@ -475,9 +479,9 @@ def emit_config(config: RunConfig, space: SearchSpace | None = None) -> dict:
     if config.backend is not None:
         backend: dict = {"kind": config.backend.kind}
         if config.backend.kind == "synthetic":
-            backend["model"] = str(config.backend.model)
+            backend["model"] = str(config.backend.model.absolute())
         elif config.backend.kind == "replay":
-            backend["dataset"] = str(config.backend.dataset)
+            backend["dataset"] = str(config.backend.dataset.absolute())
         else:
             backend["command"] = list(config.backend.command)
             backend["timeout_s"] = config.backend.timeout_s

@@ -151,14 +151,7 @@ class Evaluator:
         self.cost_space = cost_space or space
         self.weights = weights or CostWeights.uniform(self.cost_space.dimension)
         if isinstance(backend, ReplayBackend):
-            stored = backend.space.names
-            if set(stored) != set(space.names):
-                raise ValueError(
-                    "replay dataset parameters differ from the search space: "
-                    f"only in the dataset {sorted(set(stored) - set(space.names))}, "
-                    f"only in the space {sorted(set(space.names) - set(stored))}"
-                )
-            self._stored_order = tuple(space.names.index(name) for name in stored)
+            self._stored_order = backend.stored_order(space)
             self._observe, self._columns = self._replay, self._replayed_columns
         else:
             if utility_fn is None or slo is None or workload is None:
@@ -947,20 +940,12 @@ def screening_vs_standalone(
             combined.extend(bo_trace.observations)
         combined_best = best_observation(combined)
 
-        # The reduced space's first row at the minimum utility, as (utility,
-        # settings): the first of the blocks' first minima, one block held
-        # at a time.
-        reduced_optimum = combined_found = None
+        # The reduced space's optimum is its first row at the minimum utility.
+        reduced_utility = combined_found = None
         if reduced.size <= EXHAUSTIVE_CAP:
-            reduced_optimum = min(
-                (
-                    (block.utility[row].item(), tuple(block.settings[row].tolist()))
-                    for block in Evaluator(reduced, backend, **scoring)._columns()
-                    for row in [int(np.argmin(block.utility))]
-                ),
-                key=operator.itemgetter(0),
-            )
-            combined_found = any(o.config.settings == reduced_optimum[1] for o in combined)
+            optimum = collect_exhaustive(reduced, backend, **scoring).optimum
+            reduced_utility = optimum.utility
+            combined_found = any(o.config == optimum.config for o in combined)
 
         standalone_trace = run_optimization(
             space,
@@ -990,9 +975,7 @@ def screening_vs_standalone(
                 combined_best_utility=combined_best.utility,
                 combined_in_reduced_bounds=reduced.contains(combined_best.config),
                 combined_found_reduced_optimum=combined_found,
-                reduced_optimum_utility=(
-                    reduced_optimum[0] if reduced_optimum is not None else None
-                ),
+                reduced_optimum_utility=reduced_utility,
                 standalone_best_config=standalone_best.config,
                 standalone_best_utility=standalone_best.utility,
                 standalone_in_reduced_bounds=reduced.contains(standalone_best.config),

@@ -555,6 +555,23 @@ class TestReplayBackend:
         ):
             backend.lookup((750, 512))
 
+    def test_stored_order_maps_space_positions(self, space):
+        backend = ReplayBackend(space, self.rows_for(space))
+        assert backend.stored_order(space) == (0, 1)
+        permuted = SearchSpace(tuple(reversed(space.parameters)))
+        assert backend.stored_order(permuted) == (1, 0)
+
+    def test_stored_order_rejects_other_parameters(self, space):
+        backend = ReplayBackend(space, self.rows_for(space))
+        narrow = SearchSpace(space.parameters[:1])
+        only = r"only in the dataset \['webMemory'\], only in the space \[\]"
+        with pytest.raises(ValueError, match=only):
+            backend.stored_order(narrow)
+        wide = SearchSpace((*space.parameters, ParameterSpec("dbCpu", 500, 625, 125, "m")))
+        only = r"only in the dataset \[\], only in the space \['dbCpu'\]"
+        with pytest.raises(ValueError, match=only):
+            backend.stored_order(wide)
+
     def test_replayed_failure(self, space):
         rows = self.rows_for(space)
         failed_config = Configuration((500, 512))

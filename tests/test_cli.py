@@ -119,6 +119,35 @@ class TestExitCodes:
         assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
+        "kind, field, name",
+        [("synthetic", "model", "no-model.yaml"), ("replay", "dataset", "no-data.csv")],
+        ids=["model", "dataset"],
+    )
+    def test_missing_backend_file_is_config_error(
+        self, workdir, monkeypatch, capsys, kind, field, name
+    ):
+        document = config_document(backend={"kind": kind, field: name})
+        config = write_yaml(workdir / "missing.yaml", document)
+        out = workdir / "o"
+        assert run(monkeypatch, out, ["optimize", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"backend.{field}: {workdir / name}: No such file or directory" in err
+        assert not any(out.glob("*.csv"))
+
+    def test_replay_parameter_mismatch_is_config_error(self, workdir, monkeypatch, capsys):
+        """A dataset holding a parameter the config lacks is a configuration
+        error whose message names that parameter."""
+        data = workdir / "data"
+        assert run(monkeypatch, data, ["exhaustive", "--config", str(workdir / "config.yaml")]) == 0
+        document = config_document(backend={"kind": "replay", "dataset": "data/dataset.csv"})
+        document["slas"][0]["parameters"] = document["slas"][0]["parameters"][:1]
+        config = write_yaml(workdir / "narrow.yaml", document)
+        assert run(monkeypatch, workdir / "o", ["optimize", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "replay dataset parameters differ" in err
+        assert "only in the dataset ['webMemory']" in err
+
+    @pytest.mark.parametrize(
         "command, document, path",
         [
             (
@@ -203,6 +232,18 @@ class TestScreen:
         reduced = parse_config(out / "reduced-config.yaml")
         assert reduced.space.size <= 24
         assert reduced.cost_reference is not None
+
+    def test_reduced_config_runs_where_it_is_written(self, workdir, monkeypatch):
+        """A reduced config written away from a relatively named source
+        config still finds the backend's model."""
+        monkeypatch.chdir(workdir)
+        out = workdir / "runs" / "screen-out"
+        assert run(monkeypatch, out, ["screen", "--config", "config.yaml"]) == 0
+        reduced = yaml.safe_load((out / "reduced-config.yaml").read_text())
+        assert reduced["backend"]["model"] == str(workdir / "model.yaml")
+        monkeypatch.chdir(out)
+        argv = ["optimize", "--config", "reduced-config.yaml"]
+        assert run(monkeypatch, workdir / "o", argv) == 0
 
     def test_reduced_config_screens_again(self, workdir, monkeypatch):
         """The emitted config records the p its screening used, so a space
@@ -515,18 +556,22 @@ class TestScreenVsBo:
         assert rows[0]["screening_evals"] == "9"  # r=3 trajectories x (2+1)
 
     def test_costs_follow_cost_reference(self, workdir, monkeypatch):
-        """Every utility the study reports is one that ``exhaustive`` gives
-        the same configuration, so both normalize costs against
-        ``costReference`` rather than the configured bounds."""
+        """Every utility the study and ``optimize`` report is one that
+        ``exhaustive`` gives the same configuration, so all three normalize
+        costs against ``costReference`` rather than the configured bounds
+        and weigh them with ``costWeights``."""
         reference = [
             {"name": "webCpu", "searchspace": {"min": 250, "max": 2000, "granularity": 125}},
             {"name": "webMemory", "searchspace": {"min": 256, "max": 2048, "granularity": 256}},
         ]
-        write_yaml(workdir / "ref.yaml", config_document(costReference=reference))
-        config = str(workdir / "ref.yaml")
+        document = config_document(
+            costReference=reference, costWeights={"webCpu": 3.0, "webMemory": 0.5}
+        )
+        config = str(write_yaml(workdir / "ref.yaml", document))
         assert run(monkeypatch, workdir / "ex", ["exhaustive", "--config", config]) == 0
         argv = ["screen-vs-bo", "--config", config, "--budget", "15", "--repetitions", "2"]
         assert run(monkeypatch, workdir / "svb", argv) == 0
+        assert run(monkeypatch, workdir / "opt", ["optimize", "--config", config]) == 0
         with open(workdir / "ex" / "dataset.csv", newline="") as fh:
             utilities = {row["utility"] for row in csv.DictReader(fh)}
         with open(workdir / "svb" / "screen_vs_bo.csv", newline="") as fh:
@@ -536,5 +581,9 @@ class TestScreenVsBo:
             for row in rows
             for key in ("reduced_optimum_utility", "combined_best_utility", "standalone_best_utility")
         ]
+        with open(workdir / "opt" / "trace.csv", newline="") as fh:
+            traced = [row["utility"] for row in csv.DictReader(fh)]
+        assert len(traced) == 12
         assert all(float(u) < 1.0 for u in reported)  # feasible, so cost-scored
         assert set(reported) <= utilities
+        assert set(traced) <= utilities

@@ -321,6 +321,40 @@ class TestEmit:
         assert second.screening.r == first.screening.r
         assert [p.suffix for p in second.space.parameters] == ["m", "Mi"]
 
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            {"kind": "synthetic", "model": "model.yaml"},
+            {"kind": "replay", "dataset": "data/full.csv"},
+            {"kind": "external", "command": ["./bench", "--fast"], "timeout_s": 30.0, "retries": 1},
+        ],
+        ids=["synthetic", "replay", "external"],
+    )
+    def test_round_trip_per_backend_kind(self, tmp_path, backend):
+        """Every optional field survives parse -> emit -> dump -> parse, and
+        a file path still names the same file from another directory."""
+        document = base_document()
+        document["slas"][0]["ratePerTenant"] = 2.5
+        document["backend"] = backend
+        document["costWeights"] = {"webCpu": 2.0, "webMemory": 0.5}
+        (tmp_path / "src").mkdir()
+        first = parse_config(write_config(tmp_path / "src", document))
+        (tmp_path / "elsewhere").mkdir()
+        again = tmp_path / "elsewhere" / "again.yaml"
+        dump_config(emit_config(first), again)
+        second = parse_config(again)
+        assert second.workload.rate_per_tenant == 2.5
+        assert second.throughput_target == first.throughput_target == 400
+        assert second.cost_weights.weights == first.cost_weights.weights == (2.0, 0.5)
+        assert second.backend.kind == backend["kind"]
+        if "model" in backend:
+            assert second.backend.model == tmp_path / "src" / "model.yaml"
+        if "dataset" in backend:
+            assert second.backend.dataset == tmp_path / "src" / "data" / "full.csv"
+        if "command" in backend:
+            assert second.backend.command == ("./bench", "--fast")
+            assert (second.backend.timeout_s, second.backend.retries) == (30.0, 1)
+
     def test_emitted_document_uses_wire_key_names(self, tmp_path):
         config = parse_config(write_config(tmp_path, base_document()))
         document = emit_config(config)
