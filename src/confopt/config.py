@@ -416,6 +416,8 @@ def build_backend(config: RunConfig) -> Backend | ReplayBackend:
             raise ConfigError(f"backend.model: {settings.model}: {exc.strerror}") from None
         except ValueError as exc:  # its messages start with the file name
             raise ConfigError(str(exc)) from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"backend.model: {settings.model}: {exc}") from None
         return SyntheticBackend(model, seed=config.seed)
     if settings.kind == "replay":
         from .harness import load_dataset
@@ -424,6 +426,8 @@ def build_backend(config: RunConfig) -> Backend | ReplayBackend:
             backend = load_dataset(settings.dataset, slo=config.slo).replay_backend()
         except OSError as exc:
             raise ConfigError(f"backend.dataset: {settings.dataset}: {exc.strerror}") from None
+        except ValueError as exc:  # its messages start with the file name
+            raise ConfigError(f"backend.dataset: {exc}") from None
         try:
             backend.stored_order(config.space)
         except ValueError as exc:

@@ -27,6 +27,10 @@ to the model that extends it, is the column sum of V² (N floats).
 That work is a few BLAS calls on b new rows per round, which BLAS threads
 only slow down. :func:`one_blas_thread` runs a round on one OpenBLAS
 thread, so results and speed do not depend on the core count.
+
+scipy's ``linalg`` and ``special`` are imported by the functions that use
+them, so importing this module, or confopt, leaves scipy unloaded until a
+model is fitted or used.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib
 import math
 import os
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg, special
 
 __all__ = [
     "ProductGrid",
@@ -63,6 +68,22 @@ _JITTER_ESCALATIONS = 3
 _ROWS_PER_GEMM = 8
 
 
+def __getattr__(name: str) -> ModuleType:
+    """``linalg`` and ``special``, the scipy modules the surrogate uses,
+    imported on first access."""
+    if name in ("linalg", "special"):
+        return importlib.import_module(f"scipy.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def import_scipy() -> None:
+    """Import the scipy modules the surrogate uses now rather than on
+    first use: a process about to fork workers that fit calls this, so
+    that the workers share them instead of each importing them."""
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
+
+
 def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``K(a, b) = σ² exp(−max(|a|² + |b|² − 2a·b, 0) / 2ℓ²)``."""
     sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
@@ -72,6 +93,8 @@ def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    from scipy import linalg
+
     return linalg.solve_triangular(factor, rhs, lower=True, check_finite=False)
 
 
@@ -90,8 +113,10 @@ _OPENBLAS_SETTERS = (
 def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """The thread-count getter and setter of every OpenBLAS library mapped
     into this process; none without ``/proc/self/maps`` or without OpenBLAS
-    (MKL, Accelerate). Looked up once: the first call comes after numpy
-    and scipy.linalg, which load every BLAS in use, were imported."""
+    (MKL, Accelerate). Looked up once, after importing scipy.linalg:
+    numpy and scipy.linalg load every BLAS in use."""
+    import scipy.linalg  # noqa: F401
+
     try:
         with open(_MAPS, encoding="utf-8") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
@@ -246,6 +271,8 @@ class SurrogateModel:
         # rows: rows m..n of L⁻¹, the X of X·L = I[m:n]. Raw BLAS and LAPACK
         # here and in gp_fit: on small grids scipy's checked wrappers cost
         # more than the solves.
+        from scipy import linalg
+
         unit_rows = np.eye(n)[state.rows :]
         inverse_rows = linalg.blas.dtrsm(1.0, self._factor, unit_rows, side=1, lower=1)
         weights = np.vstack([self._alpha, inverse_rows])
@@ -267,6 +294,8 @@ def _extended_factor(
     """Lower Cholesky factor of ``K(inputs) + eps·I``, extending the
     prior's factor over its leading rows (none without a prior). Raises
     ``LinAlgError`` when the Schur complement is not positive definite."""
+    from scipy import linalg
+
     old = inputs[:0] if prior is None else prior.inputs
     m, n = len(old), len(inputs)
     factor = np.zeros((n, n))
@@ -298,6 +327,8 @@ def gp_fit(
     computed from zero rows, escalating the jitter as needed, and the sum
     starts again; the result is the same model up to rounding either way.
     """
+    from scipy import linalg
+
     # A copy: later fits compare it with their inputs.
     inputs = np.atleast_2d(np.array(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -359,6 +390,8 @@ def expected_improvement(
     ``max(best - mean, 0)``. Always non-negative. Phi and phi are the
     expressions ``scipy.stats.norm`` evaluates, without importing it.
     """
+    from scipy import special
+
     mean = np.asarray(mean, dtype=float)
     stddev = np.asarray(stddev, dtype=float)
     improvement = best - mean

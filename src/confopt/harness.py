@@ -16,7 +16,6 @@ import logging
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -24,7 +23,14 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 import numpy as np
 
 from .backends import Backend, Block, Measured, ReplayBackend
-from .optim import Observation, SpaceExhausted, best_observation, create_optimizer
+from .gp import import_scipy
+from .optim import (
+    BayesianEISession,
+    Observation,
+    SpaceExhausted,
+    best_observation,
+    create_optimizer,
+)
 from .screening import reduce_bounds, run_screening
 from .space import Configuration, ParameterSpec, SearchSpace
 from .utility import CostWeights, SloSpec, UtilityFn, WorkloadSpec, allocation_cost
@@ -698,10 +704,14 @@ def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
     """Load a collected dataset, inferring the space from its rows.
 
     The optimum is recomputed from the stored utilities, so a hand-edited
-    file cannot smuggle in a stale one.
+    file cannot smuggle in a stale one. An error in the file's contents
+    names the file.
     """
     space, columns, _ = _read_dataset(Path(path))
-    return Dataset._from_columns(space, columns, slo)
+    try:
+        return Dataset._from_columns(space, columns, slo)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- comparisons -------------------------------------------------------------
@@ -799,6 +809,11 @@ def compare(
     if workers <= 1:
         results = list(map(functools.partial(_compare_chunk, args=args), tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if BayesianEISession.name in map(str.lower, optimizer_names):
+            import_scipy()
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_compare_init, initargs=args
         ) as pool:

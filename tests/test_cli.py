@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,6 +119,27 @@ class TestExitCodes:
         assert run(monkeypatch, out, ["exhaustive", "--config", config]) == 1
         err = capsys.readouterr().err
         assert "model.yaml: services: expected a mapping" in err
+        assert not any(out.glob("*.csv"))
+
+    def test_unparsable_service_model_is_config_error(self, workdir, monkeypatch, capsys):
+        (workdir / "model.yaml").write_text("services: [unclosed\n")
+        out = workdir / "o"
+        config = str(workdir / "config.yaml")
+        assert run(monkeypatch, out, ["exhaustive", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert f"error: backend.model: {workdir / 'model.yaml'}: while parsing" in err
+        assert not any(out.glob("*.csv"))
+
+    def test_replay_dataset_with_a_wrong_header_is_config_error(
+        self, workdir, monkeypatch, capsys
+    ):
+        (workdir / "data.csv").write_text("webCpu,webMemory,utility\n500,256,1.0\n")
+        document = config_document(backend={"kind": "replay", "dataset": "data.csv"})
+        config = write_yaml(workdir / "replay.yaml", document)
+        out = workdir / "o"
+        assert run(monkeypatch, out, ["exhaustive", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: backend.dataset: {workdir / 'data.csv'}: expected parameter columns" in err
         assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
@@ -587,3 +611,43 @@ class TestScreenVsBo:
         assert all(float(u) < 1.0 for u in reported)  # feasible, so cost-scored
         assert set(reported) <= utilities
         assert set(traced) <= utilities
+
+
+#: Runs each command in a fresh interpreter, checking after each one that
+#: scipy is loaded only once a Gaussian process is fitted.
+SCIPY_ON_FIRST_FIT = """
+import os, sys
+import confopt
+assert "scipy" not in sys.modules, "import confopt"
+from confopt.cli import main
+assert "scipy" not in sys.modules, "import confopt.cli"
+
+def run(out, argv):
+    os.environ["CONFOPT_OUT"] = out
+    assert main(argv) == 0, argv
+
+for out, argv in [
+    ("data", ["exhaustive", "--config", "config.yaml"]),
+    ("rep", ["report", "--in", "data/dataset.csv"]),
+    ("scr", ["screen", "--config", "config.yaml"]),
+    ("cmp", ["compare", "--dataset", "data/dataset.csv", "--optimizers",
+             "random,bestconfig", "--runs", "2", "--budget", "8"]),
+]:
+    run(out, argv)
+    assert "scipy" not in sys.modules, argv
+run("opt", ["optimize", "--config", "config.yaml"])  # bayesian-ei
+assert {"scipy.linalg", "scipy.special"} <= sys.modules.keys()
+"""
+
+
+def test_only_a_gaussian_process_loads_scipy(workdir):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_ON_FIRST_FIT],
+        cwd=workdir,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -432,6 +432,36 @@ class TestOneBlasThread:
         assert gp._openblas_thread_controls.__wrapped__() == ()
 
 
+#: Looks up the OpenBLAS controls before and after importing scipy.linalg.
+CONTROLS_BEFORE_AND_AFTER_SCIPY = """
+import sys
+from confopt import gp
+assert "scipy" not in sys.modules
+first = gp._openblas_thread_controls()
+import scipy.linalg
+gp._openblas_thread_controls.cache_clear()
+print(len(first), len(gp._openblas_thread_controls()))
+"""
+
+
+def test_thread_controls_looked_up_before_scipy_include_its_openblas():
+    """The first BO round may look the controls up before anything else
+    imported scipy; the list it caches must still cap scipy's OpenBLAS."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", CONTROLS_BEFORE_AND_AFTER_SCIPY],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    if not second:
+        pytest.skip("no OpenBLAS mapped into the process")
+    assert first == second
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1245,6 +1248,40 @@ class TestCompare:
         parallel_paths = write_comparison_csvs(parallel, tmp_path / "parallel")
         for a, b in zip(serial_paths, parallel_paths):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_gets_scipy_before_forking_only_for_a_gp(self, tmp_path):
+        """A fresh interpreter records, as each pool is constructed, whether
+        the scipy modules a fit uses are loaded."""
+        dataset, _ = surface_dataset((4, 4))
+        write_dataset_csv(dataset, tmp_path / "dataset.csv")
+        script = """
+import concurrent.futures, sys
+from confopt import harness
+
+loaded = []
+
+class Recorder(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append({"scipy.linalg", "scipy.special"} <= sys.modules.keys())
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Recorder
+dataset = harness.load_dataset("dataset.csv")
+harness.compare(dataset, ["random"], 4, 8, 0, workers=2)
+harness.compare(dataset, ["random", "bayesian-ei"], 4, 8, 0, workers=2)
+print(loaded)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[False, True]"
 
     def test_argument_validation(self):
         dataset, _ = surface_dataset()
