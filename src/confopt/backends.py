@@ -626,12 +626,14 @@ class SyntheticBackend(Backend):
         per row below that or when the array draw failed its self-check."""
         prefix = f"{self.seed}|{workload.tenants}|{workload.rate_per_tenant}|"
         layout = block.names, block.texts
-        if self._tokens[0] != layout:
-            self._tokens = layout, [
+        cached, tokens = self._tokens  # read once: another thread may swap it
+        if cached != layout:
+            tokens = [
                 np.array([f"{name}={text}" for text in texts], dtype=object)
                 for name, texts in zip(*layout)
             ]
-        columns = [tokens[block.levels[rows, j]] for j, tokens in enumerate(self._tokens[1])]
+            self._tokens = layout, tokens
+        columns = [column[block.levels[rows, j]] for j, column in enumerate(tokens)]
         digests = b"".join(
             hashlib.sha256((prefix + ",".join(parts)).encode("utf-8")).digest()[:8]
             for parts in zip(*columns)

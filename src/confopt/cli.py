@@ -42,6 +42,17 @@ def _out_dir(default: str | Path) -> Path:
     return path
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _config_inputs(
     args: argparse.Namespace,
 ) -> tuple[RunConfig, int, Backend | ReplayBackend, Path]:
@@ -200,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     screen = sub.add_parser("screen", help="run sensitivity screening and reduce bounds")
     screen.add_argument("--config", required=True)
-    screen.add_argument("--seed", type=int, default=None)
+    screen.add_argument("--seed", type=_seed, default=None)
     screen.set_defaults(func=_cmd_screen)
 
     optimize = sub.add_parser("optimize", help="run one optimization loop")
     optimize.add_argument("--config", required=True)
-    optimize.add_argument("--seed", type=int, default=None)
+    optimize.add_argument("--seed", type=_seed, default=None)
     optimize.set_defaults(func=_cmd_optimize)
 
     exhaustive = sub.add_parser("exhaustive", help="measure every configuration")
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--runs", type=int, default=1000)
     compare.add_argument("--budget", type=int, default=100)
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--seed", type=_seed, default=0)
     compare.add_argument("--batch", type=int, default=6)
     compare.add_argument("--workers", type=int, default=1)
     compare.add_argument("--out", default=".")
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     svb.add_argument("--config", required=True)
     svb.add_argument("--budget", type=int, required=True)
     svb.add_argument("--repetitions", type=int, default=1)
-    svb.add_argument("--seed", type=int, default=None)
+    svb.add_argument("--seed", type=_seed, default=None)
     svb.set_defaults(func=_cmd_screen_vs_bo)
     return parser
 

@@ -52,9 +52,6 @@ logger = logging.getLogger(__name__)
 #: Latency-SLO key in the ``slos`` map. YAML reads it as the string "99th".
 LATENCY_SLO_KEY = "99th"
 
-_IGNORED_TOP_KEYS = ("charts", "namespaceStrategy")
-_IGNORED_SLA_KEYS = ("chartName",)
-
 
 class ConfigError(ValueError):
     """A configuration file failed validation."""
@@ -95,90 +92,90 @@ class RunConfig:
     backend: BackendSettings | None = None
     cost_reference: SearchSpace | None = None
     cost_weights: CostWeights | None = None
-    source_dir: Path = Path(".")
 
     @property
     def budget(self) -> int:
         return self.iterations * self.samples_per_iteration
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key: {_join(path, key)}")
-    return mapping[key]
+class _Fields:
+    """One mapping of the config document, read one field at a time.
+
+    Each read names its field by dotted path, fails when a required key is
+    absent or the value has the wrong kind (a bool is not a number, an int
+    passes as a float, a float must be finite) and records the key, so
+    :meth:`done` can warn about every key that no read asked for.
+    """
+
+    def __init__(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'document'}: expected a mapping")
+        self.value, self.path, self.read = value, path, set()
+
+    def at(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def __call__(self, key: str, kind: type, *default, nullable: bool = False):
+        """The value at ``key`` checked as ``kind`` (a mapping comes back as
+        ``_Fields``), or the optional ``default`` when the key is absent, or
+        null and ``nullable``."""
+        self.read.add(key)
+        value = self.value.get(key)
+        if key not in self.value or (nullable and value is None):
+            if not default:
+                raise ConfigError(f"missing required key: {self.at(key)}")
+            return default[0]
+        return _checked(value, kind, self.at(key))
+
+    def ignore(self, *keys: str) -> None:
+        """Deployment-only keys: warned about when present, never read."""
+        for key in keys:
+            if key in self.value:
+                logger.warning("ignoring deployment-only key: %s", self.at(key))
+        self.read.update(keys)
+
+    def done(self) -> None:
+        for key in self.value:
+            if key not in self.read:
+                logger.warning("ignoring unknown key: %s", self.at(key))
 
 
-def _join(path: str, key: str) -> str:
-    return key if not path else f"{path}.{key}"
-
-
-def _as_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path or 'document'}: expected a mapping")
-    return value
-
-
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list")
-    return value
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
-def _warn_unknown(mapping: dict, known: set[str], path: str) -> None:
-    for key in mapping:
-        if key not in known:
-            logger.warning("ignoring unknown key: %s", _join(path, str(key)))
-
-
-def _parse_parameter_list(entries, path: str) -> SearchSpace:
-    specs = []
-    for i, entry in enumerate(_as_list(entries, path)):
-        entry_path = f"{path}[{i}]"
-        entry = _as_mapping(entry, entry_path)
-        _warn_unknown(entry, {"name", "searchspace", "suffix"}, entry_path)
-        name = _as_str(_require(entry, "name", entry_path), f"{entry_path}.name")
-        box_path = f"{entry_path}.searchspace"
-        box = _as_mapping(_require(entry, "searchspace", entry_path), box_path)
-        _warn_unknown(box, {"min", "max", "granularity"}, box_path)
-        suffix = entry.get("suffix", "")
-        if suffix is None:
-            suffix = ""
+def _checked(value, kind: type, path: str):
+    if kind is dict:
+        return _Fields(value, path)
+    if kind is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        expected = {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if kind is float:
         try:
-            specs.append(
-                ParameterSpec(
-                    name=name,
-                    minimum=_as_int(_require(box, "min", box_path), f"{box_path}.min"),
-                    maximum=_as_int(_require(box, "max", box_path), f"{box_path}.max"),
-                    granularity=_as_int(
-                        _require(box, "granularity", box_path),
-                        f"{box_path}.granularity",
-                    ),
-                    suffix=_as_str(suffix, f"{entry_path}.suffix"),
-                    allow_single_level=True,
-                )
-            )
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{path}: expected a finite number, got an integer beyond the float range"
+            ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return value
+
+
+def _parse_parameters(entries: list, path: str) -> SearchSpace:
+    specs = []
+    for i, raw in enumerate(entries):
+        entry = _Fields(raw, f"{path}[{i}]")
+        name = entry("name", str)
+        box = entry("searchspace", dict)
+        bounds = [box(key, int) for key in ("min", "max", "granularity")]
+        suffix = entry("suffix", str, "", nullable=True)
+        box.done()
+        entry.done()
+        try:
+            specs.append(ParameterSpec(name, *bounds, suffix=suffix, allow_single_level=True))
         except ValueError as exc:
-            raise ConfigError(f"parameter {name!r}: {exc}") from None
+            raise ConfigError(f"{entry.path}: {exc}") from None
     if not specs:
         raise ConfigError(f"{path}: at least one parameter required")
     try:
@@ -187,55 +184,38 @@ def _parse_parameter_list(entries, path: str) -> SearchSpace:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_backend(raw, path: str, source_dir: Path) -> BackendSettings:
-    raw = _as_mapping(raw, path)
-    kind = _as_str(_require(raw, "kind", path), f"{path}.kind")
+def _parse_backend(raw: _Fields, source_dir: Path) -> BackendSettings:
+    kind = raw("kind", str)
     if kind not in ("synthetic", "replay", "external"):
         raise ConfigError(
-            f"{path}.kind: expected synthetic, replay or external, got {kind!r}"
+            f"{raw.at('kind')}: expected synthetic, replay or external, got {kind!r}"
         )
-    known = {"kind"}
     settings = BackendSettings(kind=kind)
     if kind == "synthetic":
-        known.add("model")
-        settings.model = source_dir / _as_str(
-            _require(raw, "model", path), f"{path}.model"
-        )
+        settings.model = source_dir / raw("model", str)
     elif kind == "replay":
-        known.add("dataset")
-        settings.dataset = source_dir / _as_str(
-            _require(raw, "dataset", path), f"{path}.dataset"
-        )
+        settings.dataset = source_dir / raw("dataset", str)
     else:
-        known.update(("command", "timeout_s", "retries"))
-        command = _require(raw, "command", path)
-        if isinstance(command, str):
-            settings.command = (command,)
+        if isinstance(raw.value.get("command"), str):
+            settings.command = (raw("command", str),)
         else:
             settings.command = tuple(
-                _as_str(part, f"{path}.command[{i}]")
-                for i, part in enumerate(_as_list(command, f"{path}.command"))
+                _checked(part, str, f"{raw.at('command')}[{i}]")
+                for i, part in enumerate(raw("command", list))
             )
-        if "timeout_s" in raw:
-            settings.timeout_s = _as_float(raw["timeout_s"], f"{path}.timeout_s")
-        if "retries" in raw:
-            settings.retries = _as_int(raw["retries"], f"{path}.retries")
-    _warn_unknown(raw, known, path)
+        settings.timeout_s = raw("timeout_s", float, settings.timeout_s)
+        settings.retries = raw("retries", int, settings.retries)
+    raw.done()
     return settings
 
 
-def _parse_screening(raw, path: str) -> ScreeningSettings:
-    raw = _as_mapping(raw, path)
-    _warn_unknown(raw, {"r", "p", "relaxed_factor", "strict_factor"}, path)
+def _parse_screening(raw: _Fields) -> ScreeningSettings:
     settings = ScreeningSettings()
-    if "r" in raw:
-        settings.r = _as_int(raw["r"], f"{path}.r")
-    if "p" in raw and raw["p"] is not None:
-        settings.p = _as_int(raw["p"], f"{path}.p")
-    if "relaxed_factor" in raw:
-        settings.relaxed_factor = _as_float(raw["relaxed_factor"], f"{path}.relaxed_factor")
-    if "strict_factor" in raw:
-        settings.strict_factor = _as_float(raw["strict_factor"], f"{path}.strict_factor")
+    settings.r = raw("r", int, settings.r)
+    settings.p = raw("p", int, settings.p, nullable=True)
+    settings.relaxed_factor = raw("relaxed_factor", float, settings.relaxed_factor)
+    settings.strict_factor = raw("strict_factor", float, settings.strict_factor)
+    raw.done()
     return settings
 
 
@@ -253,133 +233,79 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: malformed document: {exc}") from None
-    document = _as_mapping(document, "")
-    source_dir = path.parent
+    top = _Fields(document, "")
+    top.ignore("charts", "namespaceStrategy")
 
-    for key in _IGNORED_TOP_KEYS:
-        if key in document:
-            logger.warning("ignoring deployment-only key: %s", key)
-
-    iterations = _as_int(_require(document, "nbOfIterations", ""), "nbOfIterations")
-    samples = _as_int(
-        _require(document, "nbOfSamplesPerIteration", ""), "nbOfSamplesPerIteration"
-    )
+    iterations = top("nbOfIterations", int)
+    samples = top("nbOfSamplesPerIteration", int)
     if iterations < 1 or samples < 1:
         raise ConfigError(
             "nbOfIterations and nbOfSamplesPerIteration must be at least 1"
         )
 
-    slas = _as_list(_require(document, "slas", ""), "slas")
+    slas = top("slas", list)
     if len(slas) != 1:
         raise ConfigError(f"exactly one SLA is supported, got {len(slas)}")
-    sla = _as_mapping(slas[0], "slas[0]")
-    for key in _IGNORED_SLA_KEYS:
-        if key in sla:
-            logger.warning("ignoring deployment-only key: slas[0].%s", key)
-    _warn_unknown(
-        sla,
-        {"name", "slos", "nbOfTenants", "ratePerTenant", "parameters"}
-        | set(_IGNORED_SLA_KEYS),
-        "slas[0]",
-    )
-    sla_name = _as_str(sla.get("name", "default"), "slas[0].name")
+    sla = _Fields(slas[0], "slas[0]")
+    sla.ignore("chartName")
+    sla_name = sla("name", str, "default")
 
-    slos = _as_mapping(_require(sla, "slos", "slas[0]"), "slas[0].slos")
-    _warn_unknown(slos, {LATENCY_SLO_KEY, "throughput"}, "slas[0].slos")
-    threshold = _as_float(
-        _require(slos, LATENCY_SLO_KEY, "slas[0].slos"),
-        f"slas[0].slos.{LATENCY_SLO_KEY}",
-    )
-    throughput_target = (
-        _as_float(slos["throughput"], "slas[0].slos.throughput")
-        if "throughput" in slos
-        else None
-    )
+    slos = sla("slos", dict)
+    threshold = slos(LATENCY_SLO_KEY, float)
+    throughput_target = slos("throughput", float, None)
+    slos.done()
 
-    tenants = _as_int(_require(sla, "nbOfTenants", "slas[0]"), "slas[0].nbOfTenants")
-    rate = (
-        _as_float(sla["ratePerTenant"], "slas[0].ratePerTenant")
-        if "ratePerTenant" in sla
-        else None
-    )
+    tenants = sla("nbOfTenants", int)
+    rate = sla("ratePerTenant", float, None)
     try:
         workload = WorkloadSpec(tenants=tenants, rate_per_tenant=rate)
         slo = SloSpec(threshold=threshold)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    space = _parse_parameter_list(_require(sla, "parameters", "slas[0]"), "slas[0].parameters")
+    space = _parse_parameters(sla("parameters", list), sla.at("parameters"))
+    sla.done()
 
-    optimizer = _as_str(_require(document, "optimizer", ""), "optimizer").lower()
+    optimizer = top("optimizer", str).lower()
     if optimizer not in OPTIMIZERS:
         raise ConfigError(
             f"unknown optimizer {optimizer!r}; valid names: "
             f"{', '.join(sorted(OPTIMIZERS))}"
         )
-    util_func = _as_str(_require(document, "utilFunc", ""), "utilFunc")
+    util_func = top("utilFunc", str)
     if util_func not in UTILITY_FUNCTIONS:
         raise ConfigError(
             f"unknown utilFunc {util_func!r}; valid names: "
             f"{', '.join(sorted(UTILITY_FUNCTIONS))}"
         )
-    output_dir = Path(
-        os.environ.get("CONFOPT_OUT")
-        or _as_str(_require(document, "outputDir", ""), "outputDir")
-    )
+    top.read.add("outputDir")  # a known key, also when CONFOPT_OUT overrides it
+    output_dir = Path(os.environ.get("CONFOPT_OUT") or top("outputDir", str))
 
-    seed = _as_int(document.get("seed", 0), "seed")
-    screening = (
-        _parse_screening(document["screening"], "screening")
-        if "screening" in document
-        else ScreeningSettings()
-    )
-    backend = (
-        _parse_backend(document["backend"], "backend", source_dir)
-        if "backend" in document
-        else None
-    )
+    seed = top("seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed}")
+    screening = top("screening", dict, None)
+    screening = ScreeningSettings() if screening is None else _parse_screening(screening)
+    backend = top("backend", dict, None)
+    if backend is not None:
+        backend = _parse_backend(backend, path.parent)
 
-    cost_reference = None
-    if "costReference" in document:
-        cost_reference = _parse_parameter_list(document["costReference"], "costReference")
+    cost_reference = top("costReference", list, None)
+    if cost_reference is not None:
+        cost_reference = _parse_parameters(cost_reference, "costReference")
         if cost_reference.names != space.names:
             raise ConfigError(
                 "costReference parameter names must match slas[0].parameters"
             )
-    cost_weights = None
-    if "costWeights" in document:
-        raw_weights = _as_mapping(document["costWeights"], "costWeights")
-        _warn_unknown(raw_weights, set(space.names), "costWeights")
-        values = []
-        for name in space.names:
-            values.append(
-                _as_float(
-                    _require(raw_weights, name, "costWeights"), f"costWeights.{name}"
-                )
-            )
+    cost_weights = top("costWeights", dict, None)
+    if cost_weights is not None:
+        values = tuple(cost_weights(name, float) for name in space.names)
+        cost_weights.done()
         try:
-            cost_weights = CostWeights(tuple(values))
+            cost_weights = CostWeights(values)
         except ValueError as exc:
             raise ConfigError(f"costWeights: {exc}") from None
-
-    _warn_unknown(
-        document,
-        {
-            "nbOfIterations",
-            "nbOfSamplesPerIteration",
-            "slas",
-            "optimizer",
-            "utilFunc",
-            "outputDir",
-            "seed",
-            "screening",
-            "backend",
-            "costReference",
-            "costWeights",
-        }
-        | set(_IGNORED_TOP_KEYS),
-        "",
-    )
+    top.done()
 
     return RunConfig(
         iterations=iterations,
@@ -397,8 +323,17 @@ def parse_config(path: str | Path) -> RunConfig:
         backend=backend,
         cost_reference=cost_reference,
         cost_weights=cost_weights,
-        source_dir=source_dir,
     )
+
+
+def _load(field: str, path: Path, load):
+    """``load(path)``; a file it cannot read or accept is a ConfigError
+    that names the field and the path."""
+    try:
+        return load(path)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else str(exc).removeprefix(f"{path}: ")
+        raise ConfigError(f"backend.{field}: {path}: {reason}") from None
 
 
 def build_backend(config: RunConfig) -> Backend | ReplayBackend:
@@ -410,24 +345,16 @@ def build_backend(config: RunConfig) -> Backend | ReplayBackend:
             "(backend: {kind: synthetic|replay|external, ...})"
         )
     if settings.kind == "synthetic":
-        try:
-            model = load_service_model(settings.model)
-        except OSError as exc:
-            raise ConfigError(f"backend.model: {settings.model}: {exc.strerror}") from None
-        except ValueError as exc:  # its messages start with the file name
-            raise ConfigError(str(exc)) from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"backend.model: {settings.model}: {exc}") from None
+        model = _load("model", settings.model, load_service_model)
         return SyntheticBackend(model, seed=config.seed)
     if settings.kind == "replay":
         from .harness import load_dataset
 
-        try:
-            backend = load_dataset(settings.dataset, slo=config.slo).replay_backend()
-        except OSError as exc:
-            raise ConfigError(f"backend.dataset: {settings.dataset}: {exc.strerror}") from None
-        except ValueError as exc:  # its messages start with the file name
-            raise ConfigError(f"backend.dataset: {exc}") from None
+        backend = _load(
+            "dataset",
+            settings.dataset,
+            lambda path: load_dataset(path, slo=config.slo).replay_backend(),
+        )
         try:
             backend.stored_order(config.space)
         except ValueError as exc:

@@ -330,6 +330,32 @@ class TestNoiseSeeds:
             results = measured_results(backend.evaluate_many(block_of(rows), WORKLOAD))
             assert results == [reference_result(backend, params, WORKLOAD) for params in rows]
 
+    def test_tokens_swapped_during_the_layout_check_are_not_used(self):
+        """A call hashes its rows with the tokens of the layout it checked,
+        even when another call swaps the cache in between. Here comparing a
+        text column with the cached one stands in for the second thread:
+        it installs the tokens of a layout that lists every text in reverse."""
+        block = block_of(noisy_rows(6))
+        reversed_block = block._replace(texts=tuple(texts[::-1] for texts in block.texts))
+        other = SyntheticBackend(NOISY_MODEL, seed=5)
+        list(other.evaluate_many(reversed_block, WORKLOAD))
+        backend = SyntheticBackend(NOISY_MODEL, seed=5)
+        list(backend.evaluate_many(block, WORKLOAD))
+
+        class Swapping(tuple):
+            __hash__ = tuple.__hash__
+
+            def __eq__(self, texts):
+                backend._tokens = other._tokens
+                return tuple.__eq__(self, texts)
+
+        swapping = block._replace(texts=(Swapping(block.texts[0]), *block.texts[1:]))
+        fresh = SyntheticBackend(NOISY_MODEL, seed=5).evaluate_many(block, WORKLOAD)
+        assert [r.slis.get("p99_latency_ms") for r in measured_results(fresh)] == [
+            r.slis.get("p99_latency_ms")
+            for r in measured_results(backend.evaluate_many(swapping, WORKLOAD))
+        ]
+
     def test_evaluate_alone_matches_per_row_default_rng(self):
         backend = SyntheticBackend(NOISY_MODEL, seed=3)
         for params in noisy_rows(8):

@@ -158,6 +158,47 @@ class TestExitCodes:
         assert f"backend.{field}: {workdir / name}: No such file or directory" in err
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "kind, field, name",
+        [("synthetic", "model", "model.yaml"), ("replay", "dataset", "data.csv")],
+        ids=["model", "dataset"],
+    )
+    def test_backend_file_that_is_not_utf8_is_config_error(
+        self, workdir, monkeypatch, capsys, kind, field, name
+    ):
+        (workdir / name).write_bytes(b"services: \xff\xfe\n")
+        document = config_document(backend={"kind": kind, field: name})
+        config = write_yaml(workdir / "binary.yaml", document)
+        out = workdir / "o"
+        assert run(monkeypatch, out, ["exhaustive", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: backend.{field}: {workdir / name}: 'utf-8' codec can't decode" in err
+        assert not any(out.glob("*.csv"))
+
+    def test_negative_seed_in_config_is_config_error(self, workdir, monkeypatch, capsys):
+        config = write_yaml(workdir / "seed.yaml", config_document(seed=-1))
+        out = workdir / "o"
+        assert run(monkeypatch, out, ["optimize", "--config", str(config)]) == 1
+        assert "error: seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["screen", "--config", "config.yaml"],
+            ["optimize", "--config", "config.yaml"],
+            ["screen-vs-bo", "--config", "config.yaml", "--budget", "12"],
+            ["compare", "--dataset", "dataset.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_flag_is_usage_error(self, workdir, monkeypatch, capsys, argv):
+        out = workdir / "o"
+        assert run(monkeypatch, out, [*argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-1'" in err
+        assert not out.exists()
+
     def test_replay_parameter_mismatch_is_config_error(self, workdir, monkeypatch, capsys):
         """A dataset holding a parameter the config lacks is a configuration
         error whose message names that parameter."""

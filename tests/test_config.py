@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import copy
+import functools
 import logging
+import math
+import operator
 import re
 from pathlib import Path
 
@@ -301,6 +305,143 @@ class TestExtensions:
         message = f"{path}: expected a finite number, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(write_config(tmp_path, document))
+
+
+EXTERNAL_BACKEND = {
+    "kind": "external",
+    "command": ["./bench", "--quick"],
+    "timeout_s": 30.0,
+    "retries": 1,
+}
+
+
+def full_document(backend=None):
+    """``base_document`` with every optional block set."""
+    document = base_document()
+    document["slas"][0]["ratePerTenant"] = 2.5
+    document["seed"] = 7
+    document["screening"] = {"r": 4, "p": 4, "relaxed_factor": 1.5, "strict_factor": 0.5}
+    document["backend"] = copy.deepcopy(backend or {"kind": "synthetic", "model": "model.yaml"})
+    document["costReference"] = copy.deepcopy(document["slas"][0]["parameters"])
+    document["costWeights"] = {"webCpu": 3.0, "webMemory": 1.0}
+    return document
+
+
+def leaf_paths(value, path=()):
+    """The key path of every scalar in a document."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from leaf_paths(child, (*path, key))
+    else:
+        yield path
+
+
+def dotted(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+class TestFieldReader:
+    def test_every_read_key_is_known(self, tmp_path, caplog):
+        for backend in (None, {"kind": "replay", "dataset": "full.csv"}, EXTERNAL_BACKEND):
+            with caplog.at_level(logging.WARNING, logger="confopt.config"):
+                parse_config(write_config(tmp_path, full_document(backend)))
+        assert "unknown" not in caplog.text
+
+    def test_unknown_keys_of_nested_mappings_warned_with_path(self, tmp_path, caplog):
+        document = full_document(EXTERNAL_BACKEND)
+        document["slas"][0]["parameters"][1]["searchspace"]["step"] = 1
+        document["costReference"][0]["unit"] = "m"
+        document["screening"]["trajectories"] = 3
+        document["backend"]["model"] = "model.yaml"  # read only for a synthetic backend
+        document["costWeights"]["dbCpu"] = 2.0
+        with caplog.at_level(logging.WARNING, logger="confopt.config"):
+            parse_config(write_config(tmp_path, document))
+        for path in (
+            "slas[0].parameters[1].searchspace.step",
+            "costReference[0].unit",
+            "screening.trajectories",
+            "backend.model",
+            "costWeights.dbCpu",
+        ):
+            assert f"ignoring unknown key: {path}\n" in caplog.text
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("slas", 0, "slos", "99th"),
+            ("slas", 0, "slos", "throughput"),
+            ("slas", 0, "ratePerTenant"),
+            ("costWeights", "webMemory"),
+            ("screening", "relaxed_factor"),
+            ("screening", "strict_factor"),
+            ("backend", "timeout_s"),
+        ],
+        ids=dotted,
+    )
+    def test_integer_beyond_float_range_rejected(self, tmp_path, keys):
+        document = full_document(EXTERNAL_BACKEND)
+        *parents, last = keys
+        functools.reduce(operator.getitem, parents, document)[last] = 10**400
+        message = f"{dotted(keys)}: expected a finite number, got an integer beyond the float range"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, document))
+
+    def test_parameter_errors_start_with_the_entry_path(self, tmp_path):
+        document = full_document()
+        document["costReference"][1]["searchspace"]["min"] = "x"
+        message = "costReference[1].searchspace.min: expected an integer, got 'x'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, document))
+        document = full_document()
+        document["slas"][0]["parameters"][0]["searchspace"]["granularity"] = 0
+        message = "slas[0].parameters[0]: parameter 'webCpu': granularity must be positive, got 0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, document))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        document = full_document()
+        document["seed"] = -1
+        with pytest.raises(ConfigError, match="^seed: expected a non-negative integer, got -1$"):
+            parse_config(write_config(tmp_path, document))
+
+    @pytest.mark.parametrize("backend", [None, EXTERNAL_BACKEND], ids=["synthetic", "external"])
+    def test_every_one_leaf_mutation_parses_or_is_a_config_error(
+        self, tmp_path, monkeypatch, backend
+    ):
+        """Each scalar of the document in turn gets a value of another kind
+        or range, is deleted, or gains an unknown sibling key: parsing
+        either succeeds or raises ConfigError, never another exception.
+        The file holds no text: YAML's reader hands each mutated document
+        to the parser as it stands, which keeps the sweep well under a
+        second (a YAML round trip costs some 7 ms a document)."""
+        document = full_document(backend)
+        values = ["x", -1, 0, math.nan, math.inf, 10**400, None, True, ["x"], {"x": 1}, 2.5]
+        loaded = {}
+        monkeypatch.setattr(yaml, "safe_load", lambda handle: loaded["document"])
+        path = tmp_path / "config.yaml"
+        path.touch()
+        escaped = []
+        for keys in leaf_paths(document):
+            *parents, last = keys
+            for change in [*values, "delete", "sibling"]:
+                mutant = copy.deepcopy(document)
+                target = functools.reduce(operator.getitem, parents, mutant)
+                if change == "delete":
+                    del target[last]
+                elif change == "sibling":
+                    if not isinstance(target, dict):
+                        continue
+                    target["unknownKey"] = 1
+                else:
+                    target[last] = change
+                loaded["document"] = mutant
+                try:
+                    parse_config(path)
+                except ConfigError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the contract under test
+                    escaped.append(f"{dotted(keys)} <- {change!r:.20}: {exc!r}")
+        assert escaped == []
 
 
 class TestEmit:

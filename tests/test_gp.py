@@ -90,6 +90,24 @@ class TestFit:
         with pytest.raises(ValueError):
             gp_fit(np.empty((0, 2)), np.empty(0))
 
+    def test_fewer_targets_than_inputs_rejected(self):
+        with pytest.raises(ValueError, match="3 inputs but 2 targets"):
+            gp_fit(grid_inputs(3), np.array([1.0, 2.0]))
+
+    def test_every_jitter_escalation_failing_raises(self, monkeypatch):
+        from scipy.linalg import LinAlgError
+
+        tried = []
+
+        def never_positive_definite(base, inputs, eps):
+            tried.append(eps)
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "_extended_factor", never_positive_definite)
+        with pytest.raises(LinAlgError, match="not positive definite even with jitter 0.001"):
+            gp_fit(grid_inputs(3), np.array([1.0, 2.0, 3.0]))
+        assert tried == pytest.approx([DEFAULT_JITTER * 10.0**i for i in range(4)])
+
 
 @pytest.mark.parametrize("rows", [(6, 500), (40, 6), (1, 1)], ids=["wide", "tall", "single"])
 def test_kernel_in_place_equals_the_expression_bit_for_bit(rows):

@@ -686,6 +686,23 @@ class TestCollectExhaustive:
         with pytest.raises(ValueError, match="measured 1 rows of a block of 9"):
             collect_exhaustive(space, Short(space), UTILITY, SLO, WORKLOAD)
 
+    def test_long_evaluate_many_is_an_error(self):
+        space = make_space([2, 2])
+
+        class Long(SurfaceBackend):
+            def evaluate_many(self, block, workload):
+                yield Measured({"p99_latency_ms": np.full(8, 900.0)}, [None] * 8)
+
+        evaluator = Evaluator(space, Long(space), UTILITY, SLO, WORKLOAD)
+        with pytest.raises(ValueError, match="the backend measured 8 rows of a block of 4"):
+            list(evaluator.evaluate(space.iter_configurations()))
+
+    def test_configuration_of_the_wrong_length_is_an_error(self):
+        space = make_space([2, 2])
+        evaluator = Evaluator(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD)
+        with pytest.raises(ValueError, match="configuration has 1 settings, space has 2"):
+            list(evaluator.evaluate([Configuration((500,))]))
+
     def test_resume_discards_torn_final_line(self, tmp_path):
         space = make_space([3, 3])
         out = tmp_path / "dataset.csv"

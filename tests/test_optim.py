@@ -295,6 +295,19 @@ class TestBestConfig:
         best_config, _ = session.best_so_far
         assert best_config == optimum
 
+    def test_tiny_space_is_exhausted_after_its_last_configuration(self):
+        space = make_space([2, 2])
+        session = BestConfigSession(space, 100, 3, seed=0)
+        asked = []
+        for _ in range(2):
+            batch = session.ask()
+            session.tell([obs(c, 0.5, len(asked) + i + 1) for i, c in enumerate(batch)])
+            asked.extend(batch)
+        everything = [c.settings for c in space.iter_configurations()]
+        assert sorted(c.settings for c in asked) == everything
+        with pytest.raises(SpaceExhausted):
+            session.ask()
+
 
 class TestBayesianEI:
     def test_cold_start_accepts_tiny_history(self):
