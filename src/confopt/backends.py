@@ -38,7 +38,7 @@ import operator
 import re
 import subprocess
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 import yaml
@@ -147,6 +147,22 @@ class Backend(Protocol):
 
 
 _INT_PREFIX = re.compile(r"^[+-]?\d+")
+
+
+def row_texts(matrix: np.ndarray, render: Callable[[list[int]], object]) -> list:
+    """Per row of an integer matrix, ``render`` of the row's values, called
+    once per distinct row: rows sorted together share the value of the
+    first of them. The matrix needs at least one column."""
+    order = np.lexsort(matrix.T)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for column in matrix.T:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    texts = [render(row) for row in matrix[order[first]].tolist()]
+    distinct = np.empty(len(order), dtype=np.intp)
+    distinct[order] = np.cumsum(first) - 1
+    return np.array(texts, dtype=object)[distinct].tolist()
 
 
 def _parse_quantity(name: str, rendered: str) -> int:
@@ -512,7 +528,7 @@ class SyntheticBackend(Backend):
         self._latencies: dict[tuple[str, str, str, int], float | None] = {}
         # The (names, texts) of the last block whose noise was drawn, and
         # per parameter its "name=text" tokens, hashed into each row's seed.
-        self._tokens: tuple[tuple, list[np.ndarray]] = ((), [])
+        self._tokens: tuple[tuple, list[list[str]]] = ((), [])
 
     def evaluate(self, params: Mapping[str, str], workload: WorkloadSpec) -> SliResult:
         """Measure one configuration, as a one-row block."""
@@ -628,15 +644,26 @@ class SyntheticBackend(Backend):
         layout = block.names, block.texts
         cached, tokens = self._tokens  # read once: another thread may swap it
         if cached != layout:
-            tokens = [
-                np.array([f"{name}={text}" for text in texts], dtype=object)
-                for name, texts in zip(*layout)
-            ]
+            tokens = [[f"{name}={text}" for text in texts] for name, texts in zip(*layout)]
             self._tokens = layout, tokens
-        columns = [column[block.levels[rows, j]] for j, column in enumerate(tokens)]
+        # A row's text is the prefix, then its tokens joined by commas; it is
+        # encoded once per distinct first half of its levels, with the
+        # prefix, and once per distinct second half. A measured row has at
+        # least a service's cpu and memory, so neither half is empty.
+        levels = block.levels[rows]
+        half = levels.shape[1] // 2
+
+        def head_text(row: list[int]) -> bytes:
+            cells = map(operator.getitem, tokens, row)
+            return "".join([prefix, *(f"{cell}," for cell in cells)]).encode("utf-8")
+
+        def tail_text(row: list[int]) -> bytes:
+            return ",".join(map(operator.getitem, tokens[half:], row)).encode("utf-8")
+
+        heads = row_texts(levels[:, :half], head_text)
+        tails = row_texts(levels[:, half:], tail_text)
         digests = b"".join(
-            hashlib.sha256((prefix + ",".join(parts)).encode("utf-8")).digest()[:8]
-            for parts in zip(*columns)
+            hashlib.sha256(head + tail).digest()[:8] for head, tail in zip(heads, tails)
         )
         states = _seed_states(np.frombuffer(digests, dtype=">u8"))
         tables = _ziggurat() if len(rows) >= _KERNEL_MIN_ROWS else None

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .backends import (
     load_service_model,
 )
 from .optim import OPTIMIZERS
-from .screening import BoundReductionReport, resolve_p
+from .screening import SETTING_CHECKS, BoundReductionReport, resolve_p
 from .space import ParameterSpec, SearchSpace
 from .utility import CostWeights, SloSpec, UTILITY_FUNCTIONS, WorkloadSpec
 
@@ -54,7 +55,20 @@ LATENCY_SLO_KEY = "99th"
 
 
 class ConfigError(ValueError):
-    """A configuration file failed validation."""
+    """A configuration file failed validation. A number of more than 30
+    digits in the message is shortened to its first and last three digits
+    and its digit count."""
+
+    def __init__(self, message: str):
+        super().__init__(_LONG_NUMBER.sub(_shortened, message))
+
+
+_LONG_NUMBER = re.compile(r"\d{31,}")
+
+
+def _shortened(match: re.Match) -> str:
+    digits = match[0]
+    return f"{digits[:3]}...{digits[-3:]} ({len(digits)} digits)"
 
 
 @dataclass(eq=False)
@@ -216,6 +230,14 @@ def _parse_screening(raw: _Fields) -> ScreeningSettings:
     settings.relaxed_factor = raw("relaxed_factor", float, settings.relaxed_factor)
     settings.strict_factor = raw("strict_factor", float, settings.strict_factor)
     raw.done()
+    for name, check in SETTING_CHECKS.items():
+        value = getattr(settings, name)
+        if value is None:
+            continue
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(f"{raw.at(name)}: {exc}") from None
     return settings
 
 
@@ -231,7 +253,7 @@ def parse_config(path: str | Path) -> RunConfig:
             document = yaml.safe_load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed document: {exc}") from None
     top = _Fields(document, "")
     top.ignore("charts", "namespaceStrategy")

@@ -11,18 +11,21 @@ from __future__ import annotations
 import bisect
 import csv
 import functools
+import hashlib
 import itertools
+import json
 import logging
 import math
 import operator
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .backends import Backend, Block, Measured, ReplayBackend
+from .backends import Backend, Block, Measured, ReplayBackend, row_texts
 from .gp import import_scipy
 from .optim import (
     BayesianEISession,
@@ -385,13 +388,13 @@ class _Columns(NamedTuple):
     def lines(self) -> Iterator[str]:
         """Every row's dataset CSV line, the text ``_row_format`` writes for
         its record: the settings cells from texts built once per distinct
-        half-row, the flag cells from ``_FLAG_TEXTS``, and ``%r`` only for
-        the three float cells."""
+        half-row, the float cells from ``_float_texts`` and the flag cells
+        from ``_FLAG_TEXTS``."""
         half = (self.settings.shape[1] + 1) // 2
         parts = [part for part in np.hsplit(self.settings, [half]) if part.shape[1]]
-        cells = (column.tolist() for column in self[1:4])
+        cells = map(_float_texts, self[1:4])
         flags = _FLAG_TEXTS[2 * self.feasible + self.failed].tolist()
-        row_format = "%s" * len(parts) + "%r,%r,%r,%s\n"
+        row_format = "%s" * len(parts) + "%s,%s,%s,%s\n"
         return map(row_format.__mod__, zip(*map(_cell_texts, parts), *cells, flags))
 
     def slice(self, start: int, stop: int) -> "_Columns":
@@ -404,18 +407,17 @@ _FLAG_TEXTS = np.array(["false,false", "false,true", "true,false", "true,true"],
 
 def _cell_texts(settings: np.ndarray) -> list[str]:
     """Per row of a settings matrix, the text ``"a,b,"`` of its cells, built
-    once per distinct row: rows sorted together share the text of the
-    first of them."""
-    order = np.lexsort(settings.T)
-    first = np.zeros(len(order), dtype=bool)
-    first[:1] = True
-    for column in settings.T:
-        column = column[order]
-        first[1:] |= column[1:] != column[:-1]
-    texts = ["".join(f"{value}," for value in row) for row in settings[order[first]].tolist()]
-    distinct = np.empty(len(order), dtype=np.intp)
-    distinct[order] = np.cumsum(first) - 1
-    return np.array(texts, dtype=object)[distinct].tolist()
+    once per distinct row."""
+    return row_texts(settings, lambda row: "".join(f"{value}," for value in row))
+
+
+def _float_texts(column: np.ndarray) -> list[str]:
+    """Per entry of a float column, its ``repr``, called once per distinct
+    bit pattern: ``-0.0`` stays apart from ``0.0``, and every NaN is
+    ``nan``."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _row_format(cells: str) -> str:
@@ -449,8 +451,12 @@ class Dataset:
     ``feasible`` and ``failed`` are boolean arrays. The optimum is the
     first row attaining the minimum utility. ``settings``, each row's
     settings tuple, ``rows``, one :class:`Observation` per row numbered
-    from 1, and the replay index are built on first use.
+    from 1, and the replay index are built on first use. ``_source`` is the
+    file and sidecar the dataset was loaded from and checked against, None
+    for any other dataset; such a dataset's columns are read-only.
     """
+
+    _source: tuple[Path, _Sidecar] | None = None
 
     def __init__(
         self, space: SearchSpace, rows: Sequence[Observation], slo: SloSpec | None = None
@@ -696,22 +702,122 @@ def collect_exhaustive(
             handle.writelines(block.lines())
             handle.flush()
             blocks.append(block)
+    _sidecar_path(out_path).unlink(missing_ok=True)
     os.replace(partial_path, out_path)
+    _write_sidecar(out_path, _Sidecar(space, space.size, _sha256(out_path)))
     return Dataset._from_columns(space, _Columns.concat(blocks), slo)
 
 
 def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
-    """Load a collected dataset, inferring the space from its rows.
+    """Load a collected dataset.
 
-    The optimum is recomputed from the stored utilities, so a hand-edited
-    file cannot smuggle in a stale one. An error in the file's contents
-    names the file.
+    With a sidecar (see :func:`_read_sidecar`) the space is the grid it
+    records, and the file must hold the rows it counts and hash to its
+    sha256; without one the space is inferred from the rows. The optimum
+    is recomputed from the stored utilities, so a hand-edited file cannot
+    smuggle in a stale one. An error in the file's contents names the file.
     """
-    space, columns, _ = _read_dataset(Path(path))
+    path = Path(path)
+    sidecar = _read_sidecar(path)
+    space, columns, _ = _read_dataset(path, sidecar.space if sidecar else None)
+    if sidecar is not None:
+        _check_sidecar(path, sidecar, len(columns.utility))
     try:
-        return Dataset._from_columns(space, columns, slo)
+        dataset = Dataset._from_columns(space, columns, slo)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if sidecar is not None:
+        for column in columns:  # write_dataset_csv copies the file in their place
+            column.flags.writeable = False
+        dataset._source = path, sidecar
+    return dataset
+
+
+class _Sidecar(NamedTuple):
+    """What a dataset file's sidecar records of it: the grid it was
+    collected on, its row count and the sha256 of its bytes."""
+
+    space: SearchSpace
+    rows: int
+    sha256: str
+
+
+def _sidecar_path(path: Path) -> Path:
+    """The sidecar of dataset file ``path``: ``dataset.json`` beside
+    ``dataset.csv``."""
+    return path.with_suffix(".json") if path.suffix != ".json" else Path(f"{path}.json")
+
+
+def _sha256(path: Path) -> str:
+    """The sha256 of a file's bytes, read a megabyte at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(functools.partial(handle.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _write_sidecar(path: Path, sidecar: _Sidecar) -> None:
+    """Write the sidecar of dataset file ``path``: JSON with each
+    parameter's name, min, max and granularity in column order, the row
+    count and the sha256, and no time or path, so that reruns write the
+    same bytes."""
+    parameters = [
+        {"name": p.name, "min": p.minimum, "max": p.maximum, "granularity": p.granularity}
+        for p in sidecar.space.parameters
+    ]
+    document = {"parameters": parameters, "rows": sidecar.rows, "sha256": sidecar.sha256}
+    text = json.dumps(document, indent=2) + "\n"
+    _sidecar_path(path).write_text(text, encoding="utf-8")
+
+
+def _read_sidecar(path: Path) -> _Sidecar | None:
+    """The sidecar of dataset file ``path``, None when it has none; a
+    sidecar that is not what :func:`_write_sidecar` writes is an error
+    naming it."""
+    sidecar = _sidecar_path(path)
+    try:
+        text = sidecar.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    try:
+        document = json.loads(text)
+        rows, digest = document["rows"], document["sha256"]
+        specs = [
+            [entry[key] for key in ("name", "min", "max", "granularity")]
+            for entry in document["parameters"]
+        ]
+        numbers = [rows, *itertools.chain.from_iterable(spec[1:] for spec in specs)]
+        if not all(type(value) is int for value in numbers):
+            raise TypeError("bounds, granularities and rows must be integers")
+        if not all(isinstance(value, str) for value in [digest, *(spec[0] for spec in specs)]):
+            raise TypeError("names and sha256 must be text")
+        space = SearchSpace(
+            tuple(ParameterSpec(*spec, allow_single_level=True) for spec in specs)
+        )
+        if rows != space.size:
+            raise ValueError(f"{rows} rows for a grid of {space.size} configurations")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: malformed dataset sidecar: {exc!r}") from None
+    return _Sidecar(space, rows, digest)
+
+
+def _check_sidecar(path: Path, sidecar: _Sidecar, rows: int) -> None:
+    """Raise ValueError unless dataset file ``path``, read as ``rows``
+    rows on its sidecar's grid, holds every row the sidecar counts and
+    hashes to its sha256."""
+    name = _sidecar_path(path)
+    if rows < sidecar.rows:  # the reader refuses more rows than the grid has
+        first = tuple(sidecar.space.settings_block(rows, rows + 1)[0].tolist())
+        raise ValueError(
+            f"{path}: {rows} data rows where {name} records {sidecar.rows}; data rows "
+            f"{rows + 1} to {sidecar.rows} are missing, from settings {first}"
+        )
+    if _sha256(path) != sidecar.sha256:
+        raise ValueError(
+            f"{path}: the file changed after it was written: its sha256 differs from "
+            f"the one {name} records; delete {name} if the edit was intended"
+        )
 
 
 # -- comparisons -------------------------------------------------------------
@@ -1004,7 +1110,22 @@ def screening_vs_standalone(
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    """The dataset's CSV, its lines rendered ``_BLOCK_ROWS`` rows at a time."""
+    """The dataset's CSV. A dataset loaded from a file its sidecar verified
+    is that file's bytes, copied, with the sidecar, when the copy still
+    hashes as the sidecar records; any other is rendered ``_BLOCK_ROWS``
+    rows at a time, and gets no sidecar. A sidecar already at ``path`` is
+    removed first, so none outlives the file it describes."""
+    path = Path(path)
+    _sidecar_path(path).unlink(missing_ok=True)
+    if dataset._source is not None:
+        source, sidecar = dataset._source
+        try:
+            shutil.copyfile(source, path)
+        except shutil.SameFileError:
+            pass
+        if _sha256(path) == sidecar.sha256:
+            _write_sidecar(path, sidecar)
+            return
     arrays = (getattr(dataset, name) for name in _Columns._fields[1:])
     columns = _Columns(dataset.settings_matrix, *arrays)
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -89,6 +89,31 @@ def trajectory_delta(p: int) -> float:
     return p / (2 * (p - 1))
 
 
+def _check_r(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"trajectory count r must be >= 1, got {r}")
+
+
+def _check_relaxed_factor(relaxed_factor: float) -> None:
+    if relaxed_factor < 1.0:
+        raise ValueError(f"relaxed_factor must be >= 1, got {relaxed_factor}")
+
+
+def _check_strict_factor(strict_factor: float) -> None:
+    if not 0.0 < strict_factor <= 1.0:
+        raise ValueError(f"strict_factor must be in (0, 1], got {strict_factor}")
+
+
+#: The rule screening applies to each of its settings: a ValueError for a
+#: value it refuses.
+SETTING_CHECKS: dict[str, Callable[[float], object]] = {
+    "r": _check_r,
+    "p": trajectory_delta,
+    "relaxed_factor": _check_relaxed_factor,
+    "strict_factor": _check_strict_factor,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectoryPlan:
     """One planned trajectory: ``k + 1`` points differing in one coordinate each.
@@ -123,8 +148,7 @@ def generate_trajectories(
     Deterministic for a given seed. Total planned evaluations:
     ``r * (k + 1)``.
     """
-    if r < 1:
-        raise ValueError(f"trajectory count r must be >= 1, got {r}")
+    _check_r(r)
     delta = trajectory_delta(p)
     k = space.dimension
     half = p // 2
@@ -311,10 +335,8 @@ def reduce_bounds(
         raise ValueError("at least one screening evaluation required")
     if stats.names != space.names:
         raise ValueError("statistics and space disagree on parameter names")
-    if relaxed_factor < 1.0:
-        raise ValueError(f"relaxed_factor must be >= 1, got {relaxed_factor}")
-    if not 0.0 < strict_factor <= 1.0:
-        raise ValueError(f"strict_factor must be in (0, 1], got {strict_factor}")
+    _check_relaxed_factor(relaxed_factor)
+    _check_strict_factor(strict_factor)
     relaxed_slo = relaxed_factor * slo_threshold
     strict_slo = strict_factor * slo_threshold
 

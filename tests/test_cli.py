@@ -203,7 +203,8 @@ class TestExitCodes:
         """A dataset holding a parameter the config lacks is a configuration
         error whose message names that parameter."""
         data = workdir / "data"
-        assert run(monkeypatch, data, ["exhaustive", "--config", str(workdir / "config.yaml")]) == 0
+        config = str(workdir / "config.yaml")
+        assert run(monkeypatch, data, ["exhaustive", "--config", config]) == 0
         document = config_document(backend={"kind": "replay", "dataset": "data/dataset.csv"})
         document["slas"][0]["parameters"] = document["slas"][0]["parameters"][:1]
         config = write_yaml(workdir / "narrow.yaml", document)
@@ -379,6 +380,18 @@ class TestOptimize:
         assert (out_a / "trace.csv").read_bytes() != (out_b / "trace.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("command", ["optimize", "exhaustive", "screen"])
+    def test_screening_value_screening_refuses_is_config_error(
+        self, workdir, monkeypatch, capsys, command
+    ):
+        write_yaml(workdir / "bad.yaml", config_document(screening={"r": 0, "p": 4}))
+        out = workdir / "o"
+        assert run(monkeypatch, out, [command, "--config", str(workdir / "bad.yaml")]) == 1
+        err = capsys.readouterr().err
+        assert "error: screening.r: trajectory count r must be >= 1, got 0" in err
+        assert not any(out.glob("*.csv"))
+
+
 class TestExhaustiveAndReport:
     def test_dataset_then_report(self, workdir, monkeypatch):
         data = workdir / "data"
@@ -421,6 +434,68 @@ class TestExhaustiveAndReport:
         assert (out_a / "dataset.csv").read_bytes() == (
             out_b / "dataset.csv"
         ).read_bytes()
+
+    def test_sidecar_bytes_are_pinned_across_reruns_and_report(self, workdir, monkeypatch):
+        config = str(workdir / "config.yaml")
+        for name in ("a", "b"):
+            assert run(monkeypatch, workdir / name, ["exhaustive", "--config", config]) == 0
+            report = ["report", "--in", str(workdir / name / "dataset.csv")]
+            assert run(monkeypatch, workdir / f"{name}-report", report) == 0
+        digest = hashlib.sha256((workdir / "a" / "dataset.csv").read_bytes()).hexdigest()
+        expected = (
+            '{\n  "parameters": [\n'
+            '    {\n      "name": "webCpu",\n      "min": 500,\n      "max": 1125,\n'
+            '      "granularity": 125\n    },\n'
+            '    {\n      "name": "webMemory",\n      "min": 256,\n      "max": 1024,\n'
+            '      "granularity": 256\n    }\n  ],\n'
+            f'  "rows": 24,\n  "sha256": "{digest}"\n}}\n'
+        )
+        for name in ("a", "b", "a-report", "b-report"):
+            assert (workdir / name / "dataset.json").read_text() == expected, name
+            assert (workdir / name / "dataset.csv").read_bytes() == (
+                workdir / "a" / "dataset.csv"
+            ).read_bytes()
+
+    def test_report_copies_a_sidecar_dataset_without_rendering(self, workdir, monkeypatch):
+        from confopt import harness
+
+        data, rep = workdir / "data", workdir / "rep"
+        config = str(workdir / "config.yaml")
+        assert run(monkeypatch, data, ["exhaustive", "--config", config]) == 0
+
+        def no_rendering(*args):
+            raise AssertionError("a dataset line was rendered")
+
+        monkeypatch.setattr(harness._Columns, "lines", no_rendering)
+        monkeypatch.setattr(harness, "_float_texts", no_rendering)
+        assert run(monkeypatch, rep, ["report", "--in", str(data / "dataset.csv")]) == 0
+        for name in ("dataset.csv", "dataset.json"):
+            assert (rep / name).read_bytes() == (data / name).read_bytes()
+        # Into the directory it reads from, the copy leaves both files as they were.
+        before = {name: (data / name).read_bytes() for name in ("dataset.csv", "dataset.json")}
+        assert run(monkeypatch, data, ["report", "--in", str(data / "dataset.csv")]) == 0
+        assert {name: (data / name).read_bytes() for name in before} == before
+
+    def test_report_renders_a_dataset_without_a_sidecar(self, workdir, monkeypatch):
+        data, rep = workdir / "data", workdir / "rep"
+        config = str(workdir / "config.yaml")
+        assert run(monkeypatch, data, ["exhaustive", "--config", config]) == 0
+        (data / "dataset.json").unlink()
+        (rep / "dataset.json").parent.mkdir()
+        (rep / "dataset.json").write_text("stale")
+        assert run(monkeypatch, rep, ["report", "--in", str(data / "dataset.csv")]) == 0
+        assert (rep / "dataset.csv").read_bytes() == (data / "dataset.csv").read_bytes()
+        assert not (rep / "dataset.json").exists()
+
+    def test_stale_sidecar_is_a_runtime_error_naming_it(self, workdir, monkeypatch, capsys):
+        data = workdir / "data"
+        config = str(workdir / "config.yaml")
+        assert run(monkeypatch, data, ["exhaustive", "--config", config]) == 0
+        path = data / "dataset.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert run(monkeypatch, workdir / "rep", ["report", "--in", str(path)]) == 2
+        sidecar = data / "dataset.json"
+        assert f"delete {sidecar} if the edit was intended" in capsys.readouterr().err
 
 
 def oom_toystore_config(tmp_path, **overrides):

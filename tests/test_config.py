@@ -122,6 +122,12 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    def test_integer_past_the_conversion_limit_is_a_malformed_document(self, tmp_path):
+        path = write_config(tmp_path, base_document())
+        path.write_text(path.read_text() + "seed: 1" + "0" * 5000 + "\n")
+        with pytest.raises(ConfigError, match="malformed document: Exceeds the limit"):
+            parse_config(path)
+
     def test_missing_key_names_full_path(self, tmp_path):
         document = base_document()
         del document["slas"][0]["slos"]["99th"]
@@ -402,6 +408,43 @@ class TestFieldReader:
         document = full_document()
         document["seed"] = -1
         with pytest.raises(ConfigError, match="^seed: expected a non-negative integer, got -1$"):
+            parse_config(write_config(tmp_path, document))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("r", 0, "trajectory count r must be >= 1, got 0"),
+            ("p", 3, "level count p must be even, got 3"),
+            ("relaxed_factor", 0.5, "relaxed_factor must be >= 1, got 0.5"),
+            ("strict_factor", 1.5, "strict_factor must be in (0, 1], got 1.5"),
+        ],
+    )
+    def test_screening_values_screening_refuses_name_the_field(
+        self, tmp_path, field, value, message
+    ):
+        document = full_document()
+        document["screening"][field] = value
+        message = f"screening.{field}: {message}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, document))
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("seed",), "seed: expected a non-negative integer, got -100...000 (401 digits)"),
+            (
+                ("slas", 0, "parameters", 0, "searchspace", "max"),
+                "slas[0].parameters[0]: parameter 'webCpu': minimum 500 exceeds "
+                "maximum -100...000 (401 digits)",
+            ),
+        ],
+        ids=["seed", "max"],
+    )
+    def test_a_huge_integer_is_shortened_in_the_message(self, tmp_path, keys, message):
+        document = full_document()
+        *parents, last = keys
+        functools.reduce(operator.getitem, parents, document)[last] = -(10**400)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(write_config(tmp_path, document))
 
     @pytest.mark.parametrize("backend", [None, EXTERNAL_BACKEND], ids=["synthetic", "external"])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import os
 import re
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confopt import harness
+from confopt import bundled_path, harness
 from confopt.backends import (
     Backend,
     Measured,
@@ -40,6 +42,7 @@ from confopt.harness import (
     write_slo_cdf_csv,
     write_trace_csv,
 )
+from confopt.config import build_backend, parse_config
 from confopt.optim import Observation
 from confopt.space import Configuration, ParameterSpec, SearchSpace
 from confopt.utility import SloSpec, WorkloadSpec, get_utility
@@ -1234,6 +1237,185 @@ class TestDatasetLines:
         )
         header = ",".join([*dataset.space.names, *harness._METRIC_COLUMNS]) + "\n"
         assert whole.read_text() == header + "".join(record_lines(columns))
+
+
+#: NaNs with other payloads and signs, by their bit patterns.
+NAN_BITS = st.integers(min_value=1, max_value=2**52 - 1).flatmap(
+    lambda payload: st.sampled_from([0x7FF0 << 48 | payload, 0xFFF0 << 48 | payload])
+)
+
+
+class TestFloatTexts:
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from(EDGE_FLOATS),
+                NAN_BITS.map(lambda bits: np.array(bits, np.uint64).view(np.float64).item()),
+            ),
+            max_size=60,
+        ).flatmap(lambda values: st.lists(st.sampled_from(values or [0.0]), max_size=120))
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_repr_of_each_value(self, values):
+        """Values drawn again from a drawn pool, so that they repeat."""
+        column = np.array(values, dtype=float)
+        assert harness._float_texts(column) == [repr(value) for value in column.tolist()]
+
+    def test_signed_zeros_subnormals_and_nans(self):
+        nans = np.array([0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0 << 48 | 1], np.uint64).view(np.float64)
+        column = np.array([0.0, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e16, *nans])
+        assert harness._float_texts(column) == [
+            "0.0", "-0.0", "0.0", "5e-324", "-5e-324", "1e+16", "1e+16", "nan", "nan", "nan",
+        ]
+
+
+def reduced_toystore_collection(tmp_path):
+    """The bundled reduced toystore config's 192-row dataset, collected to
+    ``tmp_path / "dataset.csv"`` with its sidecar."""
+    config = parse_config(bundled_path("toystore-reduced.yaml"))
+    path = tmp_path / "dataset.csv"
+    collect_exhaustive(
+        config.space,
+        build_backend(config),
+        get_utility(config.util_func),
+        config.slo,
+        config.workload,
+        weights=config.cost_weights,
+        cost_space=config.cost_reference,
+        out_path=path,
+    )
+    return config, path
+
+
+class TestDatasetSidecar:
+    def test_collection_records_grid_rows_and_digest(self, tmp_path):
+        config, path = reduced_toystore_collection(tmp_path)
+        document = json.loads((tmp_path / "dataset.json").read_text())
+        assert document == {
+            "parameters": [
+                {"name": p.name, "min": p.minimum, "max": p.maximum, "granularity": p.granularity}
+                for p in config.space.parameters
+            ],
+            "rows": 192,
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        }
+
+    def test_the_grid_comes_from_the_sidecar(self, tmp_path):
+        """A single-level parameter keeps its granularity, which inference
+        cannot see, and ``report`` keeps the sidecar."""
+        _, path = reduced_toystore_collection(tmp_path)
+        pinned = SearchSpace(
+            (ParameterSpec("a", 500, 500, 125, allow_single_level=True),)
+            + make_space([2, 3]).parameters
+        )
+        out = tmp_path / "pinned.csv"
+        collect_exhaustive(pinned, SurfaceBackend(pinned), UTILITY, SLO, WORKLOAD, out_path=out)
+        assert load_dataset(out).space == pinned
+        assert load_dataset(path).space.parameters[3].granularity == 256  # authMemory
+        (tmp_path / "pinned.json").unlink()
+        assert load_dataset(out).space.parameters[0].granularity == 1
+
+    def test_truncated_dataset_names_the_missing_rows(self, tmp_path):
+        """Cut after its first ``webCpu`` level, the file would read as a
+        complete space of 64 configurations without its sidecar."""
+        _, path = reduced_toystore_collection(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        first_level = [line.split(b",")[0] for line in lines[1:]].count(lines[1].split(b",")[0])
+        assert first_level == 64
+        path.write_bytes(b"".join(lines[: 1 + first_level]))
+        message = (
+            f"{path}: 64 data rows where {tmp_path / 'dataset.json'} records 192; "
+            "data rows 65 to 192 are missing, from settings "
+            "(1000, 256, 500, 256, 750, 256, 500, 256)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+        (tmp_path / "dataset.json").unlink()
+        assert load_dataset(path).space.size == 64
+
+    def test_crlf_resave_under_a_stale_sidecar_names_it(self, tmp_path):
+        _, path = reduced_toystore_collection(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        sidecar = tmp_path / "dataset.json"
+        message = (
+            f"{path}: the file changed after it was written: its sha256 differs from the one "
+            f"{sidecar} records; delete {sidecar} if the edit was intended"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+        sidecar.unlink()
+        assert len(load_dataset(path).utility) == 192
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: "not json",
+            lambda doc: json.dumps(doc["parameters"]),
+            lambda doc: json.dumps({**doc, "rows": "192"}),
+            lambda doc: json.dumps({**doc, "parameters": [{**doc["parameters"][0], "min": 1.5}]}),
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "sha256"}),
+            lambda doc: json.dumps({**doc, "parameters": [{**doc["parameters"][0], "max": 0}]}),
+            lambda doc: json.dumps({**doc, "rows": 191}),
+        ],
+        ids=["text", "list", "text-rows", "float-min", "no-digest", "crossed-bounds", "rows"],
+    )
+    def test_malformed_sidecar_names_it(self, tmp_path, edit):
+        _, path = reduced_toystore_collection(tmp_path)
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text(edit(json.loads(sidecar.read_text())))
+        message = f"{sidecar}: malformed dataset sidecar: "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_dataset(path)
+
+    def test_old_sidecar_is_gone_before_the_new_file_replaces_the_old(self, tmp_path, monkeypatch):
+        """A crash between the rename and the new sidecar leaves no sidecar,
+        never one that disagrees with the file."""
+        space = make_space([3, 3])
+        out = tmp_path / "dataset.csv"
+        collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD, out_path=out)
+        replace = os.replace
+
+        def replace_then_crash(source, target):
+            replace(source, target)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness.os, "replace", replace_then_crash)
+        other = SurfaceBackend(space, fail_settings=(500, 500))
+        with pytest.raises(KeyboardInterrupt):
+            collect_exhaustive(space, other, UTILITY, SLO, WORKLOAD, out_path=out)
+        assert not (tmp_path / "dataset.json").exists()
+        assert load_dataset(out).failed[0]
+
+    def test_a_source_changed_after_loading_is_rendered(self, tmp_path):
+        space = make_space([3, 3])
+        path = tmp_path / "dataset.csv"
+        collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD, out_path=path)
+        finished = path.read_bytes()
+        dataset = load_dataset(path)
+        path.write_bytes(finished.replace(b"\n", b"\r\n"))
+        out = tmp_path / "out.csv"
+        write_dataset_csv(dataset, out)
+        assert out.read_bytes() == finished
+        assert not (tmp_path / "out.json").exists()
+
+    def test_columns_of_a_checked_dataset_are_read_only(self, tmp_path):
+        """``write_dataset_csv`` copies the file, so the columns may not change."""
+        space = make_space([2, 2])
+        path = tmp_path / "dataset.csv"
+        collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD, out_path=path)
+        dataset = load_dataset(path)
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.utility[0] = 0.0
+        (tmp_path / "dataset.json").unlink()
+        load_dataset(path).utility[0] = 0.0
+
+    def test_sidecar_of_a_json_named_dataset_does_not_overwrite_it(self, tmp_path):
+        space = make_space([2, 2])
+        path = tmp_path / "data.json"
+        collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD, out_path=path)
+        assert (tmp_path / "data.json.json").exists()
+        assert len(load_dataset(path).utility) == 4
 
 
 class TestCompare:
