@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Proto
 import numpy as np
 import yaml
 
+from .fields import ConfigError, Fields
 from .utility import WorkloadSpec
 
 if TYPE_CHECKING:
@@ -177,7 +178,6 @@ def _parse_quantity(name: str, rendered: str) -> int:
 
 
 _SERVICE_FIELDS = ("base_ms", "cpu_demand_mc", "mem_working_set_mi")
-_MODEL_FIELDS = {"services", "chain", "p99_factor", "mem_penalty", "noise_sigma"}
 
 
 def _require_finite(prefix: str, spec, names: Sequence[str]) -> None:
@@ -255,46 +255,25 @@ class ServiceModelSpec:
         return 10.0 * sum(self.service(n).base_ms for n in self.chain)
 
 
-def _number(value, field_path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field_path}: expected a number, got {value!r}")
-    return float(value)
-
-
 def load_service_model(path: str) -> ServiceModelSpec:
-    """Read a :class:`ServiceModelSpec` from a YAML document; every error
-    names the file and, where there is one, the service and field."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = yaml.safe_load(handle)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a mapping at top level")
-    unknown = set(doc) - _MODEL_FIELDS
-    if unknown:
-        raise ValueError(f"{path}: unknown model fields: {sorted(unknown)}")
-    missing = _MODEL_FIELDS - {"noise_sigma"} - set(doc)
-    if missing:
-        raise ValueError(f"{path}: missing model fields: {sorted(missing)}")
-    if not isinstance(doc["services"], dict):
-        raise ValueError(f"{path}: services: expected a mapping of service names to fields")
-    chain = doc["chain"]
-    if not isinstance(chain, list) or not all(isinstance(name, str) for name in chain):
-        raise ValueError(f"{path}: chain: expected a list of service names, got {chain!r}")
+    """Read a :class:`ServiceModelSpec` from a YAML document. An error is a
+    :class:`ConfigError` naming the file and, where there is one, the
+    field by dotted path; a key the model does not know is an error."""
     try:
-        services = []
-        for name, fields in doc["services"].items():
-            if not isinstance(fields, dict) or set(fields) != set(_SERVICE_FIELDS):
-                raise ValueError(f"service {name!r}: expected the fields {list(_SERVICE_FIELDS)}")
-            numbers = {k: _number(v, f"service {name!r}: {k}") for k, v in fields.items()}
-            services.append(ServiceSpec(name=name, **numbers))
-        return ServiceModelSpec(
-            services=tuple(services),
-            chain=tuple(chain),
-            p99_factor=_number(doc["p99_factor"], "p99_factor"),
-            mem_penalty=_number(doc["mem_penalty"], "mem_penalty"),
-            noise_sigma=_number(doc.get("noise_sigma", 0.0), "noise_sigma"),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = Fields(yaml.safe_load(handle), "")
+        services, specs = doc("services", dict), []
+        for name in services.value:
+            fields = services(name, dict)
+            specs.append(ServiceSpec(name, *(fields(key, float) for key in _SERVICE_FIELDS)))
+            fields.done(strict=True)
+        chain = [doc.checked(item, str, f"chain[{i}]") for i, item in enumerate(doc("chain", list))]
+        knobs = [doc(key, float) for key in ("p99_factor", "mem_penalty")]
+        noise_sigma = doc("noise_sigma", float, 0.0)
+        doc.done(strict=True)
+        return ServiceModelSpec(tuple(specs), tuple(chain), *knobs, noise_sigma)
+    except (ValueError, yaml.YAMLError) as exc:  # also text that is not UTF-8
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # Each configuration's noise is drawn from ``default_rng(entropy)``, whose
@@ -782,22 +761,11 @@ class ExternalBackend(Backend):
 
     @staticmethod
     def _parse_reply(stdout: bytes) -> dict[str, float] | None:
+        """The reply's metrics, or None when it is not a non-empty map of
+        finite numbers: NaN, Infinity and overflowing literals such as
+        1e400 parse as floats but are no measurement."""
         try:
-            doc = json.loads(stdout.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            doc = Fields(json.loads(stdout.decode("utf-8")), "")
+            return {key: doc(key, float) for key in doc.value} or None
+        except ValueError:  # also text that is not UTF-8 or not JSON
             return None
-        if not isinstance(doc, dict) or not doc:
-            return None
-        slis = {}
-        for key, value in doc.items():
-            if not isinstance(key, str) or isinstance(value, bool) or not isinstance(value, (int, float)):
-                return None
-            try:
-                slis[key] = float(value)
-            except OverflowError:  # an integer beyond the float range
-                return None
-            # NaN, Infinity and overflowing literals such as 1e400 parse as
-            # floats but are no measurement.
-            if not math.isfinite(slis[key]):
-                return None
-        return slis

@@ -42,15 +42,24 @@ def _out_dir(default: str | Path) -> Path:
     return path
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+def _at_least(minimum: int, expected: str):
+    """An argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+#: A ``--seed`` value: numpy's generators take only non-negative seeds.
+_seed = _at_least(0, "a non-negative integer")
+#: A run, budget, batch or repetition count.
+_count = _at_least(1, "a positive integer")
 
 
 def _config_inputs(
@@ -228,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--optimizers", default=None, help="comma-separated names (default: all)"
     )
-    compare.add_argument("--runs", type=int, default=1000)
-    compare.add_argument("--budget", type=int, default=100)
+    compare.add_argument("--runs", type=_count, default=1000)
+    compare.add_argument("--budget", type=_count, default=100)
     compare.add_argument("--seed", type=_seed, default=0)
-    compare.add_argument("--batch", type=int, default=6)
+    compare.add_argument("--batch", type=_count, default=6)
     compare.add_argument("--workers", type=int, default=1)
     compare.add_argument("--out", default=".")
     compare.set_defaults(func=_cmd_compare)
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svb.add_argument("--config", required=True)
     svb.add_argument("--budget", type=int, required=True)
-    svb.add_argument("--repetitions", type=int, default=1)
+    svb.add_argument("--repetitions", type=_count, default=1)
     svb.add_argument("--seed", type=_seed, default=None)
     svb.set_defaults(func=_cmd_screen_vs_bo)
     return parser

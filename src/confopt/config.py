@@ -14,10 +14,7 @@ keys raise :class:`ConfigError` naming the path.
 
 from __future__ import annotations
 
-import logging
-import math
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +27,7 @@ from .backends import (
     SyntheticBackend,
     load_service_model,
 )
+from .fields import ConfigError, Fields
 from .optim import OPTIMIZERS
 from .screening import SETTING_CHECKS, BoundReductionReport, resolve_p
 from .space import ParameterSpec, SearchSpace
@@ -48,27 +46,8 @@ __all__ = [
     "LATENCY_SLO_KEY",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: Latency-SLO key in the ``slos`` map. YAML reads it as the string "99th".
 LATENCY_SLO_KEY = "99th"
-
-
-class ConfigError(ValueError):
-    """A configuration file failed validation. A number of more than 30
-    digits in the message is shortened to its first and last three digits
-    and its digit count."""
-
-    def __init__(self, message: str):
-        super().__init__(_LONG_NUMBER.sub(_shortened, message))
-
-
-_LONG_NUMBER = re.compile(r"\d{31,}")
-
-
-def _shortened(match: re.Match) -> str:
-    digits = match[0]
-    return f"{digits[:3]}...{digits[-3:]} ({len(digits)} digits)"
 
 
 @dataclass(eq=False)
@@ -112,74 +91,10 @@ class RunConfig:
         return self.iterations * self.samples_per_iteration
 
 
-class _Fields:
-    """One mapping of the config document, read one field at a time.
-
-    Each read names its field by dotted path, fails when a required key is
-    absent or the value has the wrong kind (a bool is not a number, an int
-    passes as a float, a float must be finite) and records the key, so
-    :meth:`done` can warn about every key that no read asked for.
-    """
-
-    def __init__(self, value, path: str):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'document'}: expected a mapping")
-        self.value, self.path, self.read = value, path, set()
-
-    def at(self, key) -> str:
-        return f"{self.path}.{key}" if self.path else str(key)
-
-    def __call__(self, key: str, kind: type, *default, nullable: bool = False):
-        """The value at ``key`` checked as ``kind`` (a mapping comes back as
-        ``_Fields``), or the optional ``default`` when the key is absent, or
-        null and ``nullable``."""
-        self.read.add(key)
-        value = self.value.get(key)
-        if key not in self.value or (nullable and value is None):
-            if not default:
-                raise ConfigError(f"missing required key: {self.at(key)}")
-            return default[0]
-        return _checked(value, kind, self.at(key))
-
-    def ignore(self, *keys: str) -> None:
-        """Deployment-only keys: warned about when present, never read."""
-        for key in keys:
-            if key in self.value:
-                logger.warning("ignoring deployment-only key: %s", self.at(key))
-        self.read.update(keys)
-
-    def done(self) -> None:
-        for key in self.value:
-            if key not in self.read:
-                logger.warning("ignoring unknown key: %s", self.at(key))
-
-
-def _checked(value, kind: type, path: str):
-    if kind is dict:
-        return _Fields(value, path)
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        expected = {int: "an integer", float: "a number", str: "a string"}[kind]
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-    if kind is float:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(
-                f"{path}: expected a finite number, got an integer beyond the float range"
-            ) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return value
-
-
 def _parse_parameters(entries: list, path: str) -> SearchSpace:
     specs = []
     for i, raw in enumerate(entries):
-        entry = _Fields(raw, f"{path}[{i}]")
+        entry = Fields(raw, f"{path}[{i}]")
         name = entry("name", str)
         box = entry("searchspace", dict)
         bounds = [box(key, int) for key in ("min", "max", "granularity")]
@@ -198,7 +113,7 @@ def _parse_parameters(entries: list, path: str) -> SearchSpace:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_backend(raw: _Fields, source_dir: Path) -> BackendSettings:
+def _parse_backend(raw: Fields, source_dir: Path) -> BackendSettings:
     kind = raw("kind", str)
     if kind not in ("synthetic", "replay", "external"):
         raise ConfigError(
@@ -214,7 +129,7 @@ def _parse_backend(raw: _Fields, source_dir: Path) -> BackendSettings:
             settings.command = (raw("command", str),)
         else:
             settings.command = tuple(
-                _checked(part, str, f"{raw.at('command')}[{i}]")
+                raw.checked(part, str, f"{raw.at('command')}[{i}]")
                 for i, part in enumerate(raw("command", list))
             )
         settings.timeout_s = raw("timeout_s", float, settings.timeout_s)
@@ -223,7 +138,7 @@ def _parse_backend(raw: _Fields, source_dir: Path) -> BackendSettings:
     return settings
 
 
-def _parse_screening(raw: _Fields) -> ScreeningSettings:
+def _parse_screening(raw: Fields) -> ScreeningSettings:
     settings = ScreeningSettings()
     settings.r = raw("r", int, settings.r)
     settings.p = raw("p", int, settings.p, nullable=True)
@@ -255,7 +170,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed document: {exc}") from None
-    top = _Fields(document, "")
+    top = Fields(document, "")
     top.ignore("charts", "namespaceStrategy")
 
     iterations = top("nbOfIterations", int)
@@ -268,7 +183,7 @@ def parse_config(path: str | Path) -> RunConfig:
     slas = top("slas", list)
     if len(slas) != 1:
         raise ConfigError(f"exactly one SLA is supported, got {len(slas)}")
-    sla = _Fields(slas[0], "slas[0]")
+    sla = Fields(slas[0], "slas[0]")
     sla.ignore("chartName")
     sla_name = sla("name", str, "default")
 
@@ -319,6 +234,12 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(
                 "costReference parameter names must match slas[0].parameters"
             )
+        for i, (reference, spec) in enumerate(zip(cost_reference.parameters, space.parameters)):
+            try:  # the first two levels and the last on its grid cover them all
+                for value in (*spec.levels()[:2], spec.maximum):
+                    reference.index_of(value)
+            except ValueError as exc:
+                raise ConfigError(f"costReference[{i}]: misses a configured level: {exc}") from None
     cost_weights = top("costWeights", dict, None)
     if cost_weights is not None:
         values = tuple(cost_weights(name, float) for name in space.names)
@@ -353,9 +274,10 @@ def _load(field: str, path: Path, load):
     that names the field and the path."""
     try:
         return load(path)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else str(exc).removeprefix(f"{path}: ")
-        raise ConfigError(f"backend.{field}: {path}: {reason}") from None
+    except OSError as exc:
+        raise ConfigError(f"backend.{field}: {path}: {exc.strerror}") from None
+    except ValueError as exc:  # its message names the file
+        raise ConfigError(f"backend.{field}: {exc}") from None
 
 
 def build_backend(config: RunConfig) -> Backend | ReplayBackend:
@@ -372,11 +294,8 @@ def build_backend(config: RunConfig) -> Backend | ReplayBackend:
     if settings.kind == "replay":
         from .harness import load_dataset
 
-        backend = _load(
-            "dataset",
-            settings.dataset,
-            lambda path: load_dataset(path, slo=config.slo).replay_backend(),
-        )
+        dataset = _load("dataset", settings.dataset, lambda p: load_dataset(p, slo=config.slo))
+        backend = dataset.replay_backend()
         try:
             backend.stored_order(config.space)
         except ValueError as exc:

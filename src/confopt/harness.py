@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 import numpy as np
 
 from .backends import Backend, Block, Measured, ReplayBackend, row_texts
+from .fields import Fields
 from .gp import import_scipy
 from .optim import (
     BayesianEISession,
@@ -585,7 +586,7 @@ def _parse_lines(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
 
 
 def _read_dataset(
-    path: Path, space: SearchSpace | None = None
+    path: Path, space: SearchSpace | None = None, source: str = "the configured space"
 ) -> tuple[SearchSpace, _Columns, int]:
     """Parse a dataset or ``.partial`` file into columns, and count the
     bytes of the torn final line it dropped (0 when none).
@@ -594,30 +595,32 @@ def _read_dataset(
     through ``_parse_lines``. Only a malformed final line (an interrupted
     write) is dropped; any other, a non-finite utility or a failed row
     marked feasible is an error naming its line. With ``space`` the
-    parameter columns must match its names; without it the space is
-    inferred: per parameter the levels seen, on the greatest common step.
+    parameter columns must match its names, which come from ``source``;
+    without it the space is inferred: per parameter the levels seen, on
+    the greatest common step.
     The rows must follow the space's enumeration order, at most one per
     configuration. A NaN metric cell means the metric is absent.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty dataset")
-        k = len(header) - len(_METRIC_COLUMNS)
-        if k < 1 or tuple(header[k:]) != _METRIC_COLUMNS:
-            raise ValueError(
-                f"{path}: expected parameter columns followed by "
-                f"{','.join(_METRIC_COLUMNS)}"
-            )
-        names = header[:k]
-        if space is not None and tuple(names) != space.names:
-            raise ValueError(
-                f"{path}: parameter columns {names} do not match the "
-                f"configured space {list(space.names)}"
-            )
-        first_line = reader.line_num + 1
-        body = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            first_line = reader.line_num + 1
+            body = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if header is None:
+        raise ValueError(f"{path}: empty dataset")
+    k = len(header) - len(_METRIC_COLUMNS)
+    if k < 1 or tuple(header[k:]) != _METRIC_COLUMNS:
+        raise ValueError(
+            f"{path}: expected parameter columns followed by {','.join(_METRIC_COLUMNS)}"
+        )
+    names = header[:k]
+    if space is not None and tuple(names) != space.names:
+        raise ValueError(
+            f"{path}: parameter columns {names} do not match {source} {list(space.names)}"
+        )
     dtype = np.dtype([("settings", "i8", (k,)), ("metrics", "f8", (3,)), ("flags", "U6", (2,))])
     *lines, final = body.removesuffix("\n").split("\n")
     records = _parse_lines(lines, dtype) if lines else np.empty(0, dtype)
@@ -640,8 +643,11 @@ def _read_dataset(
         for name, column in zip(names, settings.T):
             levels = np.unique(column).tolist()
             step = math.gcd(*np.diff(levels).tolist()) or 1
-            specs.append(ParameterSpec(name, levels[0], levels[-1], step, allow_single_level=True))
-        space = SearchSpace(tuple(specs))
+            specs.append((name, levels[0], levels[-1], step))
+        try:  # a header name that is empty or repeated
+            space = SearchSpace(tuple(ParameterSpec(*s, allow_single_level=True) for s in specs))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if len(settings) > space.size or not np.array_equal(
         settings, space.settings_block(0, len(settings))
     ):
@@ -719,7 +725,8 @@ def load_dataset(path: str | Path, slo: SloSpec | None = None) -> Dataset:
     """
     path = Path(path)
     sidecar = _read_sidecar(path)
-    space, columns, _ = _read_dataset(path, sidecar.space if sidecar else None)
+    source = f"the parameters {_sidecar_path(path)} records"
+    space, columns, _ = _read_dataset(path, sidecar.space if sidecar else None, source)
     if sidecar is not None:
         _check_sidecar(path, sidecar, len(columns.utility))
     try:
@@ -774,32 +781,24 @@ def _write_sidecar(path: Path, sidecar: _Sidecar) -> None:
 def _read_sidecar(path: Path) -> _Sidecar | None:
     """The sidecar of dataset file ``path``, None when it has none; a
     sidecar that is not what :func:`_write_sidecar` writes is an error
-    naming it."""
+    naming it and the field. Keys it does not know are ignored."""
     sidecar = _sidecar_path(path)
     try:
-        text = sidecar.read_text(encoding="utf-8")
+        document = Fields(json.loads(sidecar.read_text(encoding="utf-8")), "")
+        specs = []
+        for i, raw in enumerate(document("parameters", list)):
+            entry = Fields(raw, f"parameters[{i}]")
+            bounds = (entry(key, int) for key in ("min", "max", "granularity"))
+            specs.append(ParameterSpec(entry("name", str), *bounds, allow_single_level=True))
+        space = SearchSpace(tuple(specs))
+        rows = document("rows", int)
+        if rows != space.size:
+            raise ValueError(f"rows: {rows} rows for a grid of {space.size} configurations")
+        return _Sidecar(space, rows, document("sha256", str))
     except FileNotFoundError:
         return None
-    try:
-        document = json.loads(text)
-        rows, digest = document["rows"], document["sha256"]
-        specs = [
-            [entry[key] for key in ("name", "min", "max", "granularity")]
-            for entry in document["parameters"]
-        ]
-        numbers = [rows, *itertools.chain.from_iterable(spec[1:] for spec in specs)]
-        if not all(type(value) is int for value in numbers):
-            raise TypeError("bounds, granularities and rows must be integers")
-        if not all(isinstance(value, str) for value in [digest, *(spec[0] for spec in specs)]):
-            raise TypeError("names and sha256 must be text")
-        space = SearchSpace(
-            tuple(ParameterSpec(*spec, allow_single_level=True) for spec in specs)
-        )
-        if rows != space.size:
-            raise ValueError(f"{rows} rows for a grid of {space.size} configurations")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar}: malformed dataset sidecar: {exc!r}") from None
-    return _Sidecar(space, rows, digest)
+    except ValueError as exc:  # also text that is not UTF-8 or not JSON
+        raise ValueError(f"{sidecar}: malformed dataset sidecar: {exc}") from None
 
 
 def _check_sidecar(path: Path, sidecar: _Sidecar, rows: int) -> None:

@@ -26,6 +26,7 @@ from confopt.backends import (
     SyntheticBackend,
     load_service_model,
 )
+from confopt.config import ConfigError
 from confopt.harness import Evaluator
 from confopt.optim import Observation
 from confopt.space import Configuration, ParameterSpec, SearchSpace
@@ -114,7 +115,7 @@ class TestServiceModel:
         return path
 
     def assert_load_fails(self, path, message):
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_service_model(path)
 
     def test_services_must_be_a_mapping(self, tmp_path):
@@ -123,19 +124,41 @@ class TestServiceModel:
 
     def test_chain_must_be_a_list_of_names(self, tmp_path):
         path = self.write_model(tmp_path, chain="web")
-        self.assert_load_fails(path, "chain: expected a list of service names, got 'web'")
+        self.assert_load_fails(path, "chain: expected a list")
+        path = self.write_model(tmp_path, chain=["web", 1])
+        self.assert_load_fails(path, "chain[1]: expected a string, got 1")
 
     def test_non_finite_service_field_rejected(self, tmp_path):
         path = self.write_model(tmp_path, web={"base_ms": float("nan")})
-        self.assert_load_fails(path, "service 'web': base_ms must be finite, got nan")
+        self.assert_load_fails(path, "services.web.base_ms: expected a finite number, got nan")
 
     def test_non_finite_model_field_rejected(self, tmp_path):
         path = self.write_model(tmp_path, p99_factor=float("inf"))
-        self.assert_load_fails(path, "p99_factor must be finite, got inf")
+        self.assert_load_fails(path, "p99_factor: expected a finite number, got inf")
 
     def test_non_numeric_field_names_service_and_field(self, tmp_path):
         path = self.write_model(tmp_path, web={"base_ms": "fast"})
-        self.assert_load_fails(path, "service 'web': base_ms: expected a number, got 'fast'")
+        self.assert_load_fails(path, "services.web.base_ms: expected a number, got 'fast'")
+
+    def test_integer_beyond_float_range_names_the_field(self, tmp_path):
+        path = self.write_model(tmp_path, web={"cpu_demand_mc": 10**400})
+        self.assert_load_fails(
+            path,
+            "services.web.cpu_demand_mc: expected a finite number, "
+            "got an integer beyond the float range",
+        )
+
+    def test_unknown_and_missing_service_fields_name_their_path(self, tmp_path):
+        path = self.write_model(tmp_path, web={"speed": 1.0})
+        self.assert_load_fails(path, "unknown key: services.web.speed")
+        path = self.write_model(tmp_path, mem_penalty=None)
+        self.assert_load_fails(path, "mem_penalty: expected a number, got None")
+        path.write_text(path.read_text().replace("chain:", "chains:"))
+        self.assert_load_fails(path, "missing required key: chain")
+
+    def test_a_value_the_model_refuses_names_the_service_once(self, tmp_path):
+        path = self.write_model(tmp_path, web={"base_ms": 0})
+        self.assert_load_fails(path, "service 'web': base_ms must be positive")
 
     @pytest.mark.parametrize("field", ["base_ms", "cpu_demand_mc", "mem_working_set_mi"])
     def test_service_spec_rejects_non_finite(self, field):
@@ -647,8 +670,13 @@ class TestExternalBackend:
             '{"p99_latency_ms": -Infinity}',
             '{"p99_latency_ms": 1e400}',
             '{"p99_latency_ms": 1' + "0" * 400 + "}",
+            '{"p99_latency_ms": 1' + "0" * 5000 + "}",
+            "{}",
         ],
-        ids=["nan", "infinity", "minus-infinity", "overflowing-float", "overflowing-int"],
+        ids=[
+            "nan", "infinity", "minus-infinity", "overflowing-float", "overflowing-int",
+            "int-past-the-conversion-limit", "empty",
+        ],
     )
     def test_non_finite_metrics_are_malformed(self, tmp_path, reply):
         """A reply whose metric is not a finite number is retried, then fails."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import os
@@ -197,6 +198,63 @@ class TestExitCodes:
         assert run(monkeypatch, out, [*argv, "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert "argument --seed: expected a non-negative integer, got '-1'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["compare", "--dataset", "dataset.csv", "--runs", "0"], "--runs"),
+            (["compare", "--dataset", "dataset.csv", "--budget", "0"], "--budget"),
+            (["compare", "--dataset", "dataset.csv", "--batch", "0"], "--batch"),
+            (["screen-vs-bo", "--config", "config.yaml", "--budget", "12", "--repetitions", "0"],
+             "--repetitions"),
+        ],
+        ids=lambda case: case if isinstance(case, str) else None,
+    )
+    def test_count_flag_below_one_is_usage_error(self, workdir, monkeypatch, capsys, argv, flag):
+        out = workdir / "o"
+        assert run(monkeypatch, out, argv) == 1
+        assert f"argument {flag}: expected a positive integer, got '0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["exhaustive", "optimize", "screen"])
+    def test_model_number_beyond_float_range_is_config_error(
+        self, workdir, monkeypatch, capsys, command
+    ):
+        web = MODEL["services"]["web"] | {"base_ms": 10**400}
+        write_yaml(workdir / "model.yaml", MODEL | {"services": {"web": web}})
+        out = workdir / "o"
+        assert run(monkeypatch, out, [command, "--config", str(workdir / "config.yaml")]) == 1
+        message = (
+            f"error: backend.model: {workdir / 'model.yaml'}: services.web.base_ms: expected a "
+            "finite number, got an integer beyond the float range\n"
+        )
+        assert capsys.readouterr().err.endswith(message)
+        assert not any(out.glob("*.csv"))
+
+    def test_unknown_model_key_is_config_error(self, workdir, monkeypatch, capsys):
+        write_yaml(workdir / "model.yaml", MODEL | {"latency": "fast"})
+        out = workdir / "o"
+        assert run(monkeypatch, out, ["exhaustive", "--config", str(workdir / "config.yaml")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: backend.model: {workdir / 'model.yaml'}: unknown key: latency\n" in err
+
+    @pytest.mark.parametrize("command", ["optimize", "exhaustive", "screen"])
+    def test_cost_reference_that_misses_a_level_is_config_error(
+        self, workdir, monkeypatch, capsys, command
+    ):
+        """A reference starting one step above the space's minimum cannot
+        cost the space's lowest ``webCpu`` level."""
+        reference = copy.deepcopy(config_document()["slas"][0]["parameters"])
+        reference[0]["searchspace"] |= {"min": 625, "max": 2000}
+        config = write_yaml(workdir / "ref.yaml", config_document(costReference=reference))
+        out = workdir / "o"
+        assert run(monkeypatch, out, [command, "--config", str(config)]) == 1
+        message = (
+            "error: costReference[0]: misses a configured level: "
+            "parameter 'webCpu': 500 is not on the grid [625, 2000] step 125\n"
+        )
+        assert capsys.readouterr().err.endswith(message)
         assert not out.exists()
 
     def test_replay_parameter_mismatch_is_config_error(self, workdir, monkeypatch, capsys):

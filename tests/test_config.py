@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from confopt.backends import ExternalBackend, ReplayBackend, SyntheticBackend
+from confopt import bundled_path
+from confopt.backends import ExternalBackend, ReplayBackend, SyntheticBackend, load_service_model
 from confopt.config import (
     ConfigError,
     build_backend,
@@ -252,6 +253,36 @@ class TestExtensions:
         with pytest.raises(ConfigError, match="costReference"):
             parse_config(write_config(tmp_path, document))
 
+    @pytest.mark.parametrize(
+        "searchspace, value",
+        [
+            ({"min": 625, "max": 2000, "granularity": 125}, 500),
+            ({"min": 500, "max": 1000, "granularity": 125}, 1125),
+            ({"min": 500, "max": 2000, "granularity": 250}, 625),
+        ],
+        ids=["min", "max", "granularity"],
+    )
+    def test_cost_reference_must_cover_every_level(self, tmp_path, searchspace, value):
+        document = base_document()
+        document["costReference"] = copy.deepcopy(document["slas"][0]["parameters"])
+        document["costReference"][0]["searchspace"] = searchspace
+        grid = f"[{searchspace['min']}, {searchspace['max']}] step {searchspace['granularity']}"
+        message = (
+            "costReference[0]: misses a configured level: "
+            f"parameter 'webCpu': {value} is not on the grid {grid}"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, document))
+
+    def test_cost_reference_may_cover_a_pinned_parameter_with_any_step(self, tmp_path):
+        document = base_document()
+        document["slas"][0]["parameters"][1]["searchspace"] = {
+            "min": 512, "max": 512, "granularity": 100,
+        }
+        document["costReference"] = copy.deepcopy(base_document()["slas"][0]["parameters"])
+        config = parse_config(write_config(tmp_path, document))
+        assert config.cost_reference.parameters[1].granularity == 256
+
     def test_cost_reference_parsed(self, tmp_path):
         document = base_document()
         document["costReference"] = [
@@ -340,6 +371,30 @@ def leaf_paths(value, path=()):
             yield from leaf_paths(child, (*path, key))
     else:
         yield path
+
+
+#: Values that no field of the config or the service model takes.
+FOREIGN_VALUES = [math.nan, math.inf, 10**400, None, True, ["x"], {"x": 1}]
+
+
+def one_leaf_mutations(document):
+    """Each scalar of the document in turn set to a value of another kind
+    or range, deleted, or given an unknown sibling key: its key path, the
+    change and the mutated copy."""
+    for keys in leaf_paths(document):
+        *parents, last = keys
+        for change in ["x", -1, 0, 2.5, *FOREIGN_VALUES, "delete", "sibling"]:
+            mutant = copy.deepcopy(document)
+            target = functools.reduce(operator.getitem, parents, mutant)
+            if change == "delete":
+                del target[last]
+            elif change == "sibling":
+                if not isinstance(target, dict):
+                    continue
+                target["unknownKey"] = 1
+            else:
+                target[last] = change
+            yield keys, change, mutant
 
 
 def dotted(keys):
@@ -457,34 +512,50 @@ class TestFieldReader:
         The file holds no text: YAML's reader hands each mutated document
         to the parser as it stands, which keeps the sweep well under a
         second (a YAML round trip costs some 7 ms a document)."""
-        document = full_document(backend)
-        values = ["x", -1, 0, math.nan, math.inf, 10**400, None, True, ["x"], {"x": 1}, 2.5]
         loaded = {}
         monkeypatch.setattr(yaml, "safe_load", lambda handle: loaded["document"])
         path = tmp_path / "config.yaml"
         path.touch()
         escaped = []
-        for keys in leaf_paths(document):
-            *parents, last = keys
-            for change in [*values, "delete", "sibling"]:
-                mutant = copy.deepcopy(document)
-                target = functools.reduce(operator.getitem, parents, mutant)
-                if change == "delete":
-                    del target[last]
-                elif change == "sibling":
-                    if not isinstance(target, dict):
-                        continue
-                    target["unknownKey"] = 1
-                else:
-                    target[last] = change
-                loaded["document"] = mutant
-                try:
-                    parse_config(path)
-                except ConfigError:
-                    pass
-                except Exception as exc:  # noqa: BLE001 - the contract under test
-                    escaped.append(f"{dotted(keys)} <- {change!r:.20}: {exc!r}")
+        for keys, change, mutant in one_leaf_mutations(full_document(backend)):
+            loaded["document"] = mutant
+            try:
+                parse_config(path)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the contract under test
+                escaped.append(f"{dotted(keys)} <- {change!r:.20}: {exc!r}")
         assert escaped == []
+
+    def test_every_one_leaf_mutation_of_the_service_model_names_the_field(
+        self, tmp_path, monkeypatch
+    ):
+        """The bundled service model under the same sweep: loading returns
+        a model or raises ConfigError naming the file and the field, never
+        another exception. A value no model field takes is named by its
+        dotted path; one the model's own checks refuse, by its key."""
+        document = yaml.safe_load(bundled_path("toystore-model.yaml").read_text())
+        loaded = {}
+        monkeypatch.setattr(yaml, "safe_load", lambda handle: loaded["document"])
+        path = tmp_path / "model.yaml"
+        path.touch()
+        wrong = []
+        for keys, change, mutant in one_leaf_mutations(document):
+            loaded["document"] = mutant
+            if change == "sibling":
+                named = dotted((*keys[:-1], "unknownKey"))
+            elif change in FOREIGN_VALUES:
+                named = dotted(keys)
+            else:
+                named = next(key for key in reversed(keys) if isinstance(key, str))
+            try:
+                load_service_model(path)
+            except ConfigError as exc:
+                if not str(exc).startswith(f"{path}: ") or named not in str(exc):
+                    wrong.append(f"{dotted(keys)} <- {change!r:.20}: {exc}")
+            except Exception as exc:  # noqa: BLE001 - the contract under test
+                wrong.append(f"{dotted(keys)} <- {change!r:.20}: {exc!r}")
+        assert wrong == []
 
 
 class TestEmit:

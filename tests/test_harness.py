@@ -1348,24 +1348,68 @@ class TestDatasetSidecar:
         assert len(load_dataset(path).utility) == 192
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, reason",
         [
-            lambda doc: "not json",
-            lambda doc: json.dumps(doc["parameters"]),
-            lambda doc: json.dumps({**doc, "rows": "192"}),
-            lambda doc: json.dumps({**doc, "parameters": [{**doc["parameters"][0], "min": 1.5}]}),
-            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "sha256"}),
-            lambda doc: json.dumps({**doc, "parameters": [{**doc["parameters"][0], "max": 0}]}),
-            lambda doc: json.dumps({**doc, "rows": 191}),
+            (lambda doc: "not json", "Expecting value: line 1 column 1 (char 0)"),
+            (lambda doc: json.dumps(doc["parameters"]), "document: expected a mapping"),
+            (
+                lambda doc: json.dumps({**doc, "rows": "192"}),
+                "rows: expected an integer, got '192'",
+            ),
+            (
+                lambda doc: json.dumps({**doc, "parameters": [{**doc["parameters"][0], "min": 1.5}]}),
+                "parameters[0].min: expected an integer, got 1.5",
+            ),
+            (
+                lambda doc: json.dumps({k: v for k, v in doc.items() if k != "sha256"}),
+                "missing required key: sha256",
+            ),
+            (
+                lambda doc: json.dumps({**doc, "parameters": [{**doc["parameters"][0], "max": 0}]}),
+                "parameter 'webCpu': minimum 750 exceeds maximum 0",
+            ),
+            (
+                lambda doc: json.dumps({**doc, "rows": 191}),
+                "rows: 191 rows for a grid of 192 configurations",
+            ),
         ],
         ids=["text", "list", "text-rows", "float-min", "no-digest", "crossed-bounds", "rows"],
     )
-    def test_malformed_sidecar_names_it(self, tmp_path, edit):
+    def test_malformed_sidecar_names_it(self, tmp_path, edit, reason):
         _, path = reduced_toystore_collection(tmp_path)
         sidecar = tmp_path / "dataset.json"
         sidecar.write_text(edit(json.loads(sidecar.read_text())))
-        message = f"{sidecar}: malformed dataset sidecar: "
+        message = f"{sidecar}: malformed dataset sidecar: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+            load_dataset(path)
+        assert type(excinfo.value) is ValueError  # report and compare exit 2 on it
+
+    def test_sidecar_that_is_not_utf8_names_it(self, tmp_path):
+        _, path = reduced_toystore_collection(tmp_path)
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_bytes(b"\xff\xfe")
+        message = f"{sidecar}: malformed dataset sidecar: 'utf-8' codec can't decode"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_dataset(path)
+
+    def test_sidecar_keys_it_does_not_know_are_ignored(self, tmp_path):
+        _, path = reduced_toystore_collection(tmp_path)
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"note": "x"}))
+        assert len(load_dataset(path).utility) == 192
+
+    def test_parameter_renamed_in_the_sidecar_names_it(self, tmp_path):
+        config, path = reduced_toystore_collection(tmp_path)
+        sidecar = tmp_path / "dataset.json"
+        document = json.loads(sidecar.read_text())
+        document["parameters"][0]["name"] = "renamed"
+        sidecar.write_text(json.dumps(document))
+        names = list(config.space.names)
+        message = (
+            f"{path}: parameter columns {names} do not match the parameters {sidecar} "
+            f"records {['renamed', *names[1:]]}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_dataset(path)
 
     def test_old_sidecar_is_gone_before_the_new_file_replaces_the_old(self, tmp_path, monkeypatch):
