@@ -38,12 +38,12 @@ import operator
 import re
 import subprocess
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 import yaml
 
-from .fields import ConfigError, Fields
+from .fields import ConfigError, Fields, load_yaml
 from .utility import WorkloadSpec
 
 if TYPE_CHECKING:
@@ -261,7 +261,7 @@ def load_service_model(path: str) -> ServiceModelSpec:
     field by dotted path; a key the model does not know is an error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = Fields(yaml.safe_load(handle), "")
+            doc = Fields(load_yaml(handle), "")
         services, specs = doc("services", dict), []
         for name in services.value:
             fields = services(name, dict)
@@ -692,6 +692,30 @@ class ReplayBackend:
 # -- external ----------------------------------------------------------------
 
 
+def _check_command(command: Sequence[str]) -> None:
+    if not command or not command[0]:
+        raise ValueError("external backend needs a non-empty command")
+
+
+def _check_timeout(timeout_s: float) -> None:
+    if timeout_s <= 0:
+        raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+
+
+def _check_retries(retries: int) -> None:
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+
+
+#: The rule :class:`ExternalBackend` applies to each of its settings: a
+#: ValueError for a value it refuses.
+EXTERNAL_CHECKS: dict[str, Callable[[Any], None]] = {
+    "command": _check_command,
+    "timeout_s": _check_timeout,
+    "retries": _check_retries,
+}
+
+
 class ExternalBackend(Backend):
     """Delegate measurement to a child process.
 
@@ -713,12 +737,9 @@ class ExternalBackend(Backend):
         timeout_s: float = 600,
         retries: int = 2,
     ):
-        if not command:
-            raise ValueError("external backend needs a non-empty command")
-        if timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        _check_command(command)
+        _check_timeout(timeout_s)
+        _check_retries(retries)
         self.command = tuple(command)
         self.timeout_s = timeout_s
         self.retries = retries

@@ -17,17 +17,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
 from .backends import (
+    EXTERNAL_CHECKS,
     Backend,
     ExternalBackend,
     ReplayBackend,
     SyntheticBackend,
     load_service_model,
 )
-from .fields import ConfigError, Fields
+from .fields import ConfigError, Fields, load_yaml
 from .optim import OPTIMIZERS
 from .screening import SETTING_CHECKS, BoundReductionReport, resolve_p
 from .space import ParameterSpec, SearchSpace
@@ -134,6 +136,7 @@ def _parse_backend(raw: Fields, source_dir: Path) -> BackendSettings:
             )
         settings.timeout_s = raw("timeout_s", float, settings.timeout_s)
         settings.retries = raw("retries", int, settings.retries)
+        _apply_checks(raw, settings, EXTERNAL_CHECKS)
     raw.done()
     return settings
 
@@ -145,7 +148,14 @@ def _parse_screening(raw: Fields) -> ScreeningSettings:
     settings.relaxed_factor = raw("relaxed_factor", float, settings.relaxed_factor)
     settings.strict_factor = raw("strict_factor", float, settings.strict_factor)
     raw.done()
-    for name, check in SETTING_CHECKS.items():
+    _apply_checks(raw, settings, SETTING_CHECKS)
+    return settings
+
+
+def _apply_checks(raw: Fields, settings: object, checks: dict[str, Callable]) -> None:
+    """Run the rule a component applies to each of its settings, so that a
+    value it would refuse is a config error naming the field."""
+    for name, check in checks.items():
         value = getattr(settings, name)
         if value is None:
             continue
@@ -153,7 +163,6 @@ def _parse_screening(raw: Fields) -> ScreeningSettings:
             check(value)
         except ValueError as exc:
             raise ConfigError(f"{raw.at(name)}: {exc}") from None
-    return settings
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -165,7 +174,7 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = yaml.safe_load(handle)
+            document = load_yaml(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (yaml.YAMLError, ValueError) as exc:

@@ -28,6 +28,10 @@ That work is a few BLAS calls on b new rows per round, which BLAS threads
 only slow down. :func:`one_blas_thread` runs a round on one OpenBLAS
 thread, so results and speed do not depend on the core count.
 
+:func:`improvement_cutoff` bounds expected improvement from above by the
+improvement alone, so a caller ranking a grid by EI can leave out the
+points that cannot reach its batch.
+
 scipy's ``linalg`` and ``special`` are imported by the functions that use
 them, so importing this module, or confopt, leaves scipy unloaded until a
 model is fitted or used.
@@ -52,6 +56,7 @@ __all__ = [
     "SurrogateModel",
     "gp_fit",
     "expected_improvement",
+    "improvement_cutoff",
     "one_blas_thread",
 ]
 
@@ -395,11 +400,65 @@ def expected_improvement(
     mean = np.asarray(mean, dtype=float)
     stddev = np.asarray(stddev, dtype=float)
     improvement = best - mean
-    safe = np.where(stddev > 0, stddev, 1.0)
-    z = improvement / safe
-    ei = np.where(
-        stddev > 0,
-        improvement * special.ndtr(z) + stddev * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)),
-        np.maximum(improvement, 0.0),
-    )
-    return np.maximum(ei, 0.0)
+    spread = stddev > 0
+    z = improvement / np.where(spread, stddev, 1.0)
+    ei = improvement * special.ndtr(z)
+    ei += stddev * (np.exp(z * z * -0.5) / math.sqrt(2 * math.pi))
+    ei = np.where(spread, ei, np.maximum(improvement, 0.0))
+    return np.maximum(ei, 0.0, out=ei)
+
+
+#: The least expected improvement :func:`improvement_cutoff` bounds. Its
+#: cutoff then lies above u = −22, where the terms of EI and of h are
+#: normal floats whose relative rounding stays below 1e-10.
+_LEAST_BOUNDED_EI = 1e-100
+#: Relative margin between the bound h(cutoff) and the EI it certifies,
+#: and how close the bound comes to that EI when the search stops.
+_CUTOFF_MARGIN = 1e-9
+_CUTOFF_CLOSE = 1e-6
+#: Newton steps :func:`improvement_cutoff` takes at most. From its starting
+#: bound, five reach the root to rounding for EIs from 1e-100 to 1e6.
+_NEWTON_STEPS = 8
+
+
+def _unit_ei(u: float) -> tuple[float, float]:
+    """``h(u) = u·Φ(u) + φ(u)``, the expected improvement at spread 1, and
+    its slope Φ(u)."""
+    cdf = 0.5 * math.erfc(-u / math.sqrt(2.0))
+    return u * cdf + math.exp(-u * u / 2.0) / math.sqrt(2 * math.pi), cdf
+
+
+def improvement_cutoff(ei: float) -> float | None:
+    """An improvement ``best − mean`` below which a point's expected
+    improvement, as :func:`expected_improvement` computes it, is less than
+    ``ei`` whenever its spread is at most 1. Every model here predicts such
+    spreads, ``sqrt(max(1 − ΣV², 0))``. None when ``ei`` is below
+    ``_LEAST_BOUNDED_EI`` or not finite.
+
+    EI(u, σ) grows with σ (∂EI/∂σ = φ(z) ≥ 0, and EI(u, 0) = max(u, 0)),
+    so EI(u, σ) ≤ h(u) = EI(u, 1), which increases with u (h′ = Φ). The
+    cutoff c has h(c) ≤ ei·(1 − 1e-9), checked in float, so every u < c has
+    EI below ``ei`` by a margin far above rounding. Newton's method finds c
+    on log h, which is concave: from the lower bound it starts at, every
+    step stays below the root of h = target (Jones, Schonlau & Welch 1998
+    give EI's closed form).
+    """
+    if not math.isfinite(ei) or ei < _LEAST_BOUNDED_EI:
+        return None
+    target = ei * (1.0 - 2.0 * _CUTOFF_MARGIN)
+    peak = 1.0 / math.sqrt(2 * math.pi)  # h(0)
+    # h(u) < u + h(0) for u ≥ 0, and h(u) < φ(u) for u < 0.
+    if target >= peak:
+        u = target - peak
+    else:
+        u = -math.sqrt(2.0 * math.log(peak / target))
+    cutoff = None
+    for _ in range(_NEWTON_STEPS):
+        h, slope = _unit_ei(u)
+        if h > ei * (1.0 - _CUTOFF_MARGIN):
+            break
+        cutoff = u
+        if h >= ei * (1.0 - _CUTOFF_CLOSE):
+            break
+        u += math.log(target / h) * h / slope
+    return cutoff

@@ -38,7 +38,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gp import ProductGrid, SurrogateModel, expected_improvement, gp_fit, one_blas_thread
+from .gp import (
+    ProductGrid,
+    SurrogateModel,
+    expected_improvement,
+    gp_fit,
+    improvement_cutoff,
+    one_blas_thread,
+)
 from .screening import screening_design
 from .space import Configuration, SearchSpace
 
@@ -339,9 +346,10 @@ class BayesianEISession(OptimizerSession):
 
     Before the first full batch of results arrives the session proposes
     seeded random configurations. Afterwards it fits the surrogate to the
-    whole history each round and scores a candidate set: the entire
-    remaining grid for spaces up to ``GRID_LIMIT`` configurations, otherwise
-    4096 seeded random points plus every observed point's grid neighbors.
+    whole history each round and picks the batch with the highest expected
+    improvement among the unclaimed points of a candidate set: the entire
+    grid for spaces up to ``GRID_LIMIT`` configurations, otherwise 4096
+    seeded random points plus every observed point's grid neighbors.
     Expected-improvement ties resolve by candidate generation order.
 
     On the grid the fit extends the previous round's model and predicts
@@ -351,18 +359,35 @@ class BayesianEISession(OptimizerSession):
     gives the mean and that batch's share of the variance, and the model
     carries N floats to the next round (see :mod:`confopt.gp`). Each round
     runs on one BLAS thread (:func:`confopt.gp.one_blas_thread`).
+
+    A grid round scores EI only where it can reach the batch, and picks
+    what scoring every unclaimed point would (:func:`_pick_on_grid`). The
+    previous round's ``LEADERS`` best candidates that are still unclaimed
+    give a floor τ, the n-th highest of their EIs, and no point whose
+    improvement ``best − mean`` lies below
+    :func:`confopt.gp.improvement_cutoff` of τ can reach it. The first EI
+    round, and any round whose leaders leave fewer than n unclaimed or give
+    a τ too small to bound, score every unclaimed point. ``scored`` records
+    how many candidates each EI round scored.
     """
 
     name = "bayesian-ei"
 
     GRID_LIMIT = 100_000
     SAMPLED_CANDIDATES = 4096
+    #: Best candidates of a grid round kept to bound the next round's pick.
+    LEADERS = 64
 
     def __init__(self, space: SearchSpace, budget: int, batch_size: int, seed: int):
         super().__init__(space, budget, batch_size, seed)
         self._on_grid = space.size <= self.GRID_LIMIT
         self._inputs = np.empty((0, space.dimension))
         self._model: SurrogateModel | None = None
+        # Grid rounds: which ranks no told batch holds, and the last round's
+        # leaders (none before the first EI round).
+        self._unclaimed = np.ones(space.size if self._on_grid else 0, dtype=bool)
+        self._leaders = np.empty(0, dtype=np.intp)
+        self.scored: list[int] = []
 
     @functools.cached_property
     def _grid(self) -> ProductGrid:
@@ -378,6 +403,7 @@ class BayesianEISession(OptimizerSession):
         known = len(self._inputs)
         if self._on_grid:
             new = self._grid.at(self._told[known:])
+            self._unclaimed[self._told[known:]] = False
         else:
             new = [self.space.to_normalized(o.config) for o in self.history[known:]]
         self._inputs = np.concatenate([self._inputs, new])
@@ -385,23 +411,27 @@ class BayesianEISession(OptimizerSession):
         prior = self._model if self._on_grid else None
         model = self._model = gp_fit(self._inputs, targets, prior=prior)
         best = model.standardize(float(targets.min()))
-        ranks, points = self._candidates()
-        if not len(ranks):  # a sampled set can miss what is left
-            return [] if self._on_grid else self._random_unseen(n)
-        mean, std = model.predict(points)
-        ei = expected_improvement(mean, std, best)
-        if self._on_grid:  # the grid holds the claimed ranks too
-            ei = ei[ranks]
-        # Every candidate is unclaimed, so the filter keeps the whole pick.
-        return [r for r in (int(ranks[i]) for i in _top(ei, n)) if self._fresh(r)]
-
-    def _candidates(self) -> tuple[Sequence[int], np.ndarray | ProductGrid]:
-        """Unclaimed candidate ranks and the points to predict at: the whole
-        grid, which the ranks index, or the sampled candidates' coordinates."""
         if self._on_grid:
-            unclaimed = np.ones(len(self._grid), dtype=bool)
-            unclaimed[list(self._asked)] = False
-            return np.flatnonzero(unclaimed), self._grid
+            if len(self._asked) == self.space.size:
+                return []
+            mean, std = model.predict(self._grid)
+            ranks, self._leaders, scored = _pick_on_grid(
+                mean, std, best, self._unclaimed, self._leaders, n, self.LEADERS
+            )
+        else:
+            candidates, points = self._candidates()
+            if not candidates:  # a sampled set can miss what is left
+                return self._random_unseen(n)
+            mean, std = model.predict(points)
+            ranks = np.asarray(candidates)[_top(expected_improvement(mean, std, best), n)]
+            scored = len(candidates)
+        self.scored.append(scored)
+        # Every pick is unclaimed, so the filter keeps the whole pick.
+        return [r for r in ranks.tolist() if self._fresh(r)]
+
+    def _candidates(self) -> tuple[list[int], np.ndarray]:
+        """Off the grid: the unclaimed sampled candidates' ranks and their
+        coordinates."""
         counts = np.array(self._counts)
         dimension = len(counts)
         draws = self.rng.integers(self._counts, size=(self.SAMPLED_CANDIDATES, dimension))
@@ -420,15 +450,55 @@ class BayesianEISession(OptimizerSession):
         return [rank for rank, _ in kept], self.space.level_coordinates(rows)
 
 
+def _pick_on_grid(
+    mean: np.ndarray,
+    std: np.ndarray,
+    best: float,
+    unclaimed: np.ndarray,
+    leaders: np.ndarray,
+    n: int,
+    keep: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The ``n`` unclaimed grid positions of highest expected improvement,
+    in ``_top``'s order over every unclaimed position; then the ``keep``
+    best positions scored, which bound the next round as ``leaders`` bound
+    this one; then the count of positions scored.
+
+    When at least n ``leaders`` are unclaimed and the n-th highest of their
+    EIs, τ, has a cutoff, only the unclaimed positions whose improvement
+    reaches it are scored, with the unclaimed leaders, in grid order;
+    otherwise every unclaimed position is. A point left out has EI below
+    τ, which at least n scored points reach, so the pick is the same.
+    """
+    alive = leaders[unclaimed[leaders]]
+    cutoff = None
+    if len(alive) >= n:
+        bound = expected_improvement(mean[alive], std[alive], best)
+        cutoff = improvement_cutoff(float(np.partition(bound, len(alive) - n)[len(alive) - n]))
+    if cutoff is None:
+        # Scoring the whole grid holds less memory at once than gathering
+        # its unclaimed points first.
+        candidates = np.flatnonzero(unclaimed)
+        ei = expected_improvement(mean, std, best)[candidates]
+    else:
+        scored = best - mean >= cutoff
+        scored[alive] = True
+        candidates = np.flatnonzero(scored & unclaimed)
+        ei = expected_improvement(mean[candidates], std[candidates], best)
+    order = _top(ei, max(n, keep))
+    return candidates[order[:n]], candidates[order], len(candidates)
+
+
 def _top(scores: np.ndarray, n: int) -> np.ndarray:
     """Positions of the ``n`` highest scores, earlier positions first among
     equals: the first ``n`` of a stable descending sort, found by
     partitioning at the n-th score and sorting only what reaches it."""
     keys = -scores
-    picked = np.arange(len(keys))
     if n < len(keys):
         cut = keys[np.argpartition(keys, n - 1)[n - 1]]
         picked = np.flatnonzero(keys <= cut)
+    else:
+        picked = np.arange(len(keys))
     return picked[np.argsort(keys[picked], kind="stable")[:n]]
 
 

@@ -449,6 +449,27 @@ class TestOptimize:
         assert "error: screening.r: trajectory count r must be >= 1, got 0" in err
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["optimize", "exhaustive", "screen"])
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("command", [], "external backend needs a non-empty command"),
+            ("command", "", "external backend needs a non-empty command"),
+            ("timeout_s", 0, "timeout_s must be positive, got 0.0"),
+            ("retries", -1, "retries must be >= 0, got -1"),
+        ],
+        ids=["command", "empty-program", "timeout_s", "retries"],
+    )
+    def test_external_setting_the_backend_refuses_is_config_error(
+        self, workdir, monkeypatch, capsys, command, field, value, reason
+    ):
+        backend = {"kind": "external", "command": ["./no-such-runner"], field: value}
+        write_yaml(workdir / "bad.yaml", config_document(backend=backend))
+        out = workdir / "o"
+        assert run(monkeypatch, out, [command, "--config", str(workdir / "bad.yaml")]) == 1
+        assert capsys.readouterr().err.endswith(f"error: backend.{field}: {reason}\n")
+        assert not any(out.glob("*.csv"))
+
 
 class TestExhaustiveAndReport:
     def test_dataset_then_report(self, workdir, monkeypatch):

@@ -513,7 +513,7 @@ class TestFieldReader:
         to the parser as it stands, which keeps the sweep well under a
         second (a YAML round trip costs some 7 ms a document)."""
         loaded = {}
-        monkeypatch.setattr(yaml, "safe_load", lambda handle: loaded["document"])
+        monkeypatch.setattr(yaml, "load", lambda handle, Loader: loaded["document"])
         path = tmp_path / "config.yaml"
         path.touch()
         escaped = []
@@ -536,7 +536,7 @@ class TestFieldReader:
         dotted path; one the model's own checks refuse, by its key."""
         document = yaml.safe_load(bundled_path("toystore-model.yaml").read_text())
         loaded = {}
-        monkeypatch.setattr(yaml, "safe_load", lambda handle: loaded["document"])
+        monkeypatch.setattr(yaml, "load", lambda handle, Loader: loaded["document"])
         path = tmp_path / "model.yaml"
         path.touch()
         wrong = []

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from confopt import gp
@@ -15,6 +17,7 @@ from confopt.gp import (
     ProductGrid,
     expected_improvement,
     gp_fit,
+    improvement_cutoff,
     one_blas_thread,
 )
 
@@ -160,6 +163,51 @@ class TestExpectedImprovement:
         expected = improvement * stats.norm.cdf(z) + stddev * stats.norm.pdf(z)
         got = expected_improvement(mean, stddev, best=1.0)
         assert np.array_equal(got, np.maximum(expected, 0.0))
+
+
+    def test_a_point_scores_the_same_bits_in_any_subset(self):
+        """A point's EI does not depend on the array it is scored in: its
+        length (SIMD bodies and tails), its offset or its gathering. So
+        scoring a subset of the grid ranks it as scoring the whole would."""
+        rng = np.random.default_rng(6)
+        mean = rng.normal(size=512)
+        std = rng.uniform(0.0, 1.0, size=512)
+        std[::9] = 0.0
+        full = expected_improvement(mean, std, best=0.3).view(np.int64)
+        for length in range(1, 71):
+            for start in rng.integers(0, 512 - length, size=6):
+                part = slice(start, start + length)
+                got = expected_improvement(mean[part], std[part], best=0.3)
+                assert np.array_equal(got.view(np.int64), full[part])
+            picked = np.sort(rng.choice(512, length, replace=False))
+            got = expected_improvement(mean[picked], std[picked], best=0.3)
+            assert np.array_equal(got.view(np.int64), full[picked])
+
+
+class TestImprovementCutoff:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        exponent=st.floats(-99.9, 6.0),
+        below=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        spread=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_an_improvement_below_the_cutoff_scores_below_the_ei(self, exponent, below, spread):
+        ei = 10.0**exponent
+        cutoff = improvement_cutoff(ei)
+        assert cutoff is not None
+        # Just below the cutoff, or further below; the mean is 0, so the
+        # improvement is exactly ``best``.
+        improvement = np.nextafter(cutoff, -np.inf) - below
+        with np.errstate(over="ignore"):  # a subnormal spread sends z to ±inf
+            score = expected_improvement(np.array([0.0]), np.array([spread]), best=improvement)
+        assert score[0] < ei
+        # The cutoff is tight: at spread 1 the cutoff itself nearly reaches ei.
+        at_cutoff = expected_improvement(np.array([0.0]), np.array([1.0]), best=cutoff)
+        assert at_cutoff[0] >= ei * (1.0 - 2e-6)
+
+    @pytest.mark.parametrize("ei", [0.0, -1.0, 1e-101, float("nan"), float("inf")])
+    def test_no_cutoff_for_an_ei_too_small_or_not_finite(self, ei):
+        assert improvement_cutoff(ei) is None
 
 
 def assert_same_posterior(model, reference, points, tol):

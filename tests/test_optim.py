@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confopt import gp, optim
-from confopt.gp import gp_fit
+from confopt import bundled_path, gp, harness, optim
+from confopt.config import build_backend, parse_config
+from confopt.gp import expected_improvement, gp_fit
 from confopt.optim import (
     OPTIMIZERS,
     BestConfigSession,
@@ -18,6 +21,7 @@ from confopt.optim import (
     create_optimizer,
 )
 from confopt.space import Configuration, ParameterSpec, SearchSpace
+from confopt.utility import get_utility
 
 
 def make_space(level_counts, granularity=1):
@@ -401,6 +405,79 @@ class TestBayesianEI:
         for n in (1, 3, 40, 199, 200, 250):
             expected = np.argsort(-scores, kind="stable")[:n]
             assert optim._top(scores, n).tolist() == expected.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        tied=st.booleans(),
+        above_best=st.sampled_from([0.0, 1.0, 21.0, 40.0]),
+        zero_spread=st.sampled_from([0.0, 0.3, 1.0]),
+        claimed=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+        leaders_from=st.sampled_from(["previous", "claimed", "random"]),
+        n=st.integers(1, 12),
+        keep=st.integers(1, 70),
+    )
+    def test_pruned_pick_equals_scoring_every_unclaimed_point(
+        self, size, seed, tied, above_best, zero_spread, claimed, leaders_from, n, keep
+    ):
+        """``_pick_on_grid`` picks what ``_top`` over every unclaimed point's
+        EI picks: with tied EIs, zero spreads, means so far above the best
+        that τ is near zero or below the bound's floor, n beyond the
+        unclaimed count, and leaders that are mostly claimed."""
+        rng = np.random.default_rng(seed)
+        best = float(rng.normal())
+        if tied:
+            mean = best + above_best + rng.integers(-1, 2, size) * 0.5
+            std = rng.choice([0.25, 1.0], size)
+        else:
+            mean = best + above_best + rng.normal(size=size)
+            std = rng.uniform(0.0, 1.0, size)
+        std[rng.random(size) < zero_spread] = 0.0
+        unclaimed = rng.random(size) >= claimed
+        if leaders_from == "previous":  # last round's pick under a nearby model
+            drifted = mean + rng.normal(scale=0.1, size=size)
+            before = unclaimed | (rng.random(size) < 0.5)
+            picked, leaders, _ = optim._pick_on_grid(
+                drifted, std, best, before, np.empty(0, dtype=np.intp), n, keep
+            )
+            unclaimed = before.copy()
+            unclaimed[picked] = False
+        elif leaders_from == "claimed":  # claimed positions first
+            order = np.argsort(unclaimed, kind="stable")
+            leaders = order[: rng.integers(0, size + 1)]
+        else:
+            leaders = rng.permutation(size)[: rng.integers(0, size + 1)]
+
+        picked, kept, scored = optim._pick_on_grid(mean, std, best, unclaimed, leaders, n, keep)
+
+        ranks = np.flatnonzero(unclaimed)
+        expected = ranks[optim._top(expected_improvement(mean, std, best)[ranks], n)]
+        assert picked.tolist() == expected.tolist()
+        assert kept[:n].tolist() == picked.tolist()
+        assert len(set(kept.tolist())) == len(kept) <= max(n, keep)
+        assert unclaimed[kept].all() and scored <= len(ranks)
+
+    def test_grid_rounds_after_the_first_score_under_a_quarter_of_the_unclaimed(self):
+        """Standalone BO on the bundled 65,536-config toystore: the bound
+        leaves every EI round after the first under a quarter of the
+        unclaimed points to score, so a silent fallback to scoring them all
+        fails here."""
+        cfg = parse_config(bundled_path("toystore.yaml"))
+        evaluator = harness.Evaluator(
+            cfg.space,
+            build_backend(cfg),
+            get_utility(cfg.util_func),
+            cfg.slo,
+            cfg.workload,
+            cfg.cost_weights,
+        )
+        session = create_optimizer("bayesian-ei", cfg.space, 150, 6, seed=0)
+        while session.told < session.budget:
+            session.tell(list(evaluator.evaluate(session.ask(), session.told + 1)))
+        unclaimed = [cfg.space.size - told for told in range(6, 150, 6)]
+        assert session.scored[0] == unclaimed[0] and len(session.scored) == 24
+        assert all(4 * scored < left for scored, left in zip(session.scored[1:], unclaimed[1:]))
 
     def test_rounds_restore_blas_thread_counts(self, monkeypatch):
         controls = gp._openblas_thread_controls()
