@@ -8,9 +8,11 @@ deterministically.
 
 The posterior is GPML's (Rasmussen & Williams 2006, Alg. 2.1): mean
 ``K(X, x)ᵀα`` with ``α = K⁻¹y``, variance ``σ² − Σ V²`` over the columns
-of ``V = L⁻¹K(X, x)``. A fit handed the previous round's model as ``prior``
-extends its lower Cholesky factor L by the new rows only: the block
-``L⁻¹K(X_old, X_new)`` and a Cholesky of the b×b Schur complement.
+of ``V = L⁻¹K(X, x)``, L the lower Cholesky factor of K. A model keeps
+L⁻¹, so both are products. A fit handed the previous round's model as
+``prior`` extends L⁻¹ by the new rows ``C⁻¹·[−BᵀL⁻¹, I]`` only, with
+``B = L⁻¹K(X_old, X_new)`` and C the Cholesky factor of the b×b Schur
+complement.
 
 A point array gets that posterior from scratch. A :class:`ProductGrid`,
 the Cartesian product of per-axis levels, gets it without forming
@@ -32,9 +34,9 @@ thread, so results and speed do not depend on the core count.
 improvement alone, so a caller ranking a grid by EI can leave out the
 points that cannot reach its batch.
 
-scipy's ``linalg`` and ``special`` are imported by the functions that use
-them, so importing this module, or confopt, leaves scipy unloaded until a
-model is fitted or used.
+numpy does the linear algebra. :func:`expected_improvement` imports
+``scipy.special``, the one scipy module used, so importing this module,
+or confopt, leaves scipy unloaded until EI is computed.
 """
 
 from __future__ import annotations
@@ -74,18 +76,17 @@ _ROWS_PER_GEMM = 8
 
 
 def __getattr__(name: str) -> ModuleType:
-    """``linalg`` and ``special``, the scipy modules the surrogate uses,
-    imported on first access."""
-    if name in ("linalg", "special"):
-        return importlib.import_module(f"scipy.{name}")
+    """``special``, the scipy module the surrogate uses, imported on first
+    access."""
+    if name == "special":
+        return importlib.import_module("scipy.special")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def import_scipy() -> None:
-    """Import the scipy modules the surrogate uses now rather than on
-    first use: a process about to fork workers that fit calls this, so
-    that the workers share them instead of each importing them."""
-    import scipy.linalg  # noqa: F401
+    """Import the scipy module the surrogate uses now rather than on first
+    use: a process about to fork workers that fit calls this, so that the
+    workers share it instead of each importing it."""
     import scipy.special  # noqa: F401
 
 
@@ -95,12 +96,6 @@ def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return DEFAULT_SIGNAL_VARIANCE * np.exp(
         -np.maximum(sq, 0.0) / (2.0 * DEFAULT_LENGTH_SCALE**2)
     )
-
-
-def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    from scipy import linalg
-
-    return linalg.solve_triangular(factor, rhs, lower=True, check_finite=False)
 
 
 #: The maps of this process's address space, one mapped file per line (Linux).
@@ -118,10 +113,8 @@ _OPENBLAS_SETTERS = (
 def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """The thread-count getter and setter of every OpenBLAS library mapped
     into this process; none without ``/proc/self/maps`` or without OpenBLAS
-    (MKL, Accelerate). Looked up once, after importing scipy.linalg:
-    numpy and scipy.linalg load every BLAS in use."""
-    import scipy.linalg  # noqa: F401
-
+    (MKL, Accelerate). Looked up once; numpy's is the only BLAS the
+    surrogate calls, and importing numpy loads it."""
     try:
         with open(_MAPS, encoding="utf-8") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
@@ -231,16 +224,18 @@ class SurrogateModel:
     units; use :meth:`standardize` to move reference values (such as the
     incumbent best) into the same units.
 
-    ``_alpha`` holds the mean weights ``K⁻¹y`` of the standardized targets
-    y. ``_grid_variance`` is the running sum of V² of the last grid
-    predicted on, which a fit extending this model takes over.
+    ``_inverse`` is L⁻¹ for ``K(inputs) + jitter·I``, lower-triangular and
+    C-ordered, so its rows feed the grid GEMM unstrided. ``_alpha`` holds
+    the mean weights ``K⁻¹y`` of the standardized targets y.
+    ``_grid_variance`` is the running sum of V² of the last grid predicted
+    on, which a fit extending this model takes over.
     """
 
     inputs: np.ndarray
     target_mean: float
     target_std: float
     jitter: float
-    _factor: np.ndarray
+    _inverse: np.ndarray
     _alpha: np.ndarray
     _grid_variance: _GridVariance | None = None
 
@@ -261,7 +256,7 @@ class SurrogateModel:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             cross = _kernel(self.inputs, points)
             mean = cross.T @ self._alpha
-            basis = _solve_lower(self._factor, cross)
+            basis = self._inverse @ cross
             sq_sum = np.einsum("ij,ij->j", basis, basis)
         return mean, np.sqrt(np.maximum(DEFAULT_SIGNAL_VARIANCE - sq_sum, 0.0))
 
@@ -273,14 +268,8 @@ class SurrogateModel:
         if state is None or state.grid is not grid:
             state = _GridVariance(grid, 0, np.zeros(len(grid)))
         # Row 0 weights the kernel rows into the mean, the rest into V's new
-        # rows: rows m..n of L⁻¹, the X of X·L = I[m:n]. Raw BLAS and LAPACK
-        # here and in gp_fit: on small grids scipy's checked wrappers cost
-        # more than the solves.
-        from scipy import linalg
-
-        unit_rows = np.eye(n)[state.rows :]
-        inverse_rows = linalg.blas.dtrsm(1.0, self._factor, unit_rows, side=1, lower=1)
-        weights = np.vstack([self._alpha, inverse_rows])
+        # rows: rows m..n of L⁻¹.
+        weights = np.vstack([self._alpha, self._inverse[state.rows :]])
         left, right = grid.factors(self.inputs)
         mean, sq_sum = None, state.sq_sum
         for start in range(0, len(weights), _ROWS_PER_GEMM):
@@ -296,21 +285,23 @@ class SurrogateModel:
 def _extended_factor(
     prior: SurrogateModel | None, inputs: np.ndarray, eps: float
 ) -> np.ndarray:
-    """Lower Cholesky factor of ``K(inputs) + eps·I``, extending the
-    prior's factor over its leading rows (none without a prior). Raises
-    ``LinAlgError`` when the Schur complement is not positive definite."""
-    from scipy import linalg
-
+    """L⁻¹ for ``K(inputs) + eps·I``, the triangular factor of K⁻¹ =
+    L⁻ᵀL⁻¹, extending the prior's over its leading rows (none without a
+    prior). Raises ``LinAlgError`` when the Schur complement is not
+    positive definite."""
     old = inputs[:0] if prior is None else prior.inputs
     m, n = len(old), len(inputs)
-    factor = np.zeros((n, n))
+    inverse = np.zeros((n, n))
     if prior is not None:
-        factor[:m, :m] = prior._factor
-    cross = _solve_lower(factor[:m, :m], _kernel(old, inputs[m:]))
-    factor[m:, :m] = cross.T
+        inverse[:m, :m] = prior._inverse
+    cross = inverse[:m, :m] @ _kernel(old, inputs[m:])
     corner = _kernel(inputs[m:], inputs[m:]) + eps * np.eye(n - m) - cross.T @ cross
-    factor[m:, m:] = linalg.cholesky(corner, lower=True, check_finite=False)
-    return factor
+    # inv pivots rows where a factor's column outweighs its diagonal, which
+    # can leave rounding-sized entries above the diagonal; tril drops them.
+    corner_inverse = np.tril(np.linalg.inv(np.linalg.cholesky(corner)))
+    inverse[m:, :m] = corner_inverse @ -(cross.T @ inverse[:m, :m])
+    inverse[m:, m:] = corner_inverse
+    return inverse
 
 
 def gp_fit(
@@ -326,14 +317,12 @@ def gp_fit(
     fine, the jitter absorbs the resulting rank deficiency.
 
     When ``prior``'s inputs are the leading rows of ``inputs`` and it did
-    not escalate its jitter, its factor is extended by the new rows at
+    not escalate its jitter, its L⁻¹ is extended by the new rows at
     ``DEFAULT_JITTER`` and its running sum of V² on a grid passes to the
-    new model. Otherwise, or when that extension fails, the factor is
-    computed from zero rows, escalating the jitter as needed, and the sum
-    starts again; the result is the same model up to rounding either way.
+    new model. Otherwise, or when that extension fails, L⁻¹ is computed
+    from zero rows, escalating the jitter as needed, and the sum starts
+    again; the result is the same model up to rounding either way.
     """
-    from scipy import linalg
-
     # A copy: later fits compare it with their inputs.
     inputs = np.atleast_2d(np.array(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float).reshape(-1)
@@ -365,12 +354,12 @@ def gp_fit(
         attempts.insert(0, (prior, DEFAULT_JITTER))
     for base, eps in attempts:
         try:
-            factor = _extended_factor(base, inputs, eps)
+            inverse = _extended_factor(base, inputs, eps)
             break
-        except linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             pass
     else:
-        raise linalg.LinAlgError(
+        raise np.linalg.LinAlgError(
             f"kernel matrix not positive definite even with jitter {eps:g}"
         )
     return SurrogateModel(
@@ -378,8 +367,8 @@ def gp_fit(
         target_mean=mean,
         target_std=std,
         jitter=eps,
-        _factor=factor,
-        _alpha=linalg.lapack.dpotrs(factor, (targets - mean) / std, lower=1)[0],
+        _inverse=inverse,
+        _alpha=inverse.T @ (inverse @ ((targets - mean) / std)),
         _grid_variance=None if base is None else base._grid_variance,
     )
 
@@ -399,13 +388,21 @@ def expected_improvement(
 
     mean = np.asarray(mean, dtype=float)
     stddev = np.asarray(stddev, dtype=float)
-    improvement = best - mean
+    improvement = np.asarray(best - mean)  # an array also for a 0-d mean
     spread = stddev > 0
-    z = improvement / np.where(spread, stddev, 1.0)
-    ei = improvement * special.ndtr(z)
-    ei += stddev * (np.exp(z * z * -0.5) / math.sqrt(2 * math.pi))
-    ei = np.where(spread, ei, np.maximum(improvement, 0.0))
-    return np.maximum(ei, 0.0, out=ei)
+    # In place, in the order of improvement·Φ(z) + stddev·(exp(z·z·−½)/√2π).
+    z = np.where(spread, stddev, 1.0)
+    np.divide(improvement, z, out=z)
+    ei = special.ndtr(z)
+    ei *= improvement
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    z /= math.sqrt(2 * math.pi)
+    z *= stddev
+    ei += z
+    np.copyto(improvement, ei, where=spread)
+    return np.maximum(improvement, 0.0, out=improvement)
 
 
 #: The least expected improvement :func:`improvement_cutoff` bounds. Its

@@ -225,8 +225,41 @@ EXTENSION_SEQUENCES = pytest.mark.parametrize(
 )
 
 
+def assert_c_ordered_lower_inverse(model):
+    """``model._inverse`` is C-contiguous, so its rows feed the grid GEMM
+    unstrided, lower-triangular, and the inverse of the Cholesky factor."""
+    inverse, n = model._inverse, len(model.inputs)
+    assert inverse.flags.c_contiguous
+    assert not np.triu(inverse, 1).any()
+    gram = gp._kernel(model.inputs, model.inputs) + model.jitter * np.eye(n)
+    assert np.abs(inverse @ np.linalg.cholesky(gram) - np.eye(n)).max() < 1e-9
+
+
 class TestIncrementalPosterior:
     """A fit extending its prior must be the fresh fit, up to rounding."""
+
+    @EXTENSION_SEQUENCES
+    def test_extension_keeps_a_c_ordered_lower_inverse(self, ends):
+        rng = np.random.default_rng(7)
+        inputs = rng.random((ends[-1], 3))
+        targets = np.sin(4 * inputs[:, 0]) + inputs[:, 1] * inputs[:, 2]
+        model = None
+        for end in ends:
+            model = gp_fit(inputs[:end], targets[:end], prior=model)
+            assert_c_ordered_lower_inverse(model)
+
+    def test_near_duplicates_keep_the_inverse_lower(self):
+        """Near-duplicate inputs make Cholesky columns outweigh their
+        diagonals, where inverting by pivoted LU leaves rounding above it."""
+        rng = np.random.default_rng(3)
+        pairs = np.repeat(rng.random((12, 3)), 2, axis=0)
+        inputs = pairs + rng.normal(scale=1e-3, size=pairs.shape)
+        targets = inputs.sum(axis=1)
+        model = None
+        for end in (6, 12, 18, 24):
+            model = gp_fit(inputs[:end], targets[:end], prior=model)
+            assert_c_ordered_lower_inverse(model)
+            assert_c_ordered_lower_inverse(gp_fit(inputs[:end], targets[:end]))
 
     @EXTENSION_SEQUENCES
     def test_extension_matches_fresh_fit(self, ends):
@@ -393,7 +426,7 @@ class TestProductGrid:
 
         def indefinite_at_the_default_jitter(prior, rows, eps):
             if eps == DEFAULT_JITTER:
-                raise gp.linalg.LinAlgError("not positive definite")
+                raise np.linalg.LinAlgError("not positive definite")
             return real(prior, rows, eps)
 
         with monkeypatch.context() as patch:
@@ -498,34 +531,53 @@ class TestOneBlasThread:
         assert gp._openblas_thread_controls.__wrapped__() == ()
 
 
-#: Looks up the OpenBLAS controls before and after importing scipy.linalg.
-CONTROLS_BEFORE_AND_AFTER_SCIPY = """
-import sys
+#: Notes the OpenBLAS libraries numpy maps (scipy is not loaded yet), runs
+#: a BO round's GP work on one BLAS thread, and prints how many of numpy's
+#: thread getters the cached controls hold.
+NUMPY_BLAS_CONTROLLED_WITHOUT_SCIPY_LINALG = """
+import ctypes, os, sys
+import numpy as np
 from confopt import gp
 assert "scipy" not in sys.modules
-first = gp._openblas_thread_controls()
-import scipy.linalg
-gp._openblas_thread_controls.cache_clear()
-print(len(first), len(gp._openblas_thread_controls()))
+with open(gp._MAPS, encoding="utf-8") as maps:
+    fields = [line.split(maxsplit=5) for line in maps]
+paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+grid = gp.ProductGrid([np.linspace(0.0, 1.0, 4)] * 3)
+model = gp.gp_fit(grid.at([0, 21, 42, 63]), [1.0, 0.5, 2.0, 1.5])
+with gp.one_blas_thread():
+    mean, std = model.predict(grid)
+    gp.expected_improvement(mean, std, model.standardize(0.5))
+assert "scipy.special" in sys.modules
+assert "scipy.linalg" not in sys.modules
+address = lambda function: ctypes.cast(function, ctypes.c_void_p).value
+controlled = {address(getter) for getter, _ in gp._openblas_thread_controls()}
+getters = [
+    getattr(ctypes.CDLL(path), name.replace("_set_", "_get_"), None)
+    for path in paths
+    for name in gp._OPENBLAS_SETTERS
+]
+numpy_getters = {address(getter) for getter in getters if getter is not None}
+print(len(numpy_getters), len(numpy_getters & controlled))
 """
 
 
-def test_thread_controls_looked_up_before_scipy_include_its_openblas():
-    """The first BO round may look the controls up before anything else
-    imported scipy; the list it caches must still cap scipy's OpenBLAS."""
+def test_a_bo_round_controls_numpys_openblas_without_scipy_linalg():
+    """numpy's OpenBLAS is the only BLAS the surrogate calls: a fresh
+    interpreter's BO round never imports scipy.linalg, and the controls it
+    caches cap numpy's OpenBLAS."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", CONTROLS_BEFORE_AND_AFTER_SCIPY],
+        [sys.executable, "-c", NUMPY_BLAS_CONTROLLED_WITHOUT_SCIPY_LINALG],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    first, second = map(int, proc.stdout.split())
-    if not second:
+    found, controlled = map(int, proc.stdout.split())
+    if not found:
         pytest.skip("no OpenBLAS mapped into the process")
-    assert first == second
+    assert controlled == found
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
