@@ -103,7 +103,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         config.space,
         harness.sli_objective(evaluator),
         r=config.screening.r,
-        p=config.screening.p,
+        p=config.screening_p,
         seed=seed,
     )
     logger.info("screening used %d evaluations", len(outcome.evaluations))
@@ -135,7 +135,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         config.budget,
         config.samples_per_iteration,
         seed,
-        options={"p": config.screening.p} if config.optimizer == "moat" else None,
+        options={"p": config.screening_p} if config.optimizer == "moat" else None,
         **_scoring(config),
     )
     harness.write_trace_csv(trace, config.space, out / "trace.csv")
@@ -198,7 +198,7 @@ def _cmd_screen_vs_bo(args: argparse.Namespace) -> int:
         backend,
         total_budget=args.budget,
         r=config.screening.r,
-        p=config.screening.p,
+        p=config.screening_p,
         batch_size=config.samples_per_iteration,
         repetitions=args.repetitions,
         base_seed=seed,
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "screen-vs-bo", help="screening plus BO against standalone BO"
     )
     svb.add_argument("--config", required=True)
-    svb.add_argument("--budget", type=int, required=True)
+    svb.add_argument("--budget", type=_count, required=True)
     svb.add_argument("--repetitions", type=_count, default=1)
     svb.add_argument("--seed", type=_seed, default=None)
     svb.set_defaults(func=_cmd_screen_vs_bo)

@@ -92,6 +92,12 @@ class RunConfig:
     def budget(self) -> int:
         return self.iterations * self.samples_per_iteration
 
+    @property
+    def screening_p(self) -> int:
+        """The screening level count: ``screening.p``, or else the
+        parameters' common level count."""
+        return _build("screening.p", resolve_p, self.space, self.screening.p)
+
 
 def _parse_parameters(entries: list, path: str) -> SearchSpace:
     specs = []
@@ -157,12 +163,16 @@ def _apply_checks(raw: Fields, settings: object, checks: dict[str, Callable]) ->
     value it would refuse is a config error naming the field."""
     for name, check in checks.items():
         value = getattr(settings, name)
-        if value is None:
-            continue
-        try:
-            check(value)
-        except ValueError as exc:
-            raise ConfigError(f"{raw.at(name)}: {exc}") from None
+        if value is not None:
+            _build(raw.at(name), check, value)
+
+
+def _build(path: str, build: Callable, *args):
+    """``build(*args)``; a value it refuses is a config error naming ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -203,11 +213,9 @@ def parse_config(path: str | Path) -> RunConfig:
 
     tenants = sla("nbOfTenants", int)
     rate = sla("ratePerTenant", float, None)
-    try:
-        workload = WorkloadSpec(tenants=tenants, rate_per_tenant=rate)
-        slo = SloSpec(threshold=threshold)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _build(sla.at("nbOfTenants"), WorkloadSpec, tenants)  # alone, to name its field
+    workload = _build(sla.at("ratePerTenant"), WorkloadSpec, tenants, rate)
+    slo = _build(slos.at(LATENCY_SLO_KEY), SloSpec, threshold)
 
     space = _parse_parameters(sla("parameters", list), sla.at("parameters"))
     sla.done()
@@ -253,10 +261,9 @@ def parse_config(path: str | Path) -> RunConfig:
     if cost_weights is not None:
         values = tuple(cost_weights(name, float) for name in space.names)
         cost_weights.done()
-        try:
-            cost_weights = CostWeights(values)
-        except ValueError as exc:
-            raise ConfigError(f"costWeights: {exc}") from None
+        negative = [name for name, value in zip(space.names, values) if value < 0]
+        path = cost_weights.at(negative[0]) if negative else "costWeights"
+        cost_weights = _build(path, CostWeights, values)
     top.done()
 
     return RunConfig(
@@ -386,8 +393,8 @@ def emit_reduced_config(config: RunConfig, reduction: BoundReductionReport) -> d
     counts almost always differ."""
     document = emit_config(config, space=reduction.reduced_space)
     try:
-        document["screening"]["p"] = resolve_p(config.space, config.screening.p)
-    except ValueError:
+        document["screening"]["p"] = config.screening_p
+    except ConfigError:
         pass  # no p: this config cannot drive a screening either
     reference = config.cost_reference if config.cost_reference is not None else config.space
     document["costReference"] = _parameter_entries(reference)

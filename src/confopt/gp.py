@@ -34,9 +34,9 @@ thread, so results and speed do not depend on the core count.
 improvement alone, so a caller ranking a grid by EI can leave out the
 points that cannot reach its batch.
 
-numpy does the linear algebra. :func:`expected_improvement` imports
-``scipy.special``, the one scipy module used, so importing this module,
-or confopt, leaves scipy unloaded until EI is computed.
+numpy does the linear algebra. Φ, the normal CDF, is one helper,
+``½·erfc(−z/√2)`` from the standard library's ``math.erfc``, which
+expected improvement and its cutoff share bit for bit.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib
 import math
 import os
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -73,21 +71,6 @@ _JITTER_ESCALATIONS = 3
 #: Weight rows per batched GEMM over a grid, which bounds its operands and
 #: result when a model starts the grid from zero rows.
 _ROWS_PER_GEMM = 8
-
-
-def __getattr__(name: str) -> ModuleType:
-    """``special``, the scipy module the surrogate uses, imported on first
-    access."""
-    if name == "special":
-        return importlib.import_module("scipy.special")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def import_scipy() -> None:
-    """Import the scipy module the surrogate uses now rather than on first
-    use: a process about to fork workers that fit calls this, so that the
-    workers share it instead of each importing it."""
-    import scipy.special  # noqa: F401
 
 
 def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,6 +356,15 @@ def gp_fit(
     )
 
 
+def _normal_cdf(z: np.ndarray | float) -> np.ndarray:
+    """Φ(z) = ½·erfc(−z/√2) element by element, from libm's ``erfc``, so
+    that expected improvement and the bound :func:`_unit_ei` puts on it
+    share its bits. A scalar ``z`` gives a scalar."""
+    scaled = np.divide(z, -math.sqrt(2.0))
+    erfc = np.fromiter(map(math.erfc, scaled.ravel().tolist()), float, scaled.size)
+    return 0.5 * erfc.reshape(scaled.shape)
+
+
 def expected_improvement(
     mean: np.ndarray, stddev: np.ndarray, best: float
 ) -> np.ndarray:
@@ -381,11 +373,10 @@ def expected_improvement(
     With predictive spread the usual closed form applies:
     ``(best - mean) * Phi(z) + stddev * phi(z)`` with
     ``z = (best - mean) / stddev``. At zero spread it degenerates to
-    ``max(best - mean, 0)``. Always non-negative. Phi and phi are the
-    expressions ``scipy.stats.norm`` evaluates, without importing it.
+    ``max(best - mean, 0)``. Always non-negative. Phi is
+    :func:`_normal_cdf`, the one Phi of this module; phi is the expression
+    ``scipy.stats.norm`` evaluates.
     """
-    from scipy import special
-
     mean = np.asarray(mean, dtype=float)
     stddev = np.asarray(stddev, dtype=float)
     improvement = np.asarray(best - mean)  # an array also for a 0-d mean
@@ -393,7 +384,7 @@ def expected_improvement(
     # In place, in the order of improvement·Φ(z) + stddev·(exp(z·z·−½)/√2π).
     z = np.where(spread, stddev, 1.0)
     np.divide(improvement, z, out=z)
-    ei = special.ndtr(z)
+    ei = _normal_cdf(z)
     ei *= improvement
     z *= z
     z *= -0.5
@@ -421,7 +412,7 @@ _NEWTON_STEPS = 8
 def _unit_ei(u: float) -> tuple[float, float]:
     """``h(u) = u·Φ(u) + φ(u)``, the expected improvement at spread 1, and
     its slope Φ(u)."""
-    cdf = 0.5 * math.erfc(-u / math.sqrt(2.0))
+    cdf = float(_normal_cdf(u))
     return u * cdf + math.exp(-u * u / 2.0) / math.sqrt(2 * math.pi), cdf
 
 

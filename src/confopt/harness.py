@@ -26,10 +26,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 import numpy as np
 
 from .backends import Backend, Block, Measured, ReplayBackend, row_texts
-from .fields import Fields
-from .gp import import_scipy
+from .fields import ConfigError, Fields
 from .optim import (
-    BayesianEISession,
     Observation,
     SpaceExhausted,
     best_observation,
@@ -916,9 +914,6 @@ def compare(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        if BayesianEISession.name in map(str.lower, optimizer_names):
-            import_scipy()
-
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_compare_init, initargs=args
         ) as pool:
@@ -1017,9 +1012,10 @@ def screening_vs_standalone(
     k = space.dimension
     screening_cost = r * (k + 1)
     if screening_cost > total_budget:
-        raise ValueError(
-            f"screening alone needs {screening_cost} evaluations, above the "
-            f"total budget {total_budget}"
+        # A ConfigError: the CLI's --budget and the config's r disagree.
+        raise ConfigError(
+            f"screening alone needs r·(k + 1) = {screening_cost} evaluations, "
+            f"above the total budget {total_budget}"
         )
     scoring = dict(
         utility_fn=utility_fn,

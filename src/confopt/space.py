@@ -355,7 +355,7 @@ class SearchSpace:
         Nothing in the package calls it any more: BO builds a
         ``gp.ProductGrid`` from ``normalized_levels()``. It stays only because
         perfbench's tracing patches it, until the benchmark change in ROADMAP
-        direction 1 deletes it.
+        direction 2 deletes it.
         """
         mesh = np.meshgrid(*self.normalized_levels(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)

@@ -208,6 +208,7 @@ class TestExitCodes:
             (["compare", "--dataset", "dataset.csv", "--batch", "0"], "--batch"),
             (["screen-vs-bo", "--config", "config.yaml", "--budget", "12", "--repetitions", "0"],
              "--repetitions"),
+            (["screen-vs-bo", "--config", "config.yaml", "--budget", "0"], "--budget"),
         ],
         ids=lambda case: case if isinstance(case, str) else None,
     )
@@ -774,6 +775,15 @@ class TestScreenVsBo:
         assert rows[0]["repetition"] == "0"
         assert rows[0]["screening_evals"] == "9"  # r=3 trajectories x (2+1)
 
+    def test_budget_below_the_screening_cost_is_config_error(self, workdir, monkeypatch, capsys):
+        argv = ["screen-vs-bo", "--config", str(workdir / "config.yaml"), "--budget"]
+        assert run(monkeypatch, workdir / "svb", [*argv, "8"]) == 1
+        message = "screening alone needs r·(k + 1) = 9 evaluations, above the total budget 8"
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not (workdir / "svb" / "screen_vs_bo.csv").exists()
+        assert run(monkeypatch, workdir / "svb", [*argv, "-3"]) == 1
+        assert "argument --budget: expected a positive integer, got '-3'" in capsys.readouterr().err
+
     def test_costs_follow_cost_reference(self, workdir, monkeypatch):
         """Every utility the study and ``optimize`` report is one that
         ``exhaustive`` gives the same configuration, so all three normalize
@@ -808,39 +818,48 @@ class TestScreenVsBo:
         assert set(traced) <= utilities
 
 
-#: Runs each command in a fresh interpreter, checking after each one that
-#: scipy is loaded only once a Gaussian process is used, and then only
-#: scipy.special: the surrogate's linear algebra is numpy's.
-SCIPY_ON_FIRST_FIT = """
+#: Runs every command in a fresh interpreter in which importing scipy
+#: fails, also in the workers ``compare --workers 2`` forks, and checks
+#: that no command tried to.
+SCIPY_BLOCKED = """
 import os, sys
-import confopt
-assert "scipy" not in sys.modules, "import confopt"
+
+class NoScipy:
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            self.tried.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 from confopt.cli import main
-assert "scipy" not in sys.modules, "import confopt.cli"
 
 def run(out, argv):
     os.environ["CONFOPT_OUT"] = out
     assert main(argv) == 0, argv
 
+compare = ["compare", "--dataset", "data/dataset.csv", "--optimizers", "random,bayesian-ei",
+           "--runs", "4", "--budget", "8"]
 for out, argv in [
     ("data", ["exhaustive", "--config", "config.yaml"]),
     ("rep", ["report", "--in", "data/dataset.csv"]),
     ("scr", ["screen", "--config", "config.yaml"]),
-    ("cmp", ["compare", "--dataset", "data/dataset.csv", "--optimizers",
-             "random,bestconfig", "--runs", "2", "--budget", "8"]),
+    ("opt", ["optimize", "--config", "config.yaml"]),
+    ("svb", ["screen-vs-bo", "--config", "config.yaml", "--budget", "15"]),
+    ("cmp1", [*compare, "--workers", "1"]),
+    ("cmp2", [*compare, "--workers", "2"]),
 ]:
     run(out, argv)
-    assert "scipy" not in sys.modules, argv
-run("opt", ["optimize", "--config", "config.yaml"])  # bayesian-ei
-assert "scipy.special" in sys.modules
-assert "scipy.linalg" not in sys.modules
+assert NoScipy.tried == [], NoScipy.tried
 """
 
 
-def test_only_a_gaussian_process_loads_scipy(workdir):
+def test_no_command_imports_scipy(workdir):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_ON_FIRST_FIT],
+        [sys.executable, "-c", SCIPY_BLOCKED],
         cwd=workdir,
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
@@ -848,3 +867,6 @@ def test_only_a_gaussian_process_loads_scipy(workdir):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert (workdir / "cmp1" / "summary.txt").read_bytes() == (
+        workdir / "cmp2" / "summary.txt"
+    ).read_bytes()

@@ -6,6 +6,7 @@ import logging
 import math
 import operator
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import yaml
 
 from confopt import bundled_path
 from confopt.backends import ExternalBackend, ReplayBackend, SyntheticBackend, load_service_model
+from confopt.cli import main
 from confopt.config import (
     ConfigError,
     build_backend,
@@ -377,13 +379,19 @@ def leaf_paths(value, path=()):
 FOREIGN_VALUES = [math.nan, math.inf, 10**400, None, True, ["x"], {"x": 1}]
 
 
-def one_leaf_mutations(document):
-    """Each scalar of the document in turn set to a value of another kind
-    or range, deleted, or given an unknown sibling key: its key path, the
-    change and the mutated copy."""
+def every_change(value):
+    """Values of another kind or range, deletion and an unknown sibling key."""
+    return ["x", -1, 0, 2.5, *FOREIGN_VALUES, "delete", "sibling"]
+
+
+def one_leaf_mutations(document, changes=every_change):
+    """Each scalar of the document in turn given each of ``changes(value)``:
+    a new value, ``"delete"`` or ``"sibling"`` (an unknown sibling key).
+    Yields its key path, the change and the mutated copy."""
     for keys in leaf_paths(document):
         *parents, last = keys
-        for change in ["x", -1, 0, 2.5, *FOREIGN_VALUES, "delete", "sibling"]:
+        value = functools.reduce(operator.getitem, keys, document)
+        for change in changes(value):
             mutant = copy.deepcopy(document)
             target = functools.reduce(operator.getitem, parents, mutant)
             if change == "delete":
@@ -458,6 +466,35 @@ class TestFieldReader:
         message = "slas[0].parameters[0]: parameter 'webCpu': granularity must be positive, got 0"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(write_config(tmp_path, document))
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("slas", 0, "slos", "99th"), 0, "SLO threshold must be positive, got 0.0"),
+            (("slas", 0, "nbOfTenants"), 0, "tenants must be >= 1, got 0"),
+            (("slas", 0, "ratePerTenant"), -1, "rate_per_tenant must be positive, got -1.0"),
+            (("costWeights", "webMemory"), -1, "weights must be non-negative"),
+        ],
+        ids=lambda case: dotted(case) if isinstance(case, tuple) else None,
+    )
+    def test_values_the_slo_workload_and_weights_refuse_name_the_field(
+        self, tmp_path, keys, value, message
+    ):
+        document = full_document()
+        *parents, last = keys
+        functools.reduce(operator.getitem, parents, document)[last] = value
+        message = f"{dotted(keys)}: {message}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, document))
+
+    def test_screening_p_resolves_or_names_the_field(self, tmp_path):
+        document = full_document()
+        assert parse_config(write_config(tmp_path, document)).screening_p == 4
+        del document["screening"]["p"]
+        config = parse_config(write_config(tmp_path, document))
+        message = "screening.p: parameter level counts differ; pass p explicitly (saw counts [4, 6])"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config.screening_p
 
     def test_negative_seed_rejected(self, tmp_path):
         document = full_document()
@@ -555,6 +592,58 @@ class TestFieldReader:
                     wrong.append(f"{dotted(keys)} <- {change!r:.20}: {exc}")
             except Exception as exc:  # noqa: BLE001 - the contract under test
                 wrong.append(f"{dotted(keys)} <- {change!r:.20}: {exc!r}")
+        assert wrong == []
+
+
+def kind_and_range_changes(value):
+    """Deletion, a value of the other kind (a string for a number, a number
+    for a string) and, for a number, 0 and −1."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return ["delete", 1 if isinstance(value, str) else "x", *([0, -1] if number else [])]
+
+
+class TestCommandExitCodes:
+    def test_every_one_leaf_mutation_of_the_bundled_config_exits_0_or_names_the_field(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``optimize``, ``screen`` and ``exhaustive`` on each one-leaf
+        mutation of the bundled reduced toystore (192 configurations) exit
+        0, or 1 with a message naming the mutated field's dotted path. A
+        check across fields names one of them: a parameter's bounds are
+        checked together (min ≤ max, a range that is a multiple of the
+        granularity) and named by the parameter's entry path, and a level
+        that ``costReference`` misses by its entry there. The config file
+        holds no text: the reader hands it each mutated document as it
+        stands."""
+        config = tmp_path / "config.yaml"
+        config.touch()
+        shutil.copy(bundled_path("toystore-model.yaml"), tmp_path)
+        document = yaml.safe_load(bundled_path("toystore-reduced.yaml").read_text())
+        mutant = {}
+        load = yaml.load
+        monkeypatch.setattr(
+            yaml,
+            "load",
+            lambda stream, Loader: mutant["document"]
+            if stream.name == str(config)
+            else load(stream, Loader=Loader),
+        )
+        wrong = []
+        mutations = one_leaf_mutations(document, changes=kind_and_range_changes)
+        for i, (keys, change, mutant["document"]) in enumerate(mutations):
+            if keys[-2:-1] == ("searchspace",):
+                named = (dotted(keys[:-2]), f"costReference[{keys[-3]}]")
+            else:
+                named = (dotted(keys),)
+            for command in ("optimize", "screen", "exhaustive"):
+                out = tmp_path / f"{i}-{command}"
+                monkeypatch.setenv("CONFOPT_OUT", str(out))
+                code = main([command, "--config", str(config)])
+                last = capsys.readouterr().err.rstrip().rpartition("\n")[2]
+                if code not in (0, 1) or code == 1 and not (
+                    last.startswith("error: ") and any(path in last for path in named)
+                ):
+                    wrong.append(f"{command} {dotted(keys)} <- {change!r}: {code} {last}")
         assert wrong == []
 
 

@@ -6,8 +6,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -43,6 +41,7 @@ from confopt.harness import (
     write_trace_csv,
 )
 from confopt.config import build_backend, parse_config
+from confopt.fields import ConfigError
 from confopt.optim import Observation
 from confopt.space import Configuration, ParameterSpec, SearchSpace
 from confopt.utility import SloSpec, WorkloadSpec, get_utility
@@ -1492,41 +1491,6 @@ class TestCompare:
         for a, b in zip(serial_paths, parallel_paths):
             assert a.read_bytes() == b.read_bytes()
 
-    def test_pool_gets_scipy_before_forking_only_for_a_gp(self, tmp_path):
-        """A fresh interpreter records, as each pool is constructed, whether
-        scipy.special, the one scipy module BO uses, and scipy.linalg are
-        loaded."""
-        dataset, _ = surface_dataset((4, 4))
-        write_dataset_csv(dataset, tmp_path / "dataset.csv")
-        script = """
-import concurrent.futures, sys
-from confopt import harness
-
-loaded = []
-
-class Recorder(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        loaded.append(("scipy.special" in sys.modules, "scipy.linalg" in sys.modules))
-        super().__init__(*args, **kwargs)
-
-concurrent.futures.ProcessPoolExecutor = Recorder
-dataset = harness.load_dataset("dataset.csv")
-harness.compare(dataset, ["random"], 4, 8, 0, workers=2)
-harness.compare(dataset, ["random", "bayesian-ei"], 4, 8, 0, workers=2)
-print(loaded)
-"""
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[(False, False), (True, False)]"
-
     def test_argument_validation(self):
         dataset, _ = surface_dataset()
         with pytest.raises(ValueError, match="runs"):
@@ -1589,7 +1553,8 @@ class TestScreeningVsStandalone:
 
     def test_screening_cost_must_fit_budget(self):
         space = make_space([6, 6])
-        with pytest.raises(ValueError, match="budget"):
+        message = "screening alone needs r·(k + 1) = 9 evaluations, above the total budget 8"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             self.run(space, total_budget=8, r=3)
 
     def test_reduced_space_is_subset(self):
