@@ -18,9 +18,8 @@ the block's distinct (cpu, memory) level texts; the external one keeps the
 default, one run of the child process per row, yielded as a one-row run
 so that a caller can checkpoint every row.
 
-Replay is not a measuring backend: :class:`ReplayBackend` looks up stored,
-already scored rows of a collected dataset, and ``harness.Evaluator``
-returns those rows instead of measuring and scoring anything.
+Replay is not a measuring backend: :class:`ReplayBackend` reads the scored
+rows of a collected dataset by rank, and ``harness.Evaluator`` returns them.
 
 Backends are safe to call concurrently. The synthetic one seeds each
 configuration's noise from a hash of the configuration itself, so results
@@ -47,6 +46,7 @@ from .fields import ConfigError, Fields, load_yaml
 from .utility import WorkloadSpec
 
 if TYPE_CHECKING:
+    from .harness import Dataset
     from .optim import Observation
     from .space import SearchSpace
 
@@ -657,17 +657,21 @@ class SyntheticBackend(Backend):
 class ReplayBackend:
     """Exact lookup of previously measured and scored configurations.
 
-    Built from a collected dataset; see ``Dataset.replay_backend``. Rows are
-    keyed by settings in the dataset's own parameter order;
-    ``harness.Evaluator`` maps a search space onto that order by parameter
-    name (:meth:`stored_order`). A lookup miss, on the grid or off it, is a
-    ``KeyError`` carrying the configuration's ``name=value`` text, never a
-    silent re-measurement.
+    Built from a collected dataset (``Dataset.replay_backend``), whose row of
+    a configuration is the one at its rank. Settings are in the dataset's
+    parameter order; ``harness.Evaluator`` maps a search space onto it by
+    name (:meth:`stored_order`). A miss, off the grid or of the wrong length,
+    is a ``KeyError`` carrying the configuration's ``name=value`` text,
+    never a silent re-measurement.
     """
 
-    def __init__(self, space: "SearchSpace", rows: Mapping[tuple[int, ...], "Observation"]):
-        self.space = space
-        self._rows = rows
+    def __init__(self, dataset: "Dataset"):
+        self.dataset, self.space = dataset, dataset.space
+        self._shares = [  # per stored parameter, each level's share of the rank
+            {level: i * stride for i, level in enumerate(levels)}
+            for stride, _, levels in self.space._digits
+        ]
+        self._rows: dict[int, "Observation"] = {}  # built on first lookup
 
     def stored_order(self, space: "SearchSpace") -> tuple[int, ...]:
         """The position in ``space`` of each stored parameter, in stored order;
@@ -681,12 +685,19 @@ class ReplayBackend:
             )
         return tuple(map(names.index, stored))
 
+    def rank(self, settings: Sequence[int]) -> int:
+        """The dataset row, which is the enumeration rank, of ``settings``."""
+        if len(settings) == len(self._shares):
+            try:
+                return sum(map(dict.__getitem__, self._shares, settings))
+            except KeyError:
+                pass
+        text = ",".join(f"{name}={value}" for name, value in zip(self.space.names, settings))
+        raise KeyError(f"configuration not in dataset: {text}")
+
     def lookup(self, settings: tuple[int, ...]) -> "Observation":
-        try:
-            return self._rows[settings]
-        except KeyError:
-            text = ",".join(f"{name}={value}" for name, value in zip(self.space.names, settings))
-            raise KeyError(f"configuration not in dataset: {text}") from None
+        rank = self.rank(settings)
+        return self._rows.get(rank) or self._rows.setdefault(rank, self.dataset._row(rank))
 
 
 # -- external ----------------------------------------------------------------

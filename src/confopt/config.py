@@ -226,6 +226,9 @@ def parse_config(path: str | Path) -> RunConfig:
             f"unknown optimizer {optimizer!r}; valid names: "
             f"{', '.join(sorted(OPTIMIZERS))}"
         )
+    if optimizer == "moat" and iterations * samples <= space.dimension:
+        message = f"a budget of {iterations * samples} cannot fund one moat trajectory"
+        raise ConfigError(f"nbOfIterations: {message} of {space.dimension + 1} evaluations")
     util_func = top("utilFunc", str)
     if util_func not in UTILITY_FUNCTIONS:
         raise ConfigError(

@@ -242,22 +242,17 @@ class Evaluator:
                 yield _Columns(settings[rows], *metrics, *scores)
 
     def _replayed_columns(self, start: int = 0) -> Iterator["_Columns"]:
-        """Blocks of up to ``_BLOCK_ROWS`` stored rows; the rows before a
-        lookup that raises are yielded before its error is raised."""
-        configs = map(self.space.config_at, range(start, self.space.size))
-        block = []
-        try:
-            for obs in self._replay(configs, start + 1):
-                block.append(obs)
-                if len(block) == _BLOCK_ROWS:
-                    yield _Columns.of(block, self.space.dimension)
-                    block = []
-        except Exception:
-            if block:
-                yield _Columns.of(block, self.space.dimension)
-            raise
-        if block:
-            yield _Columns.of(block, self.space.dimension)
+        """Blocks of up to ``_BLOCK_ROWS`` stored rows: the dataset's columns
+        at the rank of each configuration from rank ``start`` on."""
+        stored = [getattr(self.backend.dataset, name) for name in _Columns._fields[1:]]
+        for first in range(start, self.space.size, _BLOCK_ROWS):
+            settings = self.space.settings_block(first, min(first + _BLOCK_ROWS, self.space.size))
+            ranks = []
+            try:
+                ranks.extend(map(self.backend.rank, settings[:, self._stored_order].tolist()))
+            finally:  # the rows before a miss are yielded before its error is raised
+                if ranks:
+                    yield _Columns(settings[: len(ranks)], *(column[ranks] for column in stored))
 
     def _replay(
         self, configs: Iterable[Configuration], eval_index: int
@@ -448,11 +443,11 @@ class Dataset:
     ``settings_matrix`` holds each row's settings; ``p99``, ``throughput``
     and ``utility`` are float arrays, where NaN marks an absent metric;
     ``feasible`` and ``failed`` are boolean arrays. The optimum is the
-    first row attaining the minimum utility. ``settings``, each row's
-    settings tuple, ``rows``, one :class:`Observation` per row numbered
-    from 1, and the replay index are built on first use. ``_source`` is the
-    file and sidecar the dataset was loaded from and checked against, None
-    for any other dataset; such a dataset's columns are read-only.
+    first row attaining the minimum utility. ``rows``, one
+    :class:`Observation` per row numbered from 1, is built on first use; a
+    replay backend reads the columns at a configuration's rank. ``_source``
+    is the file and sidecar the dataset was loaded from and checked against,
+    None for any other dataset; such a dataset's columns are read-only.
     """
 
     _source: tuple[Path, _Sidecar] | None = None
@@ -491,15 +486,11 @@ class Dataset:
         self.settings_matrix, self.p99, self.throughput = columns[:3]
         self.utility, self.feasible, self.failed = columns[3:]
 
-    def _row(self, index: int, settings: tuple[int, ...]) -> Observation:
-        slis = {}
-        for name, column in (("p99_latency_ms", self.p99), ("throughput_rps", self.throughput)):
-            value = column[index].item()
-            if not math.isnan(value):
-                slis[name] = value
+    def _row(self, index: int) -> Observation:
+        metrics = zip(_METRIC_COLUMNS, (self.p99[index].item(), self.throughput[index].item()))
         return Observation(
-            Configuration(settings),
-            slis,
+            Configuration(tuple(self.settings_matrix[index].tolist())),
+            {name: value for name, value in metrics if not math.isnan(value)},
             self.utility[index].item(),
             bool(self.feasible[index]),
             index + 1,
@@ -507,17 +498,12 @@ class Dataset:
         )
 
     @functools.cached_property
-    def settings(self) -> list[tuple[int, ...]]:
-        return list(map(tuple, self.settings_matrix.tolist()))
-
-    @functools.cached_property
     def rows(self) -> tuple[Observation, ...]:
-        return tuple(map(self._row, itertools.count(), self.settings))
+        return tuple(map(self._row, range(len(self.utility))))
 
     @functools.cached_property
     def optimum(self) -> Observation:
-        index = int(np.argmin(self.utility))
-        return self._row(index, tuple(self.settings_matrix[index].tolist()))
+        return self._row(int(np.argmin(self.utility)))
 
     @property
     def feasible_fraction(self) -> float:
@@ -525,7 +511,7 @@ class Dataset:
 
     @functools.cached_property
     def _replay(self) -> ReplayBackend:
-        return ReplayBackend(self.space, dict(zip(self.settings, self.rows)))
+        return ReplayBackend(self)
 
     def replay_backend(self) -> ReplayBackend:
         return self._replay

@@ -38,6 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .fields import ConfigError
 from .gp import (
     ProductGrid,
     SurrogateModel,
@@ -528,9 +529,7 @@ class MoatSession(OptimizerSession):
         k = space.dimension
         r = budget // (k + 1)
         if r < 1:
-            raise ValueError(
-                f"budget {budget} cannot fund one trajectory of {k + 1} evaluations"
-            )
+            raise ConfigError(f"budget {budget} cannot fund one trajectory of {k + 1} evaluations")
         if budget % (k + 1):
             logger.info(
                 "moat: spending %d of %d budgeted evaluations (%d trajectories)",

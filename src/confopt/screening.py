@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fields import ConfigError
 from .space import Configuration, ParameterSpec, SearchSpace
 
 __all__ = [
@@ -73,7 +74,7 @@ def resolve_p(space: SearchSpace, p: int | None = None) -> int:
         return p
     counts = {spec.level_count for spec in space.parameters}
     if len(counts) != 1:
-        raise ValueError(
+        raise ConfigError(
             "parameter level counts differ; pass p explicitly "
             f"(saw counts {sorted(counts)})"
         )

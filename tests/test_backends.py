@@ -27,7 +27,7 @@ from confopt.backends import (
     load_service_model,
 )
 from confopt.config import ConfigError
-from confopt.harness import Evaluator
+from confopt.harness import Dataset, Evaluator
 from confopt.optim import Observation
 from confopt.space import Configuration, ParameterSpec, SearchSpace
 from confopt.utility import WorkloadSpec
@@ -573,45 +573,57 @@ class TestReplayBackend:
         )
 
     def rows_for(self, space):
-        rows = {}
-        for i, config in enumerate(space.iter_configurations()):
-            rows[config.settings] = Observation(
+        return [
+            Observation(
                 config=config,
                 slis={"p99_latency_ms": 100.0 + i, "throughput_rps": 50.0},
                 utility=0.1 * i,
                 feasible=True,
                 eval_index=i + 1,
             )
-        return rows
+            for i, config in enumerate(space.iter_configurations())
+        ]
+
+    def backend_for(self, space, rows=None):
+        return Dataset(space, rows or self.rows_for(space)).replay_backend()
 
     def test_lookup_verbatim(self, space):
-        backend = ReplayBackend(space, self.rows_for(space))
+        backend = self.backend_for(space)
         assert backend.lookup((625, 512)).slis["p99_latency_ms"] == 102.0
 
     def test_missing_config_is_hard_error(self, space):
-        rows = self.rows_for(space)
-        del rows[(625, 640)]
-        backend = ReplayBackend(space, rows)
+        """A dataset holds every configuration of its grid, so a missing
+        configuration is one its grid does not reach."""
+        narrow = SearchSpace((space.parameters[0], ParameterSpec("webMemory", 384, 512, 128, "Mi")))
+        backend = self.backend_for(narrow)
         with pytest.raises(KeyError, match="webCpu=625,webMemory=640"):
             backend.lookup((625, 640))
 
-    def test_off_grid_lookup_is_a_key_error(self, space):
-        """A miss off the stored grid raises the same ``KeyError`` as one on
-        it, not the grid's validation error."""
-        backend = ReplayBackend(space, self.rows_for(space))
-        with pytest.raises(
-            KeyError, match="configuration not in dataset: webCpu=750,webMemory=512"
-        ):
-            backend.lookup((750, 512))
+    @pytest.mark.parametrize(
+        "settings, text",
+        [
+            ((750, 512), "webCpu=750,webMemory=512"),
+            ((625,), "webCpu=625"),
+            ((625, 512, 512), "webCpu=625,webMemory=512"),
+        ],
+        ids=["off-grid", "too-few", "too-many"],
+    )
+    def test_off_grid_lookup_is_a_key_error(self, space, settings, text):
+        """A miss off the stored grid, or with one setting too few or too
+        many, is a ``KeyError`` naming the configuration, not the grid's
+        validation error, and never reads another row."""
+        backend = self.backend_for(space)
+        with pytest.raises(KeyError, match=f"configuration not in dataset: {text}"):
+            backend.lookup(settings)
 
     def test_stored_order_maps_space_positions(self, space):
-        backend = ReplayBackend(space, self.rows_for(space))
+        backend = self.backend_for(space)
         assert backend.stored_order(space) == (0, 1)
         permuted = SearchSpace(tuple(reversed(space.parameters)))
         assert backend.stored_order(permuted) == (1, 0)
 
     def test_stored_order_rejects_other_parameters(self, space):
-        backend = ReplayBackend(space, self.rows_for(space))
+        backend = self.backend_for(space)
         narrow = SearchSpace(space.parameters[:1])
         only = r"only in the dataset \['webMemory'\], only in the space \[\]"
         with pytest.raises(ValueError, match=only):
@@ -624,7 +636,7 @@ class TestReplayBackend:
     def test_replayed_failure(self, space):
         rows = self.rows_for(space)
         failed_config = Configuration((500, 512))
-        rows[(500, 512)] = Observation(
+        rows[0] = Observation(
             config=failed_config,
             slis={},
             utility=10001.0,
@@ -632,7 +644,7 @@ class TestReplayBackend:
             eval_index=1,
             failed=True,
         )
-        backend = ReplayBackend(space, rows)
+        backend = self.backend_for(space, rows)
         (obs,) = Evaluator(space, backend).evaluate([failed_config])
         assert obs.failed and obs.utility == 10001.0
 

@@ -322,6 +322,30 @@ class TestExitCodes:
         assert code == 1
         assert "annealing" in capsys.readouterr().err
 
+    def test_moat_budget_below_one_trajectory_is_config_error(self, workdir, monkeypatch, capsys):
+        """A ``moat`` budget below k + 1 = 3 evaluations funds no trajectory:
+        ``optimize`` refuses the config and ``compare`` the budget, both
+        with exit 1. ``compare`` cannot pass ``p``, so over unequal level
+        counts it refuses a budget that does fund one."""
+        config = write_yaml(workdir / "moat.yaml", config_document(
+            optimizer="moat", nbOfIterations=1, nbOfSamplesPerIteration=2
+        ))
+        assert run(monkeypatch, workdir / "o", ["optimize", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: nbOfIterations: a budget of 2 cannot fund one moat trajectory of 3 "
+            "evaluations\n"
+        )
+        assert not (workdir / "o").exists()
+        data = workdir / "data"
+        assert run(monkeypatch, data, ["exhaustive", "--config", str(workdir / "config.yaml")]) == 0
+        compare = ["compare", "--dataset", str(data / "dataset.csv"), "--optimizers", "moat"]
+        assert run(monkeypatch, workdir / "cmp", [*compare, "--runs", "2", "--budget", "2"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: budget 2 cannot fund one trajectory of 3 evaluations\n"
+        )
+        assert run(monkeypatch, workdir / "cmp", [*compare, "--runs", "2", "--budget", "3"]) == 1
+        assert "error: parameter level counts differ" in capsys.readouterr().err
+
 
 class TestScreen:
     def test_outputs(self, workdir, monkeypatch, capsys):

@@ -597,9 +597,9 @@ class TestFieldReader:
 
 def kind_and_range_changes(value):
     """Deletion, a value of the other kind (a string for a number, a number
-    for a string) and, for a number, 0 and −1."""
+    for a string) and, for a number, 1, 0 and −1."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return ["delete", 1 if isinstance(value, str) else "x", *([0, -1] if number else [])]
+    return ["delete", 1 if isinstance(value, str) else "x", *([1, 0, -1] if number else [])]
 
 
 class TestCommandExitCodes:
@@ -615,10 +615,22 @@ class TestCommandExitCodes:
         that ``costReference`` misses by its entry there. The config file
         holds no text: the reader hands it each mutated document as it
         stands."""
+        self.sweep(tmp_path, monkeypatch, capsys, {})
+
+    def test_every_one_leaf_mutation_of_a_moat_config_exits_0_or_names_the_field(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The same sweep with ``optimizer: moat``, whose budget must fund
+        one trajectory of k + 1 = 9 evaluations: ``nbOfIterations: 1``
+        (budget 6) is refused by name."""
+        self.sweep(tmp_path, monkeypatch, capsys, {"optimizer": "moat"})
+
+    def sweep(self, tmp_path, monkeypatch, capsys, overrides):
         config = tmp_path / "config.yaml"
         config.touch()
         shutil.copy(bundled_path("toystore-model.yaml"), tmp_path)
         document = yaml.safe_load(bundled_path("toystore-reduced.yaml").read_text())
+        document.update(overrides)
         mutant = {}
         load = yaml.load
         monkeypatch.setattr(

@@ -316,6 +316,14 @@ class TestRunOptimization:
         for o in trace.observations:
             assert o.utility == dataset.replay_backend().lookup(o.config.settings).utility
 
+    def test_replay_leaves_the_rows_unbuilt(self):
+        """A replay run reads the stored columns at the ranks it asks for;
+        the dataset's ``rows`` tuple is never built."""
+        dataset, _ = surface_dataset()
+        trace = run_optimization(dataset.space, "random", dataset.replay_backend(), 4, 2, seed=1)
+        assert len(trace.observations) == 4
+        assert "rows" not in dataset.__dict__
+
     def test_replay_matches_parameters_by_name(self):
         space = make_space([4, 4])
         rows = tuple(
@@ -473,7 +481,7 @@ class TestDataset:
     def test_rows_and_columns_describe_the_same_dataset(self):
         dataset, _ = surface_dataset(fail_settings=(500, 625))
         rebuilt = Dataset(dataset.space, dataset.rows, SLO)
-        assert rebuilt.settings == dataset.settings
+        assert np.array_equal(rebuilt.settings_matrix, dataset.settings_matrix)
         for name in ("p99", "throughput", "utility", "feasible", "failed"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(dataset, name))
         assert rebuilt.optimum is rebuilt.rows[int(np.argmin(dataset.utility))]
@@ -678,6 +686,40 @@ class TestCollectExhaustive:
         partial = out.with_name("dataset.csv.partial")
         assert partial.read_bytes() == expected.read_bytes()
 
+    def test_replay_collection_builds_no_observation(self, monkeypatch):
+        """Replay collection takes the stored columns at each rank: it
+        builds no ``Configuration`` and no ``Observation``."""
+        dataset, _ = surface_dataset(fail_settings=(625, 625))
+        backend = dataset.replay_backend()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replay collection built a row object")
+
+        monkeypatch.setattr(harness, "Observation", refuse)
+        monkeypatch.setattr(harness, "Configuration", refuse)
+        replayed = collect_exhaustive(dataset.space, backend, UTILITY, SLO, WORKLOAD)
+        for name in ("settings_matrix", "p99", "throughput", "utility", "feasible", "failed"):
+            np.testing.assert_array_equal(getattr(replayed, name), getattr(dataset, name))
+
+    def test_replay_collection_of_a_reversed_sub_box(self, monkeypatch):
+        """Collecting a reduced sub-box whose parameters are in the reverse
+        order, as ``screen-vs-bo`` does over a replay, gives the full
+        dataset's rows at those settings, across block boundaries."""
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 3)
+        dataset, _ = surface_dataset((4, 3), fail_settings=(625, 625))
+        full = {obs.config.settings: obs for obs in dataset.rows}
+        sub = SearchSpace(
+            (ParameterSpec("svc1Cpu", 625, 750, 125), ParameterSpec("svc0Cpu", 625, 875, 125))
+        )
+        replayed = collect_exhaustive(sub, dataset.replay_backend(), UTILITY, SLO, WORKLOAD)
+        assert [obs.config.settings for obs in replayed.rows] == list(sub.iter_settings())
+        assert any(obs.failed for obs in replayed.rows)
+        for obs in replayed.rows:
+            stored = full[obs.config.settings[::-1]]
+            assert (obs.slis, obs.utility, obs.feasible, obs.failed) == (
+                stored.slis, stored.utility, stored.feasible, stored.failed
+            )
+
     def test_short_evaluate_many_is_an_error(self):
         space = make_space([3, 3])
 
@@ -819,7 +861,7 @@ class TestDatasetCsv:
         resumed = collect_exhaustive(dataset.space, backend, UTILITY, SLO, WORKLOAD, out_path=out)
         assert backend.calls == 1  # 8 rows kept
         assert out.read_bytes() == finished
-        assert resumed.settings == dataset.settings
+        assert np.array_equal(resumed.settings_matrix, dataset.settings_matrix)
 
     def test_corrupt_inner_row_names_file_and_line(self, tmp_path):
         space = SearchSpace(
