@@ -661,8 +661,9 @@ class ReplayBackend:
     a configuration is the one at its rank. Settings are in the dataset's
     parameter order; ``harness.Evaluator`` maps a search space onto it by
     name (:meth:`stored_order`). A miss, off the grid or of the wrong length,
-    is a ``KeyError`` carrying the configuration's ``name=value`` text,
-    never a silent re-measurement.
+    is a ``KeyError`` carrying the configuration's ``name=value`` text, with
+    ``?=value`` for each setting past the stored parameters, never a silent
+    re-measurement.
     """
 
     def __init__(self, dataset: "Dataset"):
@@ -692,7 +693,8 @@ class ReplayBackend:
                 return sum(map(dict.__getitem__, self._shares, settings))
             except KeyError:
                 pass
-        text = ",".join(f"{name}={value}" for name, value in zip(self.space.names, settings))
+        names = [*self.space.names, *["?"] * len(settings)]  # a setting past them has none
+        text = ",".join(f"{name}={value}" for name, value in zip(names, settings))
         raise KeyError(f"configuration not in dataset: {text}")
 
     def lookup(self, settings: tuple[int, ...]) -> "Observation":

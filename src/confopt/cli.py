@@ -29,7 +29,7 @@ from .config import (
     emit_reduced_config,
     parse_config,
 )
-from .optim import OPTIMIZERS
+from .optim import OPTIMIZERS, check_optimizers
 from .screening import screening_report_csv
 from .utility import get_utility
 
@@ -158,18 +158,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # of the default benchmark set.
         names = sorted(n for n in OPTIMIZERS if n != "moat")
     else:
-        names = [n.strip() for n in args.optimizers.split(",") if n.strip()]
-    for name in names:
-        if name.lower() not in OPTIMIZERS:
-            raise ConfigError(
-                f"unknown optimizer {name!r}; valid names: "
-                f"{', '.join(sorted(OPTIMIZERS))}"
-            )
+        try:
+            names = check_optimizers([n.strip() for n in args.optimizers.split(",") if n.strip()])
+        except ConfigError as exc:
+            raise ConfigError(f"--optimizers: {exc}") from None
     dataset = harness.load_dataset(args.dataset)
     out = _out_dir(args.out)
     report = harness.compare(
         dataset,
-        [n.lower() for n in names],
+        names,
         args.runs,
         args.budget,
         args.seed,

@@ -30,10 +30,10 @@ from .backends import (
     load_service_model,
 )
 from .fields import ConfigError, Fields, load_yaml
-from .optim import OPTIMIZERS
+from .optim import check_optimizer
 from .screening import SETTING_CHECKS, BoundReductionReport, resolve_p
 from .space import ParameterSpec, SearchSpace
-from .utility import CostWeights, SloSpec, UTILITY_FUNCTIONS, WorkloadSpec
+from .utility import CostWeights, SloSpec, WorkloadSpec, get_utility
 
 __all__ = [
     "ConfigError",
@@ -110,7 +110,7 @@ def _parse_parameters(entries: list, path: str) -> SearchSpace:
         box.done()
         entry.done()
         try:
-            specs.append(ParameterSpec(name, *bounds, suffix=suffix, allow_single_level=True))
+            specs.append(ParameterSpec(name, *bounds, suffix=suffix))
         except ValueError as exc:
             raise ConfigError(f"{entry.path}: {exc}") from None
     if not specs:
@@ -220,21 +220,12 @@ def parse_config(path: str | Path) -> RunConfig:
     space = _parse_parameters(sla("parameters", list), sla.at("parameters"))
     sla.done()
 
-    optimizer = top("optimizer", str).lower()
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError(
-            f"unknown optimizer {optimizer!r}; valid names: "
-            f"{', '.join(sorted(OPTIMIZERS))}"
-        )
+    optimizer = _build("optimizer", check_optimizer, top("optimizer", str))
     if optimizer == "moat" and iterations * samples <= space.dimension:
         message = f"a budget of {iterations * samples} cannot fund one moat trajectory"
         raise ConfigError(f"nbOfIterations: {message} of {space.dimension + 1} evaluations")
     util_func = top("utilFunc", str)
-    if util_func not in UTILITY_FUNCTIONS:
-        raise ConfigError(
-            f"unknown utilFunc {util_func!r}; valid names: "
-            f"{', '.join(sorted(UTILITY_FUNCTIONS))}"
-        )
+    _build("utilFunc", get_utility, util_func)
     top.read.add("outputDir")  # a known key, also when CONFOPT_OUT overrides it
     output_dir = Path(os.environ.get("CONFOPT_OUT") or top("outputDir", str))
 

@@ -27,8 +27,8 @@ n·(N_A + N_B) floats. The only state a model keeps for the grid, and hands
 to the model that extends it, is the column sum of V² (N floats).
 
 That work is a few BLAS calls on b new rows per round, which BLAS threads
-only slow down. :func:`one_blas_thread` runs a round on one OpenBLAS
-thread, so results and speed do not depend on the core count.
+only slow down. :func:`one_blas_thread` runs a round on one thread of
+numpy's OpenBLAS, so results and speed do not depend on the core count.
 
 :func:`improvement_cutoff` bounds expected improvement from above by the
 improvement alone, so a caller ranking a grid by EI can leave out the
@@ -45,7 +45,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -81,10 +80,9 @@ def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-#: The maps of this process's address space, one mapped file per line (Linux).
-_MAPS = "/proc/self/maps"
-#: Thread-count setters of the OpenBLAS builds in use: upstream's, scipy's
-#: wheel's and numpy's wheel's. Each getter is named alike with ``get``.
+#: Thread-count setters of the OpenBLAS builds numpy may link: upstream's
+#: and the scipy-openblas wheels' (32- and 64-bit integers). Each getter is
+#: named alike with ``get``.
 _OPENBLAS_SETTERS = (
     "openblas_set_num_threads",
     "scipy_openblas_set_num_threads",
@@ -93,50 +91,35 @@ _OPENBLAS_SETTERS = (
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """The thread-count getter and setter of every OpenBLAS library mapped
-    into this process; none without ``/proc/self/maps`` or without OpenBLAS
-    (MKL, Accelerate). Looked up once; numpy's is the only BLAS the
-    surrogate calls, and importing numpy loads it."""
-    try:
-        with open(_MAPS, encoding="utf-8") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return ()
-    paths = sorted(
-        {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    )
-    controls = []
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:  # the mapped file was replaced or deleted
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(library, name, None)
-            getter = getattr(library, name.replace("_set_", "_get_"), None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((getter, setter))
-                break
-    return tuple(controls)
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]]:
+    """The thread-count getter and setter of the OpenBLAS numpy links, the
+    only BLAS the surrogate calls. Looked up once through numpy's own
+    extension module, whose handle also resolves the symbols of the
+    libraries it links; a pair that does nothing where numpy links another
+    BLAS (MKL, Accelerate)."""
+    library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for name in _OPENBLAS_SETTERS:
+        setter = getattr(library, name, None)
+        getter = getattr(library, name.replace("_set_", "_get_"), None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter, setter
+    return (lambda: 1), (lambda count: None)
 
 
 @contextlib.contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Run the body on one thread in every OpenBLAS library of the process,
-    then restore each library's thread count, also when the body raises.
-    Does nothing where no OpenBLAS is found."""
-    controls = _openblas_thread_controls()
-    saved = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(1)
+    """Run the body on one thread of numpy's OpenBLAS, then restore its
+    thread count, also when the body raises. Does nothing where numpy links
+    no OpenBLAS."""
+    getter, setter = _openblas_threads()
+    saved = getter()
+    setter(1)
     try:
         yield
     finally:
-        for (_, setter), count in zip(controls, saved):
-            setter(count)
+        setter(saved)
 
 
 class ProductGrid:

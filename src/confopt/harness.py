@@ -31,6 +31,7 @@ from .optim import (
     Observation,
     SpaceExhausted,
     best_observation,
+    check_optimizers,
     create_optimizer,
 )
 from .screening import reduce_bounds, run_screening
@@ -517,25 +518,27 @@ class Dataset:
         return self._replay
 
 
-def _check_order(space: SearchSpace, settings: list[tuple[int, ...]], where: str = "") -> None:
-    """Raise ValueError unless ``settings`` are the first configurations of
-    ``space`` in enumeration order, which also rules out duplicates."""
+def _check_order(space: SearchSpace, settings: Sequence, where: str = "") -> None:
+    """Raise ValueError unless the rows of ``settings``, a settings matrix or
+    a list of settings tuples, are the first configurations of ``space`` in
+    enumeration order, which also rules out duplicates and rows of another
+    length. The rows before the first wrong one are in order, so that row
+    is a duplicate when it is on the grid at a lower rank."""
     if len(settings) > space.size:
         raise ValueError(f"{where}{len(settings)} rows for a space of {space.size} configurations")
-    expected = list(itertools.islice(space.iter_settings(), len(settings)))
-    if settings != expected:
-        number, got, want = next(
-            (n, a, b) for n, (a, b) in enumerate(zip(settings, expected), 1) if a != b
+    expected = space.settings_block(0, len(settings))
+    try:
+        wrong = (np.asarray(settings, np.int64).reshape(expected.shape) != expected).any(axis=1)
+    except ValueError:  # a row of another length: compare the rows as tuples
+        wrong = np.array([tuple(a) != tuple(b) for a, b in zip(settings, expected.tolist())])
+    if wrong.any():
+        number = int(np.argmax(wrong))
+        got = Configuration(tuple(np.asarray(settings[number]).tolist()))
+        first = space.rank(space.indices_of(got)) if space.contains(got) else number
+        why = f"a duplicate of data row {first + 1}" if first < number else (
+            f"expected {tuple(expected[number].tolist())}; rows must follow enumeration order"
         )
-        first = settings.index(got) + 1
-        if first < number:
-            raise ValueError(
-                f"{where}data row {number} has settings {got}, a duplicate of data row {first}"
-            )
-        raise ValueError(
-            f"{where}data row {number} has settings {got}, expected {want}; "
-            f"rows must follow enumeration order"
-        )
+        raise ValueError(f"{where}data row {number + 1} has settings {got.settings}, {why}")
 
 
 def _bad_row(columns: _Columns) -> tuple[int, str] | None:
@@ -629,13 +632,10 @@ def _read_dataset(
             step = math.gcd(*np.diff(levels).tolist()) or 1
             specs.append((name, levels[0], levels[-1], step))
         try:  # a header name that is empty or repeated
-            space = SearchSpace(tuple(ParameterSpec(*s, allow_single_level=True) for s in specs))
+            space = SearchSpace(tuple(ParameterSpec(*s) for s in specs))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if len(settings) > space.size or not np.array_equal(
-        settings, space.settings_block(0, len(settings))
-    ):
-        _check_order(space, list(map(tuple, settings.tolist())), f"{path}: ")
+    _check_order(space, settings, f"{path}: ")
     torn = 0 if tail is not None else len(final.encode("utf-8")) + body.endswith("\n")
     return space, columns, torn
 
@@ -773,7 +773,7 @@ def _read_sidecar(path: Path) -> _Sidecar | None:
         for i, raw in enumerate(document("parameters", list)):
             entry = Fields(raw, f"parameters[{i}]")
             bounds = (entry(key, int) for key in ("min", "max", "granularity"))
-            specs.append(ParameterSpec(entry("name", str), *bounds, allow_single_level=True))
+            specs.append(ParameterSpec(entry("name", str), *bounds))
         space = SearchSpace(tuple(specs))
         rows = document("rows", int)
         if rows != space.size:
@@ -877,16 +877,13 @@ def compare(
     99th percentile of the distance between the best utility so far and
     the optimum's utility. Run ``i`` uses seed ``base_seed + i``; results
     are merged in run order, so ``workers`` does not change a single output
-    byte.
+    byte. Names that ``check_optimizers`` refuses are a ConfigError.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if not optimizer_names:
-        raise ValueError("at least one optimizer required")
-    if len(set(optimizer_names)) != len(optimizer_names):
-        raise ValueError("duplicate optimizer names")
+    optimizer_names = check_optimizers(optimizer_names)
 
     args = (dataset, budget, batch_size, base_seed)
     chunk = max(1, math.ceil(runs / (max(workers, 1) * 4)))

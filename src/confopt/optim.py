@@ -62,6 +62,8 @@ __all__ = [
     "BayesianEISession",
     "MoatSession",
     "OPTIMIZERS",
+    "check_optimizer",
+    "check_optimizers",
     "create_optimizer",
 ]
 
@@ -560,6 +562,25 @@ OPTIMIZERS: dict[str, type[OptimizerSession]] = {
 }
 
 
+def check_optimizer(name: str) -> str:
+    """``name`` in lower case, the key of a registered optimizer; any other
+    name is a ConfigError that lists the registry."""
+    if name.lower() not in OPTIMIZERS:
+        valid = ", ".join(sorted(OPTIMIZERS))
+        raise ConfigError(f"unknown optimizer {name!r}; valid names: {valid}")
+    return name.lower()
+
+
+def check_optimizers(names: Sequence[str]) -> list[str]:
+    """The registry keys of ``names``: at least one, no two the same."""
+    keys = list(map(check_optimizer, names))
+    if not keys:
+        raise ConfigError("at least one optimizer required")
+    if len(set(keys)) != len(keys):
+        raise ConfigError("duplicate optimizer names")
+    return keys
+
+
 def create_optimizer(
     name: str,
     space: SearchSpace,
@@ -568,10 +589,5 @@ def create_optimizer(
     seed: int,
     **options,
 ) -> OptimizerSession:
-    """Instantiate a registered optimizer; unknown names list the registry."""
-    try:
-        cls = OPTIMIZERS[name.lower()]
-    except KeyError:
-        valid = ", ".join(sorted(OPTIMIZERS))
-        raise ValueError(f"unknown optimizer {name!r}; valid names: {valid}") from None
-    return cls(space, budget, batch_size, seed, **options)
+    """Instantiate a registered optimizer (:func:`check_optimizer`)."""
+    return OPTIMIZERS[check_optimizer(name)](space, budget, batch_size, seed, **options)

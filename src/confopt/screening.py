@@ -385,16 +385,7 @@ def reduce_bounds(
             new_max = new_min
         if new_max == new_min:
             notes.append(f"{spec.name}: reduced to the single level {new_min}")
-        reduced.append(
-            ParameterSpec(
-                name=spec.name,
-                minimum=new_min,
-                maximum=new_max,
-                granularity=spec.granularity,
-                suffix=spec.suffix,
-                allow_single_level=True,
-            )
-        )
+        reduced.append(ParameterSpec(spec.name, new_min, new_max, spec.granularity, spec.suffix))
 
     for note in notes:
         logger.warning("bound reduction: %s", note)

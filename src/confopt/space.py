@@ -7,7 +7,7 @@ the mapping between the two.
 
 Responsibilities
 ----------------
-* Parameter and space validation (ranges, step divisibility, level counts).
+* Parameter and space validation (ranges, step divisibility, unique names).
 * Exact space cardinality (Python integers, no overflow).
 * Normalization to [0, 1] per dimension and snapping back to the grid.
 * Deterministic enumeration in odometer order (last parameter fastest),
@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -51,10 +51,9 @@ class ParameterSpec:
     suffix:
         Unit suffix appended when rendering ("m", "Mi"). Empty for plain
         integers and categorical codes.
-    allow_single_level:
-        Permit ``minimum == maximum``. Off by default so hand-written specs
-        with a degenerate range fail loudly; bound reduction opts in when it
-        pins a parameter.
+
+    ``minimum == maximum`` is a valid range of one level: a parameter that
+    bound reduction or a config pins.
     """
 
     name: str
@@ -62,7 +61,6 @@ class ParameterSpec:
     maximum: int
     granularity: int
     suffix: str = ""
-    allow_single_level: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -81,11 +79,6 @@ class ParameterSpec:
             raise ValueError(
                 f"parameter {self.name!r}: range {self.maximum - self.minimum} "
                 f"is not a multiple of granularity {self.granularity}"
-            )
-        if self.level_count < 2 and not self.allow_single_level:
-            raise ValueError(
-                f"parameter {self.name!r}: needs at least 2 grid levels, "
-                f"got {self.level_count}"
             )
 
     @property

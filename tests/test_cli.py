@@ -93,6 +93,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "hillclimb" in err and "bayesian-ei" in err
 
+    @pytest.mark.parametrize(
+        "key, value, text",
+        [
+            ("optimizer", "BOGUS", "unknown optimizer 'BOGUS'; valid names: bayesian-ei, "),
+            ("utilFunc", "bogus", "unknown utility function 'bogus'; valid: slo-cost, "),
+        ],
+        ids=["optimizer", "utilFunc"],
+    )
+    def test_unknown_registry_name_is_a_field_error(
+        self, workdir, monkeypatch, capsys, key, value, text
+    ):
+        """An unknown ``optimizer`` or ``utilFunc`` is refused by its
+        registry's own check, with the field path first as for any field."""
+        write_yaml(workdir / "bad.yaml", config_document(**{key: value}))
+        code = run(monkeypatch, workdir / "o", ["optimize", "--config", str(workdir / "bad.yaml")])
+        assert code == 1
+        assert f"error: {key}: {text}" in capsys.readouterr().err.splitlines()[-1]
+
     def test_unknown_subcommand_is_usage_error(self, workdir, monkeypatch):
         assert run(monkeypatch, workdir / "o", ["tune"]) == 1
 
@@ -321,6 +339,22 @@ class TestExitCodes:
         )
         assert code == 1
         assert "annealing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "names, text",
+        [("random,RANDOM", "duplicate optimizer names"), (" , ", "at least one optimizer required")],
+        ids=["duplicate", "empty"],
+    )
+    def test_bad_optimizer_list_is_config_error(self, workdir, monkeypatch, capsys, names, text):
+        """A list that names one optimizer twice, or none, is a usage error
+        naming ``--optimizers``."""
+        out = workdir / "data"
+        assert run(
+            monkeypatch, out, ["exhaustive", "--config", str(workdir / "config.yaml")]
+        ) == 0
+        argv = ["compare", "--dataset", str(out / "dataset.csv"), "--optimizers", names]
+        assert run(monkeypatch, workdir / "cmp", [*argv, "--runs", "2", "--budget", "4"]) == 1
+        assert f"error: --optimizers: {text}" in capsys.readouterr().err
 
     def test_moat_budget_below_one_trajectory_is_config_error(self, workdir, monkeypatch, capsys):
         """A ``moat`` budget below k + 1 = 3 evaluations funds no trajectory:

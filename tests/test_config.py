@@ -733,9 +733,7 @@ class TestEmit:
         reduced = SearchSpace(
             (
                 ParameterSpec("webCpu", 750, 1000, 125, suffix="m"),
-                ParameterSpec(
-                    "webMemory", 512, 512, 256, suffix="Mi", allow_single_level=True
-                ),
+                ParameterSpec("webMemory", 512, 512, 256, suffix="Mi"),
             )
         )
         reduction = BoundReductionReport(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -536,81 +537,143 @@ class FakeOpenBlas:
         self.count = count
 
 
+class AnotherBlas:
+    """A stand-in for numpy's extension module where numpy links a BLAS
+    other than OpenBLAS: it resolves none of the OpenBLAS thread symbols."""
+
+    opened = []
+
+    def __init__(self, path):
+        self.opened.append(path)
+
+    def MKL_Set_Num_Threads(self, count):  # noqa: N802 - MKL's symbol name
+        raise AssertionError("not an OpenBLAS setter")
+
+
 class TestOneBlasThread:
-    def test_caps_every_library_and_restores_its_count(self, monkeypatch):
-        libraries = [FakeOpenBlas(2), FakeOpenBlas(4)]
-        controls = tuple((lib.get, lib.set) for lib in libraries)
-        monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: controls)
+    def test_caps_numpys_openblas_and_restores_its_count(self, monkeypatch):
+        library = FakeOpenBlas(4)
+        monkeypatch.setattr(gp, "_openblas_threads", lambda: (library.get, library.set))
         with one_blas_thread():
-            assert [lib.count for lib in libraries] == [1, 1]
-        assert [lib.count for lib in libraries] == [2, 4]
+            assert library.count == 1
+        assert library.count == 4
         with pytest.raises(ZeroDivisionError), one_blas_thread():
             1 / 0
-        assert [lib.sets for lib in libraries] == [[1, 2, 1, 2], [1, 4, 1, 4]]
+        assert library.sets == [1, 4, 1, 4]
 
     def test_does_nothing_without_openblas(self, monkeypatch):
-        real = gp._openblas_thread_controls()
-        before = [get() for get, _ in real]
-        monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: ())
+        real_get, _ = gp._openblas_threads()
+        before = real_get()
+        monkeypatch.setattr(gp.ctypes, "CDLL", AnotherBlas)
+        controls = gp._openblas_threads.__wrapped__()
+        monkeypatch.setattr(gp, "_openblas_threads", lambda: controls)
         with one_blas_thread():
-            assert [get() for get, _ in real] == before
+            assert real_get() == before
             fitted = gp_fit(grid_inputs(5), np.arange(5.0))
-        assert [get() for get, _ in real] == before
+        assert real_get() == before
         assert fitted.jitter == DEFAULT_JITTER
 
-    def test_lookup_finds_no_library_in_maps_without_openblas(self, monkeypatch, tmp_path):
-        maps = tmp_path / "maps"
-        maps.write_text(
-            "7f0000000000-7f0000001000 r-xp 00000000 08:01 42   /usr/lib/libmkl_rt.so.2\n"
-            "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0    [stack]\n"
-            "7ffd00100000-7ffd00102000 r-xp 00000000 00:00 0\n"
-        )
-        monkeypatch.setattr(gp, "_MAPS", str(maps))
-        assert gp._openblas_thread_controls.__wrapped__() == ()
-        monkeypatch.setattr(gp, "_MAPS", str(tmp_path / "missing"))
-        assert gp._openblas_thread_controls.__wrapped__() == ()
+    def test_lookup_through_numpys_module_finds_no_openblas_in_another_blas(
+        self, monkeypatch
+    ):
+        AnotherBlas.opened.clear()
+        monkeypatch.setattr(gp.ctypes, "CDLL", AnotherBlas)
+        getter, setter = gp._openblas_threads.__wrapped__()
+        assert AnotherBlas.opened == [np._core._multiarray_umath.__file__]
+        assert getter() == 1
+        setter(8)
+        assert getter() == 1
 
 
-#: Notes the OpenBLAS libraries numpy maps, runs a BO round's GP work on
-#: one BLAS thread, and prints how many of numpy's thread getters the
-#: cached controls hold.
-NUMPY_BLAS_CONTROLLED = """
-import ctypes, os
+#: Finds the OpenBLAS libraries mapped into the process from
+#: ``/proc/self/maps``, independently of ``gp``: ``reference`` holds each
+#: one's thread-count getter and setter.
+MAPPED_OPENBLAS = """
+import builtins, ctypes, os
 import numpy as np
 from confopt import gp
-with open(gp._MAPS, encoding="utf-8") as maps:
+with open("/proc/self/maps", encoding="utf-8") as maps:
     fields = [line.split(maxsplit=5) for line in maps]
 paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+reference = []
+for path in sorted(paths):
+    library = ctypes.CDLL(path)
+    for name in gp._OPENBLAS_SETTERS:
+        setter = getattr(library, name, None)
+        getter = getattr(library, name.replace("_set_", "_get_"), None)
+        if setter is not None and getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            reference.append((getter, setter))
+"""
+
+#: Runs a BO round's GP work on one BLAS thread, and prints how many
+#: OpenBLAS getters the process maps and how many of them are the getter
+#: ``gp`` controls.
+NUMPY_BLAS_CONTROLLED = MAPPED_OPENBLAS + """
 grid = gp.ProductGrid([np.linspace(0.0, 1.0, 4)] * 3)
 model = gp.gp_fit(grid.at([0, 21, 42, 63]), [1.0, 0.5, 2.0, 1.5])
 with gp.one_blas_thread():
     mean, std = model.predict(grid)
     gp.expected_improvement(mean, std, model.standardize(0.5))
 address = lambda function: ctypes.cast(function, ctypes.c_void_p).value
-controlled = {address(getter) for getter, _ in gp._openblas_thread_controls()}
-getters = [
-    getattr(ctypes.CDLL(path), name.replace("_set_", "_get_"), None)
-    for path in paths
-    for name in gp._OPENBLAS_SETTERS
-]
-numpy_getters = {address(getter) for getter in getters if getter is not None}
-print(len(numpy_getters), len(numpy_getters & controlled))
+controlled = address(gp._openblas_threads()[0])
+print(len(reference), sum(address(getter) == controlled for getter, _ in reference))
+"""
+
+#: Sets every mapped OpenBLAS to 2 threads, then makes ``open`` refuse
+#: ``/proc/self/maps`` and prints each library's count before, inside and
+#: after ``one_blas_thread``.
+CAPPED_WITHOUT_PROC_MAPS = MAPPED_OPENBLAS + """
+real_open = builtins.open
+
+def refusing_open(file, *args, **kwargs):
+    if str(file) == "/proc/self/maps":
+        raise PermissionError(13, "Permission denied", file)
+    return real_open(file, *args, **kwargs)
+
+builtins.open = refusing_open
+for _, setter in reference:
+    setter(2)
+before = [getter() for getter, _ in reference]
+with gp.one_blas_thread():
+    inside = [getter() for getter, _ in reference]
+print(before, inside, [getter() for getter, _ in reference], sep="|")
 """
 
 
-def test_a_bo_round_controls_numpys_openblas():
-    """numpy's OpenBLAS is the only BLAS the surrogate calls: the controls
-    a fresh interpreter's BO round caches cap numpy's OpenBLAS."""
+def run_child(script):
+    """Run ``script`` in a fresh interpreter with this tree's ``src`` on the
+    path, and return its standard output."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_BLAS_CONTROLLED],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    found, controlled = map(int, proc.stdout.split())
+    return proc.stdout
+
+
+def test_a_bo_round_controls_numpys_openblas():
+    """numpy's OpenBLAS is the only BLAS the surrogate calls: a fresh
+    interpreter's BO round maps one OpenBLAS, and the getter it caches is
+    that library's."""
+    found, controlled = map(int, run_child(NUMPY_BLAS_CONTROLLED).split())
     if not found:
         pytest.skip("no OpenBLAS mapped into the process")
     assert controlled == found
+
+
+def test_the_cap_works_where_proc_maps_cannot_be_read():
+    """The cap finds numpy's OpenBLAS through numpy's own module, so it
+    holds where ``/proc/self/maps`` cannot be opened."""
+    before, inside, after = map(json.loads, run_child(CAPPED_WITHOUT_PROC_MAPS).split("|"))
+    if not before:
+        pytest.skip("no OpenBLAS mapped into the process")
+    if min(before) < 2:
+        pytest.skip("this OpenBLAS will not run 2 threads, so a cap would not show")
+    assert inside == [1] * len(before)
+    assert after == before

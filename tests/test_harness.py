@@ -366,6 +366,47 @@ class TestRunOptimization:
         ]
 
 
+#: Settings of a 2x2 space's four rows that break enumeration order, and
+#: the reader's message for the first bad row.
+ORDER_CASES = {
+    "out-of-order": (
+        [(625, 625), (625, 500), (500, 625), (500, 500)],
+        "data row 1 has settings (625, 625), expected (500, 500); "
+        "rows must follow enumeration order",
+    ),
+    "duplicate": (
+        [(500, 500), (500, 625), (500, 625), (625, 625)],
+        "data row 3 has settings (500, 625), a duplicate of data row 2",
+    ),
+    "off-grid": (
+        [(500, 500), (9, 9), (625, 500), (625, 625)],
+        "data row 2 has settings (9, 9), expected (500, 625); rows must follow enumeration order",
+    ),
+}
+
+
+def rows_at(settings):
+    """Rows with the given settings, each scored alike."""
+    return [
+        Observation(Configuration(tuple(s)), {}, 0.5, True, i + 1) for i, s in enumerate(settings)
+    ]
+
+
+def built_from_rows(space, settings, tmp_path):
+    return lambda: Dataset(space, rows_at(settings)), ""
+
+
+def loaded_from_a_file(space, settings, tmp_path):
+    """A dataset file collected with its sidecar, whose settings cells then
+    become ``settings``."""
+    path = tmp_path / "dataset.csv"
+    collect_exhaustive(space, SurfaceBackend(space), UTILITY, SLO, WORKLOAD, out_path=path)
+    header, *lines = path.read_text().splitlines(keepends=True)
+    cells = [line.split(",", space.dimension)[-1] for line in lines]
+    path.write_text(header + "".join(f"{a},{b},{rest}" for (a, b), rest in zip(settings, cells)))
+    return lambda: load_dataset(path), f"{path}: "
+
+
 class TestDataset:
     def test_row_count_must_match_space(self):
         space = make_space([2, 2])
@@ -406,6 +447,30 @@ class TestDataset:
             ValueError, match=re.escape("data row 1 has settings (625, 625), expected (500, 500)")
         ):
             Dataset(space=space, rows=rows[::-1])
+
+    @pytest.mark.parametrize("case", ORDER_CASES)
+    @pytest.mark.parametrize("source", [built_from_rows, loaded_from_a_file])
+    def test_rows_and_files_share_one_order_check(self, source, case, tmp_path):
+        """``Dataset(space, rows)`` and the reader word an order error alike."""
+        settings, message = ORDER_CASES[case]
+        build, where = source(make_space([2, 2]), settings, tmp_path)
+        with pytest.raises(ValueError, match=re.escape(where + message)):
+            build()
+
+    @pytest.mark.parametrize(
+        "settings, number, got, want",
+        [
+            ([(500, 500), (500, 625, 1), (625, 500), (625, 625)], 2, "(500, 625, 1)", "(500, 625)"),
+            ([(500,), (625,), (500,), (625,)], 1, "(500,)", "(500, 500)"),
+        ],
+        ids=["one-long-row", "every-row-short"],
+    )
+    def test_rows_of_another_length_are_out_of_order(self, settings, number, got, want):
+        """A row with the wrong number of settings is named as out of
+        order; it is not reshaped into other rows."""
+        message = f"data row {number} has settings {got}, expected {want}; rows must follow"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(make_space([2, 2]), rows_at(settings))
 
     def test_rows_off_the_grid_rejected(self):
         """Rows off the space's grid would write a file that loads silently as
@@ -1090,12 +1155,7 @@ def measured_spaces(draw):
         minimum = draw(st.integers(min_value=0, max_value=1000))
         granularity = draw(st.integers(min_value=1, max_value=200))
         steps = draw(st.integers(min_value=0, max_value=3))
-        specs.append(
-            ParameterSpec(
-                f"p{i}", minimum, minimum + granularity * steps, granularity,
-                allow_single_level=True,
-            )
-        )
+        specs.append(ParameterSpec(f"p{i}", minimum, minimum + granularity * steps, granularity))
     space = SearchSpace(tuple(specs))
     latency = st.floats(min_value=1.0, max_value=5000.0)
     throughput = st.floats(min_value=0.1, max_value=1e4)
@@ -1347,7 +1407,7 @@ class TestDatasetSidecar:
         cannot see, and ``report`` keeps the sidecar."""
         _, path = reduced_toystore_collection(tmp_path)
         pinned = SearchSpace(
-            (ParameterSpec("a", 500, 500, 125, allow_single_level=True),)
+            (ParameterSpec("a", 500, 500, 125),)
             + make_space([2, 3]).parameters
         )
         out = tmp_path / "pinned.csv"

@@ -480,14 +480,12 @@ class TestBayesianEI:
         assert all(4 * scored < left for scored, left in zip(session.scored[1:], unclaimed[1:]))
 
     def test_rounds_restore_blas_thread_counts(self, monkeypatch):
-        controls = gp._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS library in this process")
-        before = [get() for get, _ in controls]
+        get, _ = gp._openblas_threads()
+        before = get()
         inside = []
 
         def counting_fit(inputs, targets, prior=None):
-            inside.append([get() for get, _ in controls])
+            inside.append(get())
             return gp_fit(inputs, targets, prior=prior)
 
         space = make_space([7, 6, 5])
@@ -496,8 +494,8 @@ class TestBayesianEI:
         score = quadratic_score(space)
         session.tell([obs(c, score(c), i + 1) for i, c in enumerate(session.ask())])
         session.ask()
-        assert inside == [[1] * len(controls)]
-        assert [get() for get, _ in controls] == before
+        assert inside == [1]
+        assert get() == before
 
         def failing_fit(inputs, targets, prior=None):
             raise np.linalg.LinAlgError("round failed")
@@ -507,7 +505,7 @@ class TestBayesianEI:
         session.tell([obs(c, score(c), i + 1) for i, c in enumerate(session.ask())])
         with pytest.raises(np.linalg.LinAlgError):
             session.ask()
-        assert [get() for get, _ in controls] == before
+        assert get() == before
 
     @pytest.mark.parametrize(
         "levels, budget", [([7, 6, 5], 60), ([6] * 12, 18)], ids=["grid", "sampled"]
@@ -533,7 +531,7 @@ class TestBayesianEI:
         """Candidate ranks and coordinates past GRID_LIMIT equal ranking each
         drawn row and neighbour through ``space.rank`` and normalizing
         ``config_at(rank)``, first occurrences in order; a pinned axis too."""
-        pinned = ParameterSpec("pinned", 7, 7, 1, allow_single_level=True)
+        pinned = ParameterSpec("pinned", 7, 7, 1)
         space = SearchSpace((pinned,) + make_space([6] * 11, granularity=5).parameters)
         session = create_optimizer("bayesian-ei", space, 24, 6, seed=2)
         drive(session, quadratic_score(space))
@@ -599,7 +597,7 @@ STREAM_SPACES = {
         SearchSpace(
             (
                 ParameterSpec("a", 0, 2, 1),
-                ParameterSpec("pinned", 5, 5, 1, allow_single_level=True),
+                ParameterSpec("pinned", 5, 5, 1),
                 ParameterSpec("b", 0, 30, 10),
                 ParameterSpec("c", 0, 1, 1),
             )
@@ -613,7 +611,7 @@ STREAM_SPACES = {
         SearchSpace(
             (
                 ParameterSpec("a", 0, 3, 1),
-                ParameterSpec("pinned", 7, 7, 1, allow_single_level=True),
+                ParameterSpec("pinned", 7, 7, 1),
                 ParameterSpec("b", 0, 20, 10),
                 ParameterSpec("c", 0, 3, 1),
                 ParameterSpec("d", 0, 4, 1),

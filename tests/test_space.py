@@ -25,14 +25,15 @@ class TestParameterSpec:
         assert mem_spec().level_count == 6
         assert list(cpu_spec().levels()) == [500, 625, 750, 875, 1000, 1125]
 
-    def test_degenerate_range_rejected(self):
-        with pytest.raises(ValueError):
-            ParameterSpec("x", 0, 0, 1)
-
     def test_degenerate_range_opt_in(self):
-        pinned = ParameterSpec("x", 640, 640, 128, allow_single_level=True)
+        pinned = ParameterSpec("x", 640, 640, 128)
         assert pinned.level_count == 1
         assert pinned.normalized(640) == 0.0
+
+    def test_one_level_range_needs_no_opt_in(self):
+        spec = ParameterSpec("x", 5, 5, 1)
+        assert spec.level_count == 1
+        assert list(spec.levels()) == [5]
 
     @pytest.mark.parametrize(
         "minimum,maximum,granularity",
@@ -164,7 +165,7 @@ class TestSearchSpace:
                     method(config)
 
     def test_level_tables_match_the_parameter_arithmetic(self):
-        pinned = ParameterSpec("pin", 3, 3, 1, allow_single_level=True)
+        pinned = ParameterSpec("pin", 3, 3, 1)
         space = SearchSpace((cpu_spec("webCpu"), pinned, mem_spec("webMemory")))
         for config in space.iter_configurations():
             pairs = list(zip(space.parameters, config.settings))
