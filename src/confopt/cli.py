@@ -58,7 +58,7 @@ def _at_least(minimum: int, expected: str):
 
 #: A ``--seed`` value: numpy's generators take only non-negative seeds.
 _seed = _at_least(0, "a non-negative integer")
-#: A run, budget, batch or repetition count.
+#: A run, budget, batch, repetition or worker count.
 _count = _at_least(1, "a positive integer")
 
 
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--budget", type=_count, default=100)
     compare.add_argument("--seed", type=_seed, default=0)
     compare.add_argument("--batch", type=_count, default=6)
-    compare.add_argument("--workers", type=int, default=1)
+    compare.add_argument("--workers", type=_count, default=1)
     compare.add_argument("--out", default=".")
     compare.set_defaults(func=_cmd_compare)
 

@@ -21,10 +21,11 @@ into a leading and a trailing group gives ``K(x, grid) = A(x) ⊗ B(x)``
 with A over the N_A leading points and B over the N_B trailing ones
 (Saatçi 2011); a weighted sum of kernel rows, ``cᵀK(X, grid)``, is then
 the N_A×N_B matrix ``Aᵀ diag(c) B``. A round that tells b observations to
-a model of n computes V's b new rows ``(L⁻¹)[m:n, :]·K(X, grid)`` and the
-mean ``αᵀK(X, grid)`` as one batched GEMM, O(b·n·N) on operands of
-n·(N_A + N_B) floats. The only state a model keeps for the grid, and hands
-to the model that extends it, is the column sum of V² (N floats).
+a model of n computes the mean ``αᵀK(X, grid)`` and V's b new rows
+``(L⁻¹)[i, :]·K(X, grid)`` one GEMM each, O(b·n·N) on operands of
+n·(N_A + N_B) floats, squaring each row into one N-float buffer before the
+next. The only state a model keeps for the grid, and hands to the model
+that extends it, is the column sum of V² (N floats).
 
 That work is a few BLAS calls on b new rows per round, which BLAS threads
 only slow down. :func:`one_blas_thread` runs a round on one thread of
@@ -67,9 +68,6 @@ DEFAULT_SIGNAL_VARIANCE = 1.0
 #: kernel matrix resists factorization.
 DEFAULT_JITTER = 1e-6
 _JITTER_ESCALATIONS = 3
-#: Weight rows per batched GEMM over a grid, which bounds its operands and
-#: result when a model starts the grid from zero rows.
-_ROWS_PER_GEMM = 8
 
 
 def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,7 +222,9 @@ class SurrogateModel:
             mean = cross.T @ self._alpha
             basis = self._inverse @ cross
             sq_sum = np.einsum("ij,ij->j", basis, basis)
-        return mean, np.sqrt(np.maximum(DEFAULT_SIGNAL_VARIANCE - sq_sum, 0.0))
+        # In place on one new array: a grid's sum of V² is kept.
+        std = np.subtract(DEFAULT_SIGNAL_VARIANCE, sq_sum)
+        return mean, np.sqrt(np.maximum(std, 0.0, out=std), out=std)
 
     def _predict_grid(self, grid: ProductGrid) -> tuple[np.ndarray, np.ndarray]:
         """The mean and the column sums of V² over the whole grid, adding
@@ -233,17 +233,16 @@ class SurrogateModel:
         state = self._grid_variance
         if state is None or state.grid is not grid:
             state = _GridVariance(grid, 0, np.zeros(len(grid)))
-        # Row 0 weights the kernel rows into the mean, the rest into V's new
-        # rows: rows m..n of L⁻¹.
-        weights = np.vstack([self._alpha, self._inverse[state.rows :]])
         left, right = grid.factors(self.inputs)
-        mean, sq_sum = None, state.sq_sum
-        for start in range(0, len(weights), _ROWS_PER_GEMM):
-            chunk = weights[start : start + _ROWS_PER_GEMM, :, None]
-            rows = np.matmul(left.T, chunk * right).reshape(len(chunk), -1)
-            if mean is None:
-                mean, rows = rows[0].copy(), rows[1:]
-            sq_sum = sq_sum + np.einsum("ij,ij->j", rows, rows)
+        mean = (left.T @ (self._alpha[:, None] * right)).ravel()
+        # Each new row of V is one GEMM into one buffer, squared in place;
+        # the squares are summed in row order, then added to the carried sum.
+        row = np.empty((left.shape[1], right.shape[1]))
+        added = np.zeros(len(grid))
+        for weights in self._inverse[state.rows :]:
+            np.matmul(left.T, weights[:, None] * right, out=row)
+            added += np.multiply(row, row, out=row).ravel()
+        sq_sum = state.sq_sum + added
         self._grid_variance = _GridVariance(grid, n, sq_sum)
         return mean, sq_sum
 
@@ -344,7 +343,7 @@ def _normal_cdf(z: np.ndarray | float) -> np.ndarray:
     that expected improvement and the bound :func:`_unit_ei` puts on it
     share its bits. A scalar ``z`` gives a scalar."""
     scaled = np.divide(z, -math.sqrt(2.0))
-    erfc = np.fromiter(map(math.erfc, scaled.ravel().tolist()), float, scaled.size)
+    erfc = np.fromiter(map(math.erfc, memoryview(scaled.ravel())), float, scaled.size)
     return 0.5 * erfc.reshape(scaled.shape)
 
 

@@ -883,16 +883,18 @@ def compare(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     optimizer_names = check_optimizers(optimizer_names)
 
     args = (dataset, budget, batch_size, base_seed)
-    chunk = max(1, math.ceil(runs / (max(workers, 1) * 4)))
+    chunk = max(1, math.ceil(runs / (workers * 4)))
     tasks = [
         (name, start, min(start + chunk, runs))
         for name in optimizer_names
         for start in range(0, runs, chunk)
     ]
-    if workers <= 1:
+    if workers == 1:
         results = list(map(functools.partial(_compare_chunk, args=args), tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor

@@ -358,20 +358,21 @@ class BayesianEISession(OptimizerSession):
     On the grid the fit extends the previous round's model and predicts
     over the whole grid as a :class:`confopt.gp.ProductGrid`, built once in
     enumeration order. A round then pays only for the batch it was last
-    told: one batched GEMM of O(b·n·N) over the kernel's per-axis factors
-    gives the mean and that batch's share of the variance, and the model
-    carries N floats to the next round (see :mod:`confopt.gp`). Each round
-    runs on one BLAS thread (:func:`confopt.gp.one_blas_thread`).
+    told: one GEMM per weight row, O(b·n·N) over the kernel's per-axis
+    factors, gives the mean and that batch's share of the variance, and the
+    model carries N floats to the next round (see :mod:`confopt.gp`). Each
+    round runs on one BLAS thread (:func:`confopt.gp.one_blas_thread`).
 
     A grid round scores EI only where it can reach the batch, and picks
     what scoring every unclaimed point would (:func:`_pick_on_grid`). The
     previous round's ``LEADERS`` best candidates that are still unclaimed
     give a floor τ, the n-th highest of their EIs, and no point whose
     improvement ``best − mean`` lies below
-    :func:`confopt.gp.improvement_cutoff` of τ can reach it. The first EI
-    round, and any round whose leaders leave fewer than n unclaimed or give
-    a τ too small to bound, score every unclaimed point. ``scored`` records
-    how many candidates each EI round scored.
+    :func:`confopt.gp.improvement_cutoff` of τ can reach it. Unclaimed points
+    of highest improvement stand in for missing leaders, as in the first EI
+    round. Only a τ too small to bound, or fewer than n unclaimed points,
+    makes a round score every unclaimed point. ``scored`` records how many
+    candidates each EI round scored.
     """
 
     name = "bayesian-ei"
@@ -413,6 +414,7 @@ class BayesianEISession(OptimizerSession):
         targets = np.array([o.utility for o in self.history])
         prior = self._model if self._on_grid else None
         model = self._model = gp_fit(self._inputs, targets, prior=prior)
+        del prior  # its sum of V² is freed once predict replaces it
         best = model.standardize(float(targets.min()))
         if self._on_grid:
             if len(self._asked) == self.space.size:
@@ -467,12 +469,17 @@ def _pick_on_grid(
     best positions scored, which bound the next round as ``leaders`` bound
     this one; then the count of positions scored.
 
-    When at least n ``leaders`` are unclaimed and the n-th highest of their
-    EIs, τ, has a cutoff, only the unclaimed positions whose improvement
-    reaches it are scored, with the unclaimed leaders, in grid order;
-    otherwise every unclaimed position is. A point left out has EI below
-    τ, which at least n scored points reach, so the pick is the same.
+    τ is the n-th highest EI of the unclaimed ``leaders``, or, when fewer
+    than n are unclaimed, of the ``max(n, keep)`` unclaimed positions of
+    highest improvement ``best − mean`` (any n give a valid τ). When τ has
+    a cutoff, only the unclaimed positions whose improvement reaches it are
+    scored, with the leaders, in grid order; otherwise every unclaimed
+    position is. A point left out has EI below τ, which at least n scored
+    points reach, so the pick is the same.
     """
+    gain = np.where(unclaimed, best - mean, -np.inf)
+    if np.count_nonzero(unclaimed[leaders]) < n:
+        leaders = _top(gain, max(n, keep))
     alive = leaders[unclaimed[leaders]]
     cutoff = None
     if len(alive) >= n:
@@ -484,9 +491,9 @@ def _pick_on_grid(
         candidates = np.flatnonzero(unclaimed)
         ei = expected_improvement(mean, std, best)[candidates]
     else:
-        scored = best - mean >= cutoff
+        scored = gain >= cutoff
         scored[alive] = True
-        candidates = np.flatnonzero(scored & unclaimed)
+        candidates = np.flatnonzero(scored)
         ei = expected_improvement(mean[candidates], std[candidates], best)
     order = _top(ei, max(n, keep))
     return candidates[order[:n]], candidates[order], len(candidates)

@@ -236,6 +236,17 @@ class TestExitCodes:
         assert f"argument {flag}: expected a positive integer, got '0'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, workdir, monkeypatch, capsys, workers):
+        """``compare --workers`` is a count like ``--runs``: a value below one
+        is refused, not run serially."""
+        out = workdir / "o"
+        argv = ["compare", "--dataset", "dataset.csv", "--workers", workers]
+        assert run(monkeypatch, out, argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument --workers: expected a positive integer, got '{workers}'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["exhaustive", "optimize", "screen"])
     def test_model_number_beyond_float_range_is_config_error(
         self, workdir, monkeypatch, capsys, command

@@ -514,11 +514,11 @@ class TestProductGrid:
         assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
         assert_grid_matches_points(prior, grid)
 
-    def test_many_new_rows_are_summed_in_gemm_sized_blocks(self):
-        """A fresh model on many inputs adds V's rows in several batched
-        GEMMs; their sum is the single-pass posterior."""
+    def test_many_new_rows_are_summed_one_row_at_a_time(self):
+        """A fresh model on 26 inputs adds V's rows one GEMM each; their
+        sum is the single-pass posterior."""
         grid = ProductGrid(unit_levels(6, 6, 5))
-        inputs, targets = grid_history(grid, 3 * gp._ROWS_PER_GEMM + 2, seed=8)
+        inputs, targets = grid_history(grid, 26, seed=8)
         assert_grid_matches_points(gp_fit(inputs, targets), grid)
 
 

@@ -1599,6 +1599,8 @@ class TestCompare:
             compare(dataset, ["random"], 0, 5, 0)
         with pytest.raises(ValueError, match="budget"):
             compare(dataset, ["random"], 5, 0, 0)
+        with pytest.raises(ValueError, match=re.escape("workers must be >= 1, got 0")):
+            compare(dataset, ["random"], 5, 5, 0, workers=0)
         with pytest.raises(ValueError, match="duplicate"):
             compare(dataset, ["random", "random"], 5, 5, 0)
 
